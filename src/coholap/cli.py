@@ -11,37 +11,14 @@ Exit codes: 0 on success, 1 on a computational failure (gap did not
 resolve, enumeration overflow, no exact trace backend, ...) with a
 machine-readable error JSON on stdout, 2 on malformed input.
 
-Experiment description keys (subcommands use the ones they need)::
-
-    {
-      "presentation": {"generators": ["a", "b"], "relators": ["a*b*a^-1*b^-1"]},
-      "aspherical": true,
-      "higher_differentials": {"2": [["a - 1"]]},
-      "chain": [["a^2", "b^2"], ["a^4", "b^4"]],
-      "representation": {"kind": "regular" | "quotient" | "trivial",
-                          "relators": ["..."]},
-      "degree": 1,
-      "degrees": [0, 1],
-      "zero_tolerance": 1e-8,
-      "method": "eigen" | "heat",
-      "beta_ref": {"value": "1/5", "provenance": "user-cited",
-                    "citation": "..."},
-      "finite_subgroup_orders": [5],
-      "upper_bounds": {"m_max": 12, "norm_bound": "8", "gap_hint": 1.5},
-      "certificates": [{
-          "label": "...",
-          "target": {"laplacian": 0} | {"matrix": [["..."]]},
-          "epsilon": "6" | "polynomial_form": ["1", "-6"],
-          "squares": [[["1 - a"]]],
-          "witnesses": [{"left": [["..."]], "relator": 0,
-                          "right": [["1"]]}],
-          "ideal": ["a^3"],
-          "soundness": {"kind": "regular"}
-      }]
-    }
-
+The keys of an experiment description are listed in README.md, under
+"Experiment description"; each subcommand reads the ones it needs.
 Group-ring elements and words use the text grammar of
 :mod:`coholap.textform` (``3/2*a*b^-1 - 1``).
+
+Each subcommand is declared once: its handler returns the report's
+records as plain values, and both the JSON report and the CSV table are
+derived from them (the CSV reads its columns out of the JSON records).
 """
 
 from __future__ import annotations
@@ -56,29 +33,39 @@ import os
 import platform
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .certificates import (
-    Certificate,
-    IdealWitness,
     certificate_gap_claim,
     check_claim_soundness,
     verify_certificate,
 )
-from .complexes import CochainComplexSpec, build_complex
+from .complexes import validate_chain_identity
 from .cosets import (
     DEFAULT_BALL_RADIUS,
     DEFAULT_MAX_COSETS,
     QuotientChain,
-    Representation,
     quotient_chain,
-    todd_coxeter,
+)
+from .description import (
+    load_payload,
+    parse_beta_ref,
+    parse_certificates,
+    parse_chain,
+    parse_complex,
+    parse_degree,
+    parse_degrees,
+    parse_method,
+    parse_presentation,
+    parse_representation,
+    parse_subgroup_orders,
+    parse_tolerance,
+    parse_upper_bounds,
 )
 from .errors import CoholapError, MalformedInputError
-from .groupring import GroupRingMatrix, Presentation
 from .pipeline import (
-    BetaRef,
     betti_report,
     box_obstruction_report,
     euler_class_trace,
@@ -89,8 +76,7 @@ from .pipeline import (
     laplacian_operator,
     luck_approximation,
 )
-from .spectral import DEFAULT_ZERO_TOLERANCE, evaluate, spectral_gap
-from .textform import parse_word
+from .spectral import evaluate, spectral_gap
 
 try:  # the installed distribution knows its version; a checkout falls back
     from importlib.metadata import PackageNotFoundError, version
@@ -108,770 +94,359 @@ except ImportError:  # pragma: no cover
 # ---------------------------------------------------------------------------
 
 
-def _f(value: float):
-    """JSON-safe float: non-finite values become strings."""
-    value = float(value)
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    if math.isnan(value):
-        return "nan"
+def _json(value):
+    """A report value in JSON form: rationals become exact strings such as
+    '5/3', non-finite floats become strings, tuples become lists."""
+    if isinstance(value, dict):
+        return {key: _json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json(item) for item in value]
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, float):
+        if math.isinf(value):
+            return "inf" if value > 0 else "-inf"
+        if math.isnan(value):
+            return "nan"
+        return float(value)
     return value
-
-
-def _q(value: Fraction) -> str:
-    """Exact rational as a string, e.g. '5/3' or '2'."""
-    return str(Fraction(value))
 
 
 def _dump_json(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def _pairs(spec: str) -> tuple[tuple[str, str], ...]:
+    """'a b=c.d' -> (('a', 'a'), ('b', 'c.d')): names and where to read them."""
+    return tuple((name, source or name)
+                 for name, _, source in (word.partition("=")
+                                         for word in spec.split()))
+
+
+def _pick(obj, spec: str) -> dict:
+    """Report keys read from attributes: 'key' or 'key=attribute' words."""
+    return {key: getattr(obj, attribute) for key, attribute in _pairs(spec)}
+
+
+def _gap_json(report) -> dict:
+    return _pick(report, "dimension kernel_dim gap resolved threshold scale "
+                         "lowest")
+
+
+def _csv_text(columns: tuple[tuple[str, str], ...], records: list[dict]) -> str:
+    """One CSV row per JSON report record; a column's path is dotted keys
+    into the record, and a path below a null block gives an empty cell."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_csv_cell(cell) for cell in row])
+    writer.writerow([header for header, _path in columns])
+    for record in records:
+        row = []
+        for _header, path in columns:
+            cell = record
+            for key in path.split("."):
+                cell = None if cell is None else cell[key]
+            row.append(_csv_cell(cell))
+        writer.writerow(row)
     return buffer.getvalue()
 
 
 def _csv_cell(cell) -> str:
+    if cell is None:
+        return ""
     if isinstance(cell, bool):
         return "true" if cell else "false"
-    if isinstance(cell, Fraction):
-        return _q(cell)
     if isinstance(cell, float):
         return repr(cell)
+    if isinstance(cell, list):
+        return ";".join(_csv_cell(item) for item in cell)
     return str(cell)
 
 
-def _gap_json(report) -> dict:
-    return {
-        "dimension": report.dimension,
-        "kernel_dim": report.kernel_dim,
-        "gap": _f(report.gap),
-        "resolved": report.resolved,
-        "threshold": _f(report.threshold),
-        "scale": _f(report.scale),
-        "lowest": [_f(x) for x in report.lowest],
-    }
-
-
 # ---------------------------------------------------------------------------
-# Experiment description parsing
+# The shared preamble and stages
 # ---------------------------------------------------------------------------
 
 
-def _load_payload(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except FileNotFoundError:
-        raise MalformedInputError(f"no such experiment file: {path}")
-    except IsADirectoryError:
-        raise MalformedInputError(f"{path} is a directory, not a JSON file")
-    except json.JSONDecodeError as exc:
-        raise MalformedInputError(f"{path} is not valid JSON: {exc}")
-    if not isinstance(payload, dict):
-        raise MalformedInputError("experiment description must be a JSON object")
-    return payload
+class _Run:
+    """One invocation: its options, its description, and the parts of the
+    description every subcommand reads, parsed once in a fixed order (so a
+    description with several faults always reports the same one)."""
+
+    def __init__(self, args, payload: dict, degree_key: str | None):
+        self.args = args
+        self.payload = payload
+        self.presentation = parse_presentation(payload)
+        self.complex = parse_complex(payload, self.presentation)
+        if degree_key == "degree":
+            self.degree = parse_degree(payload, args.command)
+        elif degree_key == "degrees":
+            self.degrees = parse_degrees(payload, args.command)
+        self.tol = parse_tolerance(payload, args.tol)
 
 
-def _require(payload: dict, key: str, command: str):
-    if key not in payload:
-        raise MalformedInputError(
-            f"subcommand {command!r} needs the {key!r} key in the experiment "
-            "description")
-    return payload[key]
+def _check_cochain(run: _Run, representations) -> None:
+    """Reject d_{n+1} d_n != 0 under any stage before a number is computed.
 
-
-def _string_list(value, what: str) -> list[str]:
-    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
-        raise MalformedInputError(f"{what} must be a list of strings")
-    return value
-
-
-def _build_presentation(payload: dict) -> Presentation:
-    block = payload.get("presentation")
-    if not isinstance(block, dict):
-        raise MalformedInputError(
-            "experiment description needs a 'presentation' object with "
-            "'generators' and 'relators'")
-    names = _string_list(block.get("generators", []),
-                         "presentation.generators")
-    relator_texts = _string_list(block.get("relators", []),
-                                 "presentation.relators")
-    relators = tuple(parse_word(text, names) for text in relator_texts)
-    return Presentation(tuple(names), relators)
-
-
-def _parse_ring_matrix(value, presentation: Presentation,
-                       what: str) -> GroupRingMatrix:
-    if (not isinstance(value, list) or not value
-            or any(not isinstance(row, list) or not row for row in value)):
-        raise MalformedInputError(
-            f"{what} must be a nonempty list of nonempty rows")
-    cols = len(value[0])
-    entries = []
-    for row in value:
-        if len(row) != cols:
-            raise MalformedInputError(f"{what} has ragged rows")
-        parsed = []
-        for cell in row:
-            if not isinstance(cell, str):
-                raise MalformedInputError(
-                    f"{what} entries must be element strings")
-            parsed.append(presentation.element(cell))
-        entries.append(parsed)
-    return GroupRingMatrix(len(value), cols, entries)
-
-
-def _build_complex_spec(payload: dict,
-                        presentation: Presentation) -> CochainComplexSpec:
-    higher = None
-    block = payload.get("higher_differentials")
-    if block is not None:
-        if not isinstance(block, dict):
-            raise MalformedInputError(
-                "higher_differentials must map degree strings to matrices")
-        higher = {}
-        for key, value in block.items():
-            try:
-                degree = int(key)
-            except (TypeError, ValueError):
-                raise MalformedInputError(
-                    f"higher_differentials key {key!r} is not a degree")
-            higher[degree] = _parse_ring_matrix(
-                value, presentation, f"higher_differentials[{key}]")
-    aspherical = payload.get("aspherical", False)
-    if not isinstance(aspherical, bool):
-        raise MalformedInputError("'aspherical' must be a boolean")
-    return build_complex(presentation, higher_differentials=higher,
-                         aspherical=aspherical)
-
-
-def _build_chain(payload: dict, presentation: Presentation,
-                 args) -> QuotientChain:
-    block = payload.get("chain")
-    if not isinstance(block, list) or not block:
-        raise MalformedInputError(
-            "'chain' must be a nonempty list of extra-relator lists")
-    stages = []
-    for i, stage in enumerate(block):
-        texts = _string_list(stage, f"chain[{i}]")
-        stages.append([parse_word(text, presentation.generator_names)
-                       for text in texts])
-    return quotient_chain(presentation, stages,
-                          ball_radius=args.ball_radius,
-                          max_cosets=args.max_cosets)
-
-
-def _single_representation(payload: dict, presentation: Presentation,
-                           args) -> tuple[int, Representation]:
-    """(quotient order, representation) from the 'representation' block."""
-    block = payload.get("representation", {"kind": "regular"})
-    if not isinstance(block, dict):
-        raise MalformedInputError("'representation' must be an object")
-    kind = block.get("kind", "regular")
-    if kind == "trivial":
-        return 1, Representation.trivial(presentation.generator_count)
-    if kind == "regular":
-        extra = ()
-    elif kind == "quotient":
-        texts = _string_list(block.get("relators", []),
-                             "representation.relators")
-        extra = [parse_word(text, presentation.generator_names)
-                 for text in texts]
-    else:
-        raise MalformedInputError(
-            f"representation kind must be 'regular', 'quotient' or "
-            f"'trivial', got {kind!r}")
-    table = todd_coxeter(presentation, extra, max_cosets=args.max_cosets)
-    label = f"quotient|G/N|={table.coset_count}" if extra else \
-        f"regular|G|={table.coset_count}"
-    return table.coset_count, Representation.from_coset_table(table, label)
-
-
-def _stage_list(payload: dict, presentation: Presentation, args
-                ) -> tuple[list[tuple[int, int, Representation]], dict | None]:
-    """All (position, order, representation) stages named by the input.
-
-    A 'chain' block yields the full quotient chain plus its separation
-    summary; otherwise the single 'representation' block (default: the
-    regular representation of the presented group) yields one stage.
+    Only user-supplied higher differentials can break the identity: the
+    presentation complex alone gives d_1 d_0 = 1 - r_j, which vanishes
+    under every representation of the presented group.
     """
-    if "chain" in payload:
-        chain = _build_chain(payload, presentation, args)
+    if run.payload.get("higher_differentials"):
+        for rep in representations:
+            validate_chain_identity(run.complex, rep)
+
+
+def _chain(run: _Run) -> QuotientChain:
+    chain = quotient_chain(
+        run.presentation,
+        parse_chain(run.payload, run.presentation, run.args.command),
+        ball_radius=run.args.ball_radius, max_cosets=run.args.max_cosets)
+    _check_cochain(run, chain.representations)
+    return chain
+
+
+def _separation(chain: QuotientChain) -> dict:
+    return _pick(chain.separation, "radius separated failure_count")
+
+
+def _per_stage(run: _Run, key: str, records: Callable) -> dict:
+    """A report whose list ``key`` holds ``records(order, rep)`` for every
+    stage named by the input, each with its position and quotient order.
+
+    A 'chain' block names the stages of the full quotient chain and adds
+    its separation summary; otherwise the single 'representation' block
+    (default: the regular representation of the presented group) names
+    one stage.
+    """
+    report = {}
+    if "chain" in run.payload:
+        chain = _chain(run)
         stages = [(position, order, rep)
                   for position, order, _table, rep in chain.stages()]
-        separation = {
-            "radius": chain.separation.radius,
-            "separated": chain.separation.separated,
-            "failure_count": chain.separation.failure_count,
-        }
-        return stages, separation
-    order, rep = _single_representation(payload, presentation, args)
-    return [(0, order, rep)], None
-
-
-def _degree(payload: dict, command: str) -> int:
-    degree = _require(payload, "degree", command)
-    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 0:
-        raise MalformedInputError("'degree' must be a nonnegative integer")
-    return degree
-
-
-def _tolerance(payload: dict, args) -> float:
-    if args.tol is not None:
-        value = args.tol
+        report["chain_separation"] = _separation(chain)
     else:
-        value = payload.get("zero_tolerance", DEFAULT_ZERO_TOLERANCE)
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise MalformedInputError("zero tolerance must be a number")
-    if not 0 < value < 1:
-        raise MalformedInputError("zero tolerance must lie in (0, 1)")
-    return value
-
-
-def _method(payload: dict) -> str:
-    method = payload.get("method", "eigen")
-    if method not in ("eigen", "heat"):
-        raise MalformedInputError(
-            f"method must be 'eigen' or 'heat', got {method!r}")
-    return method
-
-
-def _parse_scalar(value, what: str) -> Fraction:
-    try:
-        if isinstance(value, float):
-            return Fraction(value).limit_denominator(10**12)
-        return Fraction(str(value))
-    except (ValueError, ZeroDivisionError):
-        raise MalformedInputError(f"{what} is not a rational number: {value!r}")
-
-
-def _parse_certificates(payload: dict, presentation: Presentation,
-                        complex_spec: CochainComplexSpec) -> list[dict]:
-    """Certificates plus their optional soundness-check blocks."""
-    blocks = payload.get("certificates")
-    if blocks is None and "certificate" in payload:
-        blocks = [payload["certificate"]]
-    if not isinstance(blocks, list) or not blocks:
-        raise MalformedInputError(
-            "verify-cert needs a 'certificates' list (or single "
-            "'certificate' object)")
-    parsed = []
-    for i, block in enumerate(blocks):
-        if not isinstance(block, dict):
-            raise MalformedInputError(f"certificates[{i}] must be an object")
-        target_block = block.get("target")
-        if isinstance(target_block, dict) and "laplacian" in target_block:
-            degree = target_block["laplacian"]
-            if not isinstance(degree, int) or isinstance(degree, bool):
-                raise MalformedInputError(
-                    f"certificates[{i}].target.laplacian must be a degree")
-            from .complexes import build_laplacian
-
-            target = build_laplacian(complex_spec, degree).laplacian
-            default_label = f"Delta_{degree}"
-        elif isinstance(target_block, dict) and "matrix" in target_block:
-            target = _parse_ring_matrix(
-                target_block["matrix"], presentation,
-                f"certificates[{i}].target.matrix")
-            default_label = f"matrix[{target.rows}x{target.cols}]"
-        else:
-            raise MalformedInputError(
-                f"certificates[{i}].target must be {{'laplacian': n}} or "
-                "{'matrix': [[...]]}")
-
-        if "epsilon" in block and "polynomial_form" in block:
-            raise MalformedInputError(
-                f"certificates[{i}]: give either 'epsilon' or "
-                "'polynomial_form', not both")
-        if "epsilon" in block:
-            form = (Fraction(1),
-                    -_parse_scalar(block["epsilon"],
-                                   f"certificates[{i}].epsilon"))
-        elif "polynomial_form" in block:
-            pair = block["polynomial_form"]
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise MalformedInputError(
-                    f"certificates[{i}].polynomial_form must be [c2, c1]")
-            form = (_parse_scalar(pair[0], "polynomial_form[0]"),
-                    _parse_scalar(pair[1], "polynomial_form[1]"))
-        else:
-            form = (Fraction(0), Fraction(1))
-
-        squares = tuple(
-            _parse_ring_matrix(m, presentation,
-                               f"certificates[{i}].squares[{j}]")
-            for j, m in enumerate(block.get("squares", [])))
-        witnesses = []
-        for j, w in enumerate(block.get("witnesses", [])):
-            if not isinstance(w, dict):
-                raise MalformedInputError(
-                    f"certificates[{i}].witnesses[{j}] must be an object")
-            relator = w.get("relator")
-            if not isinstance(relator, int) or isinstance(relator, bool):
-                raise MalformedInputError(
-                    f"certificates[{i}].witnesses[{j}].relator must be an "
-                    "index into the ideal generators")
-            witnesses.append(IdealWitness(
-                left=_parse_ring_matrix(
-                    w.get("left"), presentation,
-                    f"certificates[{i}].witnesses[{j}].left"),
-                relator_index=relator,
-                right=_parse_ring_matrix(
-                    w.get("right"), presentation,
-                    f"certificates[{i}].witnesses[{j}].right")))
-        ideal = None
-        if "ideal" in block:
-            ideal = tuple(
-                parse_word(text, presentation.generator_names)
-                for text in _string_list(block["ideal"],
-                                         f"certificates[{i}].ideal"))
-        label = block.get("label", default_label)
-        if not isinstance(label, str):
-            raise MalformedInputError(f"certificates[{i}].label must be text")
-        certificate = Certificate(
-            presentation=presentation, target=target, polynomial_form=form,
-            squares=squares, witnesses=tuple(witnesses),
-            ideal_generators=ideal, label=label)
-        soundness = block.get("soundness")
-        if soundness is not None and not isinstance(soundness, dict):
-            raise MalformedInputError(
-                f"certificates[{i}].soundness must be an object")
-        parsed.append({"certificate": certificate, "soundness": soundness})
-    return parsed
+        order, rep = parse_representation(
+            run.payload.get("representation", {"kind": "regular"}),
+            run.presentation, run.args.max_cosets)
+        _check_cochain(run, [rep])
+        stages = [(0, order, rep)]
+    report[key] = [{"position": position, "quotient_order": order, **record}
+                   for position, order, rep in stages
+                   for record in records(order, rep)]
+    return report
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (report dict, csv header, csv rows)
+# Subcommands
 # ---------------------------------------------------------------------------
 
 
-def _cmd_spectrum(args, payload):
-    presentation = _build_presentation(payload)
-    complex_spec = _build_complex_spec(payload, presentation)
-    degree = _degree(payload, "spectrum")
-    tol = _tolerance(payload, args)
-    stages, separation = _stage_list(payload, presentation, args)
-    stage_reports = []
-    rows = []
-    for position, order, rep in stages:
-        op = laplacian_operator(complex_spec, degree, rep)
-        report = spectral_gap(op, tol)
-        stage_reports.append({
-            "position": position,
-            "quotient_order": order,
-            "label": rep.label,
-            **_gap_json(report),
-        })
-        rows.append([position, order, report.dimension, report.kernel_dim,
-                     report.gap, report.resolved,
-                     ";".join(repr(float(x)) for x in report.lowest)])
-    report = {
-        "command": "spectrum",
-        "degree": degree,
-        "zero_tolerance": tol,
-        "stages": stage_reports,
-    }
-    if separation is not None:
-        report["chain_separation"] = separation
-    header = ["position", "quotient_order", "dimension", "kernel_dim",
-              "gap", "resolved", "lowest"]
-    return report, header, rows
+class _Command(NamedTuple):
+    """A subcommand.  ``degree_key`` is the report key echoing the degree
+    input ('degree', 'degrees' or None); the CSV has one row per record in
+    the report list ``records_key``, with ``columns`` (header, path)."""
+
+    handler: Callable[[_Run], dict]
+    help: str
+    degree_key: str | None
+    records_key: str
+    columns: tuple[tuple[str, str], ...]
 
 
-def _cmd_betti(args, payload):
-    presentation = _build_presentation(payload)
-    complex_spec = _build_complex_spec(payload, presentation)
-    if "degrees" in payload:
-        degrees = payload["degrees"]
-        if (not isinstance(degrees, list) or not degrees
-                or not all(isinstance(d, int) and not isinstance(d, bool)
-                           and d >= 0 for d in degrees)):
-            raise MalformedInputError(
-                "'degrees' must be a nonempty list of nonnegative integers")
-    else:
-        degrees = [_degree(payload, "betti")]
-    tol = _tolerance(payload, args)
-    stages, separation = _stage_list(payload, presentation, args)
-    entries = []
-    rows = []
-    for position, order, rep in stages:
-        for degree in degrees:
-            betti, gap_report = betti_report(complex_spec, degree, rep, tol)
-            entries.append({
-                "position": position,
-                "quotient_order": order,
-                "degree": degree,
-                "betti": betti,
-                "normalized": _q(Fraction(betti, order)),
-                "gap": _f(gap_report.gap),
-                "resolved": gap_report.resolved,
-            })
-            rows.append([position, order, degree, betti,
-                         Fraction(betti, order), gap_report.gap,
-                         gap_report.resolved])
-    report = {
-        "command": "betti",
-        "degrees": list(degrees),
-        "zero_tolerance": tol,
-        "records": entries,
-    }
-    if separation is not None:
-        report["chain_separation"] = separation
+_COMMANDS: dict[str, _Command] = {}
 
-    bounds_block = payload.get("upper_bounds")
-    if bounds_block is not None:
-        if not isinstance(bounds_block, dict):
-            raise MalformedInputError("'upper_bounds' must be an object")
-        m_max = bounds_block.get("m_max", 8)
-        if not isinstance(m_max, int) or isinstance(m_max, bool) or m_max < 1:
-            raise MalformedInputError("upper_bounds.m_max must be a positive "
-                                      "integer")
-        norm_bound = bounds_block.get("norm_bound")
-        if norm_bound is not None:
-            norm_bound = _parse_scalar(norm_bound, "upper_bounds.norm_bound")
-        gap_hint = bounds_block.get("gap_hint")
-        if gap_hint is not None:
-            gap_hint = float(gap_hint)
-        term_budget = bounds_block.get("term_budget", 2_000_000)
-        if (not isinstance(term_budget, int) or isinstance(term_budget, bool)
-                or term_budget < 1):
-            raise MalformedInputError(
-                "upper_bounds.term_budget must be a positive integer")
+
+def _command(name: str, help_text: str, degree_key: str | None,
+             records_key: str, columns: str):
+    """Register a handler, which returns its report less the keys main adds.
+
+    Handlers reach library functions through this module's globals at
+    call time, never through stored references: per-layer tracing
+    rebinds those globals.
+    """
+    def register(handler):
+        _COMMANDS[name] = _Command(handler, help_text, degree_key,
+                                   records_key, _pairs(columns))
+        return handler
+    return register
+
+
+@_command("spectrum", "lowest eigenvalues and spectral gap of a Laplacian",
+          "degree", "stages",
+          "position quotient_order dimension kernel_dim gap resolved lowest")
+def _cmd_spectrum(run: _Run) -> dict:
+    def records(order, rep):
+        op = laplacian_operator(run.complex, run.degree, rep)
+        return [{"label": rep.label, **_gap_json(spectral_gap(op, run.tol))}]
+    return _per_stage(run, "stages", records)
+
+
+@_command("betti", "kernel dimensions (Betti numbers) under finite quotients",
+          "degrees", "records",
+          "position quotient_order degree betti normalized gap resolved")
+def _cmd_betti(run: _Run) -> dict:
+    def records(order, rep):
+        for degree in run.degrees:
+            betti, gap_report = betti_report(run.complex, degree, rep, run.tol)
+            yield {"degree": degree, "betti": betti,
+                   "normalized": Fraction(betti, order),
+                   **_pick(gap_report, "gap resolved")}
+    report = _per_stage(run, "records", records)
+    block = run.payload.get("upper_bounds")
+    if block is not None:
         bounds = l2_betti_upper_bounds(
-            complex_spec, degrees[0], m_max, gap_hint=gap_hint,
-            norm_bound=norm_bound, term_budget=term_budget,
-            max_cosets=args.max_cosets)
-        report["upper_bounds"] = {
-            "degree": bounds.degree,
-            "norm_bound": _q(bounds.norm_bound),
-            "values": [_q(v) for v in bounds.values],
-            "lower_bounds": None if bounds.lower_bounds is None
-            else [_f(x) for x in bounds.lower_bounds],
-            "cutoff": bounds.cutoff,
-            "backend": bounds.backend,
-            "gap_hint": None if bounds.gap_hint is None
-            else _f(bounds.gap_hint),
-        }
-    header = ["position", "quotient_order", "degree", "betti", "normalized",
-              "gap", "resolved"]
-    return report, header, rows
+            run.complex, run.degrees[0], **parse_upper_bounds(block),
+            max_cosets=run.args.max_cosets)
+        report["upper_bounds"] = _pick(
+            bounds, "degree norm_bound values lower_bounds cutoff backend "
+                    "gap_hint")
+    return report
 
 
-def _cmd_luck(args, payload):
-    presentation = _build_presentation(payload)
-    complex_spec = _build_complex_spec(payload, presentation)
-    degree = _degree(payload, "luck")
-    tol = _tolerance(payload, args)
-    _require(payload, "chain", "luck")
-    chain = _build_chain(payload, presentation, args)
-    luck = luck_approximation(complex_spec, degree, chain, tol)
-    records = [{
-        "position": r.position,
-        "quotient_order": r.quotient_order,
-        "betti": r.betti,
-        "ratio": _q(r.ratio),
-        "gap": _f(r.gap),
-    } for r in luck.records]
+@_command("luck", "normalized Betti sequence along a chain of quotients",
+          "degree", "records", "position quotient_order betti ratio gap")
+def _cmd_luck(run: _Run) -> dict:
+    chain = _chain(run)
+    luck = luck_approximation(run.complex, run.degree, chain, run.tol)
     report = {
-        "command": "luck",
-        "degree": degree,
-        "zero_tolerance": tol,
-        "records": records,
-        "tail_estimates": [_q(t) for t in luck.tail_estimates],
-        "extrapolated": None if luck.extrapolated is None
-        else _q(luck.extrapolated),
-        "extrapolation_note": luck.extrapolation_note,
-        "chain_separation": {
-            "radius": chain.separation.radius,
-            "separated": chain.separation.separated,
-            "failure_count": chain.separation.failure_count,
-        },
+        "records": [_pick(r, "position quotient_order betti ratio gap")
+                    for r in luck.records],
+        **_pick(luck, "tail_estimates extrapolated extrapolation_note"),
+        "chain_separation": _separation(chain),
     }
-    orders = payload.get("finite_subgroup_orders")
+    orders = run.payload.get("finite_subgroup_orders")
     if orders is not None and luck.extrapolated is not None:
-        if (not isinstance(orders, list)
-                or not all(isinstance(o, int) and not isinstance(o, bool)
-                           and o > 0 for o in orders)):
-            raise MalformedInputError(
-                "'finite_subgroup_orders' must be a list of positive integers")
         report["extrapolated_in_lambda_ring"] = lambda_ring_membership(
-            luck.extrapolated, orders)
-    rows = [[r.position, r.quotient_order, r.betti, r.ratio, r.gap]
-            for r in luck.records]
-    header = ["position", "quotient_order", "betti", "ratio", "gap"]
-    return report, header, rows
+            luck.extrapolated, parse_subgroup_orders(orders))
+    return report
 
 
-def _cmd_project(args, payload):
-    presentation = _build_presentation(payload)
-    complex_spec = _build_complex_spec(payload, presentation)
-    degree = _degree(payload, "project")
-    tol = _tolerance(payload, args)
-    method = _method(payload)
-    stages, separation = _stage_list(payload, presentation, args)
-    stage_reports = []
-    rows = []
-    for position, order, rep in stages:
-        proj = higher_kazhdan_projection(complex_spec, degree, rep, tol,
-                                         method=method)
+@_command("project", "spectral projections onto Laplacian kernels",
+          "degree", "stages",
+          "position quotient_order trace trace_plus trace_minus max_abs_entry "
+          "product_defect gap=gap.gap gap_plus=gap_plus.gap "
+          "gap_minus=gap_minus.gap method")
+def _cmd_project(run: _Run) -> dict:
+    method = parse_method(run.payload)
+
+    def records(order, rep):
+        proj = higher_kazhdan_projection(run.complex, run.degree, rep,
+                                         run.tol, method=method)
         trace, trace_plus, trace_minus = proj.traces()
-        stage_reports.append({
-            "position": position,
-            "quotient_order": order,
+        return [{
             "label": rep.label,
             "method": method,
-            "trace": _f(trace),
-            "trace_plus": _f(trace_plus),
-            "trace_minus": _f(trace_minus),
-            "normalized_trace": _f(trace / order),
-            "max_abs_entry": _f(proj.projection.max_abs_entry()),
-            "idempotency_defect": _f(proj.projection.idempotency_defect),
-            "selfadjoint_defect": _f(proj.projection.selfadjoint_defect),
-            "product_defect": _f(proj.product_defect),
+            "trace": trace,
+            "trace_plus": trace_plus,
+            "trace_minus": trace_minus,
+            "normalized_trace": trace / order,
+            "max_abs_entry": proj.projection.max_abs_entry(),
+            **_pick(proj.projection, "idempotency_defect selfadjoint_defect"),
+            "product_defect": proj.product_defect,
             "gap": _gap_json(proj.gap),
             "gap_plus": _gap_json(proj.gap_plus),
             "gap_minus": _gap_json(proj.gap_minus),
-        })
-        rows.append([position, order, trace, trace_plus, trace_minus,
-                     proj.projection.max_abs_entry(), proj.product_defect,
-                     proj.gap.gap, proj.gap_plus.gap, proj.gap_minus.gap,
-                     method])
-    report = {
-        "command": "project",
-        "degree": degree,
-        "zero_tolerance": tol,
-        "stages": stage_reports,
-    }
-    if separation is not None:
-        report["chain_separation"] = separation
-    header = ["position", "quotient_order", "trace", "trace_plus",
-              "trace_minus", "max_abs_entry", "product_defect", "gap",
-              "gap_plus", "gap_minus", "method"]
-    return report, header, rows
+        }]
+    return _per_stage(run, "stages", records)
 
 
-def _cmd_obstruct(args, payload):
-    presentation = _build_presentation(payload)
-    complex_spec = _build_complex_spec(payload, presentation)
-    degree = _degree(payload, "obstruct")
-    tol = _tolerance(payload, args)
-    _require(payload, "chain", "obstruct")
-    chain = _build_chain(payload, presentation, args)
-
-    ref_block = _require(payload, "beta_ref", "obstruct")
-    if not isinstance(ref_block, dict) or "value" not in ref_block:
-        raise MalformedInputError(
-            "'beta_ref' must be an object with 'value' and 'provenance'")
-    beta_ref = BetaRef(
-        value=_parse_scalar(ref_block["value"], "beta_ref.value"),
-        provenance=ref_block.get("provenance", "user-cited"),
-        citation=ref_block.get("citation"))
+@_command("obstruct", "kernel dimensions against a lifted reference value",
+          "degree", "records",
+          "position quotient_order kernel_dim lifted_value discrepancy gap")
+def _cmd_obstruct(run: _Run) -> dict:
+    chain = _chain(run)
+    beta_ref = parse_beta_ref(run.payload, run.args.command)
 
     gap_claim = None
-    claim_json = None
-    if "certificate" in payload or "certificates" in payload:
-        entries = _parse_certificates(payload, presentation, complex_spec)
-        certificate = entries[0]["certificate"]
-        cert_report = verify_certificate(certificate)
-        gap_claim = certificate_gap_claim(certificate, cert_report)
-        claim_json = {
-            "label": gap_claim.label,
-            "kind": gap_claim.kind,
-            "verified": gap_claim.verified,
-            "epsilon": None if gap_claim.epsilon is None
-            else _q(gap_claim.epsilon),
-        }
+    if "certificate" in run.payload or "certificates" in run.payload:
+        certificate, _soundness = parse_certificates(
+            run.payload, run.presentation, run.complex)[0]
+        gap_claim = certificate_gap_claim(certificate,
+                                          verify_certificate(certificate))
 
     obstruction = box_obstruction_report(
-        complex_spec, degree, chain, beta_ref, gap_claim=gap_claim,
-        zero_tolerance=tol)
-    records = [{
-        "position": r.position,
-        "quotient_order": r.quotient_order,
-        "kernel_dim": r.d_star_value,
-        "lifted_value": _q(r.lifted_value),
-        "discrepancy": _q(r.discrepancy),
-        "gap": _f(r.gap),
-    } for r in obstruction.records]
-    report = {
-        "command": "obstruct",
-        "degree": degree,
-        "zero_tolerance": tol,
-        "beta_ref": {
-            "value": _q(beta_ref.value),
-            "provenance": beta_ref.provenance,
-            "citation": beta_ref.citation,
-        },
-        "records": records,
-        "verdict": obstruction.verdict,
-        "gap_decay": obstruction.gap_decay,
-        "min_gap": _f(obstruction.min_gap),
-        "uniform_gap_certified": obstruction.uniform_gap_certified,
-        "certified_epsilon": None if obstruction.certified_epsilon is None
-        else _f(obstruction.certified_epsilon),
-        "box_metric_note": obstruction.box_metric_note,
-        "gap_claim": claim_json,
-        "chain_separation": {
-            "radius": chain.separation.radius,
-            "separated": chain.separation.separated,
-            "failure_count": chain.separation.failure_count,
-        },
+        run.complex, run.degree, chain, beta_ref, gap_claim=gap_claim,
+        zero_tolerance=run.tol)
+    return {
+        "beta_ref": _pick(beta_ref, "value provenance citation"),
+        "records": [_pick(r, "position quotient_order kernel_dim=d_star_value "
+                             "lifted_value discrepancy gap")
+                    for r in obstruction.records],
+        **_pick(obstruction, "verdict gap_decay min_gap uniform_gap_certified "
+                             "certified_epsilon box_metric_note"),
+        "gap_claim": None if gap_claim is None
+        else _pick(gap_claim, "label kind verified epsilon"),
+        "chain_separation": _separation(chain),
     }
-    rows = [[r.position, r.quotient_order, r.d_star_value, r.lifted_value,
-             r.discrepancy, r.gap] for r in obstruction.records]
-    header = ["position", "quotient_order", "kernel_dim", "lifted_value",
-              "discrepancy", "gap"]
-    return report, header, rows
 
 
-def _cmd_euler(args, payload):
-    presentation = _build_presentation(payload)
-    complex_spec = _build_complex_spec(payload, presentation)
-    tol = _tolerance(payload, args)
-    _require(payload, "chain", "euler")
-    chain = _build_chain(payload, presentation, args)
-    euler = euler_class_trace(complex_spec, chain, tol)
+@_command("euler", "alternating normalized kernel dimensions along a chain",
+          None, "records",
+          "position quotient_order kernel_dims euler_trace matches")
+def _cmd_euler(run: _Run) -> dict:
+    euler = euler_class_trace(run.complex, _chain(run), run.tol)
     records = [{
-        "position": r.position,
-        "quotient_order": r.quotient_order,
-        "kernel_dims": list(r.kernel_dims),
-        "euler_trace": _q(r.euler_trace),
+        **_pick(r, "position quotient_order kernel_dims euler_trace"),
         "matches": r.euler_trace == euler.euler_characteristic,
     } for r in euler.records]
-    report = {
-        "command": "euler",
-        "zero_tolerance": tol,
-        "euler_characteristic": euler.euler_characteristic,
-        "all_match": euler.all_match,
-        "records": records,
-    }
-    rows = [[r.position, r.quotient_order,
-             ";".join(str(d) for d in r.kernel_dims), r.euler_trace,
-             r.euler_trace == euler.euler_characteristic]
-            for r in euler.records]
-    header = ["position", "quotient_order", "kernel_dims", "euler_trace",
-              "matches"]
-    return report, header, rows
+    return {**_pick(euler, "euler_characteristic all_match"),
+            "records": records}
 
 
-def _cmd_ghost(args, payload):
-    presentation = _build_presentation(payload)
-    complex_spec = _build_complex_spec(payload, presentation)
-    degree = _degree(payload, "ghost")
-    tol = _tolerance(payload, args)
-    method = _method(payload)
-    _require(payload, "chain", "ghost")
-    chain = _build_chain(payload, presentation, args)
-    ghost = ghost_diagnostic(complex_spec, degree, chain, tol, method=method)
-    records = [{
-        "position": r.position,
-        "quotient_order": r.quotient_order,
-        "max_abs_entry": _f(r.max_abs_entry),
-        "trace": _f(r.trace),
-    } for r in ghost.records]
-    report = {
-        "command": "ghost",
-        "degree": degree,
-        "zero_tolerance": tol,
+@_command("ghost", "entry decay of kernel projections along a chain",
+          "degree", "records", "position quotient_order max_abs_entry trace")
+def _cmd_ghost(run: _Run) -> dict:
+    method = parse_method(run.payload)
+    ghost = ghost_diagnostic(run.complex, run.degree, _chain(run), run.tol,
+                             method=method)
+    return {
         "method": method,
         "ghost_like": ghost.ghost_like,
-        "records": records,
+        "records": [_pick(r, "position quotient_order max_abs_entry trace")
+                    for r in ghost.records],
     }
-    rows = [[r.position, r.quotient_order, r.max_abs_entry, r.trace]
-            for r in ghost.records]
-    header = ["position", "quotient_order", "max_abs_entry", "trace"]
-    return report, header, rows
 
 
-def _cmd_verify_cert(args, payload):
-    presentation = _build_presentation(payload)
-    complex_spec = _build_complex_spec(payload, presentation)
-    tol = _tolerance(payload, args)
-    entries = _parse_certificates(payload, presentation, complex_spec)
+@_command("verify-cert", "exact verification of sum-of-squares certificates",
+          None, "certificates",
+          "label verified residual_terms claim_kind=claim.kind "
+          "epsilon=claim.epsilon soundness_holds=soundness.holds")
+def _cmd_verify_cert(run: _Run) -> dict:
     results = []
-    rows = []
-    all_verified = True
-    for entry in entries:
-        certificate = entry["certificate"]
+    for certificate, soundness in parse_certificates(
+            run.payload, run.presentation, run.complex):
         cert_report = verify_certificate(certificate)
         claim = certificate_gap_claim(certificate, cert_report)
-        all_verified = all_verified and cert_report.verified
-        result = {
-            "label": certificate.label,
-            "verified": cert_report.verified,
-            "residual_terms": cert_report.residual_terms,
-            "residual": cert_report.residual_text(presentation),
-            "claim": {
-                "kind": claim.kind,
-                "epsilon": None if claim.epsilon is None else _q(claim.epsilon),
-                "scope": claim.scope,
-                "verified": claim.verified,
-                "polynomial_form": [_q(c) for c in claim.polynomial_form],
-            },
-            "soundness": None,
-        }
-        soundness_holds = ""
-        if entry["soundness"] is not None:
-            sound_payload = dict(payload)
-            sound_payload["representation"] = entry["soundness"]
-            sound_payload.pop("chain", None)
-            order, rep = _single_representation(sound_payload, presentation,
-                                                args)
+        if soundness is not None:
+            # test the claim against the spectrum of its target under the
+            # representation the soundness block names
+            order, rep = parse_representation(soundness, run.presentation,
+                                              run.args.max_cosets)
             op = evaluate(certificate.target, rep,
                           provenance=f"cert-target@{rep.label}")
-            check = check_claim_soundness(claim, op, zero_tolerance=tol)
-            result["soundness"] = {
+            check = check_claim_soundness(claim, op, zero_tolerance=run.tol)
+            soundness = {
                 "representation": rep.label,
                 "quotient_order": order,
-                "holds": check.holds,
-                "offending_eigenvalue": None
-                if check.offending_eigenvalue is None
-                else _f(check.offending_eigenvalue),
-                "zero_threshold": _f(check.zero_threshold),
+                **_pick(check, "holds offending_eigenvalue zero_threshold"),
             }
-            soundness_holds = check.holds
-        results.append(result)
-        rows.append([certificate.label, cert_report.verified,
-                     cert_report.residual_terms, claim.kind,
-                     "" if claim.epsilon is None else _q(claim.epsilon),
-                     soundness_holds])
-    report = {
-        "command": "verify-cert",
-        "zero_tolerance": tol,
-        "all_verified": all_verified,
+        results.append({
+            "label": certificate.label,
+            **_pick(cert_report, "verified residual_terms"),
+            "residual": cert_report.residual_text(run.presentation),
+            "claim": _pick(claim, "kind epsilon scope verified "
+                                  "polynomial_form"),
+            "soundness": soundness,
+        })
+    return {
+        "all_verified": all(result["verified"] for result in results),
         "certificates": results,
     }
-    header = ["label", "verified", "residual_terms", "claim_kind", "epsilon",
-              "soundness_holds"]
-    return report, header, rows
 
 
-_COMMANDS = {
-    "spectrum": (_cmd_spectrum,
-                 "lowest eigenvalues and spectral gap of a Laplacian"),
-    "betti": (_cmd_betti,
-              "kernel dimensions (Betti numbers) under finite quotients"),
-    "luck": (_cmd_luck,
-             "normalized Betti sequence along a chain of quotients"),
-    "project": (_cmd_project,
-                "spectral projections onto Laplacian kernels"),
-    "obstruct": (_cmd_obstruct,
-                 "kernel dimensions against a lifted reference value"),
-    "euler": (_cmd_euler,
-              "alternating normalized kernel dimensions along a chain"),
-    "ghost": (_cmd_ghost,
-              "entry decay of kernel projections along a chain"),
-    "verify-cert": (_cmd_verify_cert,
-                    "exact verification of sum-of-squares certificates"),
-}
+# ---------------------------------------------------------------------------
+# Driver
+# ---------------------------------------------------------------------------
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -883,8 +458,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {VERSION}")
     subparsers = parser.add_subparsers(dest="command", required=True,
                                        metavar="command")
-    for name, (_handler, help_text) in sorted(_COMMANDS.items()):
-        sub = subparsers.add_parser(name, help=help_text)
+    for name, command in sorted(_COMMANDS.items()):
+        sub = subparsers.add_parser(name, help=command.help)
         sub.add_argument("spec", help="experiment description (JSON file)")
         sub.add_argument("--tol", type=float, default=None,
                          help="zero tolerance override (default: the "
@@ -895,23 +470,10 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--ball-radius", type=int,
                          default=DEFAULT_BALL_RADIUS, dest="ball_radius",
                          help="word length for the chain separation check")
-        sub.add_argument("--threads", type=int, default=1,
-                         help="thread budget; recorded in run metadata "
-                              "(computations are single-threaded)")
         sub.add_argument("--out-dir", default="coholap-out", dest="out_dir",
                          help="directory for report files "
                               "(default: coholap-out)")
     return parser
-
-
-def _error_json(exc: Exception, command: str | None) -> str:
-    return _dump_json({
-        "error": {
-            "type": type(exc).__name__,
-            "message": str(exc),
-            "command": command,
-        }
-    })
 
 
 def _write_text(path: str, text: str) -> None:
@@ -919,14 +481,11 @@ def _write_text(path: str, text: str) -> None:
         handle.write(text)
 
 
-def _write_outputs(args, report: dict, header: list[str],
-                   rows: list[list]) -> str:
+def _write_outputs(args, report_text: str, csv_text: str) -> None:
     os.makedirs(args.out_dir, exist_ok=True)
-    report_text = _dump_json(report)
     _write_text(os.path.join(args.out_dir, f"{args.command}.json"),
                 report_text)
-    _write_text(os.path.join(args.out_dir, f"{args.command}.csv"),
-                _csv_text(header, rows))
+    _write_text(os.path.join(args.out_dir, f"{args.command}.csv"), csv_text)
     meta = {
         "command": args.command,
         "input": os.path.abspath(args.spec),
@@ -934,7 +493,6 @@ def _write_outputs(args, report: dict, header: list[str],
             "tol": args.tol,
             "max_cosets": args.max_cosets,
             "ball_radius": args.ball_radius,
-            "threads": args.threads,
             "out_dir": os.path.abspath(args.out_dir),
         },
         "package_version": VERSION,
@@ -944,7 +502,6 @@ def _write_outputs(args, report: dict, header: list[str],
             datetime.timezone.utc).isoformat(),
     }
     _write_text(os.path.join(args.out_dir, "run_meta.json"), _dump_json(meta))
-    return report_text
 
 
 def main(argv=None) -> int:
@@ -954,21 +511,28 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 0 for --help/--version and 2 for usage errors
         return int(exc.code or 0)
-    if args.threads < 1:
-        print(_error_json(MalformedInputError("--threads must be >= 1"),
-                          args.command), end="")
-        return 2
-    handler, _help = _COMMANDS[args.command]
+    command = _COMMANDS[args.command]
     try:
-        payload = _load_payload(args.spec)
-        report, header, rows = handler(args, payload)
-        report_text = _write_outputs(args, report, header, rows)
-    except MalformedInputError as exc:
-        print(_error_json(exc, args.command), end="")
-        return 2
+        run = _Run(args, load_payload(args.spec), command.degree_key)
+        report = command.handler(run)
+        report["command"] = args.command
+        report["zero_tolerance"] = run.tol
+        if command.degree_key is not None:
+            # _Run keeps the parsed degree input under the report key's name
+            report[command.degree_key] = getattr(run, command.degree_key)
+        report = _json(report)
+        report_text = _dump_json(report)
+        _write_outputs(args, report_text,
+                       _csv_text(command.columns, report[command.records_key]))
     except (CoholapError, OSError) as exc:
-        text = _error_json(exc, args.command)
+        text = _dump_json({"error": {
+            "type": type(exc).__name__,
+            "message": str(exc),
+            "command": args.command,
+        }})
         print(text, end="")
+        if isinstance(exc, MalformedInputError):
+            return 2
         try:
             os.makedirs(args.out_dir, exist_ok=True)
             _write_text(os.path.join(args.out_dir, "error.json"), text)

@@ -29,7 +29,12 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .cosets import Representation
-from .errors import ChainIdentityError, MalformedInputError, ShapeMismatchError
+from .errors import (
+    ChainIdentityError,
+    InvariantError,
+    MalformedInputError,
+    ShapeMismatchError,
+)
 from .groupring import (
     GroupRingElement,
     GroupRingMatrix,
@@ -129,13 +134,16 @@ def build_complex(presentation: Presentation,
 
 def validate_chain_identity(spec: CochainComplexSpec,
                             rep: Representation) -> None:
-    """Check d_{n+1} d_n = 0 exactly under one representation."""
+    """Check d_{n+1} d_n = 0 exactly under one representation.
+
+    Evaluation is a homomorphism, so the small group-ring product is
+    evaluated once instead of multiplying the two evaluated matrices.
+    """
     from .spectral import evaluate
 
     for n in range(len(spec.differentials) - 1):
-        lower = evaluate(spec.differentials[n], rep, f"d_{n}")
-        upper = evaluate(spec.differentials[n + 1], rep, f"d_{n + 1}")
-        if not (upper @ lower).is_zero_exact():
+        product = spec.differentials[n + 1] @ spec.differentials[n]
+        if not evaluate(product, rep, f"d_{n + 1} d_{n}").is_zero_exact():
             raise ChainIdentityError(
                 f"d_{n + 1} d_{n} does not vanish under representation "
                 f"{rep.label!r}")
@@ -157,7 +165,7 @@ class LaplacianBundle:
 
     def __post_init__(self):
         if self.plus_part + self.minus_part != self.laplacian:
-            raise AssertionError("Laplacian parts do not sum to the Laplacian")
+            raise InvariantError("Laplacian parts do not sum to the Laplacian")
 
 
 def build_laplacian(spec: CochainComplexSpec, degree: int) -> LaplacianBundle:
@@ -167,7 +175,7 @@ def build_laplacian(spec: CochainComplexSpec, degree: int) -> LaplacianBundle:
             f"degree {degree} out of range 0..{spec.top_degree}")
     k = spec.cell_counts[degree]
     d_up = spec.differential(degree)
-    d_down = spec.differential(degree - 1) if degree >= 1 else None
+    d_down = spec.differential(degree - 1)
 
     if d_up is not None:
         plus = d_up.adjoint() @ d_up

@@ -24,6 +24,7 @@ from typing import Iterable, Sequence, Union
 from . import exact
 from .errors import (
     EnumerationOverflowError,
+    InvariantError,
     MalformedInputError,
     ShapeMismatchError,
 )
@@ -79,22 +80,11 @@ class CosetTable:
     def _column(letter: int) -> int:
         return 2 * (letter - 1) if letter > 0 else 2 * (-letter - 1) + 1
 
-    def act_letter(self, coset: int, letter: int) -> int:
-        return self.columns[self._column(letter)][coset]
-
     def act(self, coset: int, word: Word) -> int:
         """Right action coset * word."""
         for letter in word:
             coset = self.columns[self._column(letter)][coset]
         return coset
-
-    def right_perm(self, word: Word) -> tuple[int, ...]:
-        """The permutation x -> x * word of the coset set."""
-        perm = list(range(self.coset_count))
-        for letter in word:
-            column = self.columns[self._column(letter)]
-            perm = [column[x] for x in perm]
-        return tuple(perm)
 
     def word_is_identity(self, word: Word) -> bool:
         column_indices = [self._column(letter) for letter in word]
@@ -222,7 +212,7 @@ def todd_coxeter(presentation: Presentation,
                 relabel[y] = len(order)
                 order.append(y)
     if len(order) != len(live):
-        raise AssertionError("coset table is not transitive after enumeration")
+        raise InvariantError("coset table is not transitive after enumeration")
 
     columns = tuple(
         tuple(relabel[find(table[x][column])] for x in order)
@@ -239,13 +229,13 @@ def _validate_table(table: CosetTable) -> None:
         forward = table.columns[2 * i]
         backward = table.columns[2 * i + 1]
         if sorted(forward) != list(range(n)):
-            raise AssertionError(f"generator {i + 1} does not act bijectively")
+            raise InvariantError(f"generator {i + 1} does not act bijectively")
         for x in range(n):
             if backward[forward[x]] != x:
-                raise AssertionError(f"generator {i + 1} inverse column mismatch")
+                raise InvariantError(f"generator {i + 1} inverse column mismatch")
     for relator in (*table.presentation.relators, *table.extra_relators):
         if not table.word_is_identity(relator):
-            raise AssertionError("a relator fails to act as the identity")
+            raise InvariantError("a relator fails to act as the identity")
 
 
 class Representation:
@@ -270,7 +260,9 @@ class Representation:
             for p in self.perms:
                 if sorted(p) != list(range(dimension)):
                     raise ValueError("generator image is not a permutation")
-            self.matrices = tuple(exact.perm_to_matrix(p) for p in self.perms)
+            # Permutations act as index maps; dense images are built per
+            # word only when asked for (word_matrix).
+            self.matrices = None
         else:
             self.perms = None
             self.matrices = tuple(exact.from_rows(m) for m in matrices)
@@ -283,7 +275,7 @@ class Representation:
 
     @property
     def generator_count(self) -> int:
-        return len(self.matrices)
+        return len(self.perms if self.perms is not None else self.matrices)
 
     @staticmethod
     def trivial(generator_count: int, label: str = "trivial") -> "Representation":
@@ -348,10 +340,6 @@ class Representation:
     def __repr__(self) -> str:
         kind = "perm" if self.perms is not None else "orth"
         return f"Representation({kind}, dim={self.dimension}, label={self.label!r})"
-
-
-def permutation_rep(table: CosetTable, label: str = "") -> Representation:
-    return Representation.from_coset_table(table, label)
 
 
 def _invert_perm(p: Sequence[int]) -> list[int]:

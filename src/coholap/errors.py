@@ -30,6 +30,11 @@ class EnumerationOverflowError(CoholapError):
     """
 
 
+class InvariantError(CoholapError):
+    """An internal consistency check failed: a defect of the package, not
+    of the input, reported like any other computational failure."""
+
+
 class ChainIdentityError(CoholapError):
     """d_{n+1} d_n failed to vanish under a representation."""
 

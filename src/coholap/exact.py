@@ -28,11 +28,6 @@ def identity(n: int) -> Matrix:
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
-def zeros(rows: int, cols: int) -> Matrix:
-    zero = Fraction(0)
-    return tuple(tuple(zero for _ in range(cols)) for _ in range(rows))
-
-
 def shape(m: Matrix) -> tuple[int, int]:
     return (len(m), len(m[0]) if m else 0)
 
@@ -40,12 +35,6 @@ def shape(m: Matrix) -> tuple[int, int]:
 def transpose(m: Matrix) -> Matrix:
     rows, cols = shape(m)
     return tuple(tuple(m[i][j] for i in range(rows)) for j in range(cols))
-
-
-def add(a: Matrix, b: Matrix) -> Matrix:
-    if shape(a) != shape(b):
-        raise ShapeMismatchError(f"cannot add {shape(a)} and {shape(b)}")
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def sub(a: Matrix, b: Matrix) -> Matrix:
@@ -99,14 +88,6 @@ def is_symmetric(m: Matrix) -> bool:
 def is_orthogonal(m: Matrix) -> bool:
     rows, cols = shape(m)
     return rows == cols and matmul(m, transpose(m)) == identity(rows)
-
-
-def equal(a: Matrix, b: Matrix) -> bool:
-    return shape(a) == shape(b) and a == b
-
-
-def max_abs(m: Matrix) -> Fraction:
-    return max((abs(x) for row in m for x in row), default=Fraction(0))
 
 
 def to_float(m: Matrix) -> np.ndarray:

@@ -82,11 +82,6 @@ class Word(tuple):
 IDENTITY_WORD = Word(())
 
 
-def word_reduce(letters: Iterable[int]) -> Word:
-    """Freely reduce a raw signed-index sequence into a Word."""
-    return Word(letters)
-
-
 def generator_word(index: int) -> Word:
     """The word consisting of the single generator ``s_index`` (1-based)."""
     if index <= 0:
@@ -105,21 +100,14 @@ class GroupRingElement:
 
     def __init__(self, terms: Mapping[Word, Scalar] | None = None):
         clean: dict[Word, Fraction] = {}
-        if terms:
-            for word, coeff in terms.items():
-                if not isinstance(word, Word):
-                    word = Word(word)
-                frac = Fraction(coeff)
-                if frac != 0:
-                    existing = clean.get(word)
-                    if existing is None:
-                        clean[word] = frac
-                    else:
-                        total = existing + frac
-                        if total:
-                            clean[word] = total
-                        else:
-                            del clean[word]
+        for word, coeff in (terms or {}).items():
+            if not isinstance(word, Word):
+                word = Word(word)
+            total = clean.get(word, 0) + Fraction(coeff)
+            if total:
+                clean[word] = total
+            else:
+                clean.pop(word, None)
         self._terms = clean
 
     # ---- constructors -------------------------------------------------
@@ -265,22 +253,6 @@ class GroupRingElement:
         return f"GroupRingElement({format_element(self, None)!r})"
 
 
-def trace_e(x: GroupRingElement) -> Fraction:
-    return x.trace()
-
-
-def augmentation(x: GroupRingElement) -> Fraction:
-    return x.augmentation()
-
-
-def involution(x: GroupRingElement) -> GroupRingElement:
-    return x.star()
-
-
-def ring_mul(x: GroupRingElement, y: GroupRingElement) -> GroupRingElement:
-    return x * y
-
-
 class GroupRingMatrix:
     """A dense rows x cols matrix with GroupRingElement entries."""
 
@@ -411,18 +383,6 @@ class GroupRingMatrix:
 
     def __repr__(self) -> str:
         return f"GroupRingMatrix({self.rows}x{self.cols})"
-
-
-def matrix_mul(a: GroupRingMatrix, b: GroupRingMatrix) -> GroupRingMatrix:
-    return a @ b
-
-
-def matrix_adjoint(a: GroupRingMatrix) -> GroupRingMatrix:
-    return a.adjoint()
-
-
-def trace_matrix(a: GroupRingMatrix) -> Fraction:
-    return a.trace()
 
 
 def fox_derivative(word: Word, generator: int) -> GroupRingElement:

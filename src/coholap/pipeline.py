@@ -15,18 +15,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .complexes import CochainComplexSpec, LaplacianBundle, build_laplacian
 from .cosets import QuotientChain, Representation, todd_coxeter
 from .errors import (
+    EnumerationOverflowError,
     IncompleteComplexError,
+    InvariantError,
     MalformedInputError,
     TraceBackendError,
 )
-from .groupring import GroupRingElement, GroupRingMatrix, Word
+from .groupring import GroupRingMatrix, Word
 from .spectral import (
     DEFAULT_ZERO_TOLERANCE,
     EvaluatedOperator,
@@ -118,31 +120,22 @@ def higher_kazhdan_projection(spec: CochainComplexSpec, degree: int,
 
     # The evaluated parts must annihilate each other exactly.
     if not (ops["+"] @ ops["-"]).is_zero_exact():
-        raise AssertionError(
+        raise InvariantError(
             f"Delta^+ Delta^- is nonzero under {tag!r}; the chain identity "
             "must have failed upstream")
 
     dim = ops[""].rows
-    d_up = spec.differential(degree)
-    if d_up is not None:
-        rank_up = _rank_of(evaluate(d_up, rep, f"d_{degree}@{tag}"),
-                           gaps["+"].threshold)
-    else:
-        rank_up = 0
-    if gaps["+"].kernel_dim != dim - rank_up:
-        raise AssertionError(
-            f"ker Delta^+ ({gaps['+'].kernel_dim}) differs from ker d_n "
-            f"({dim - rank_up}) under {tag!r}")
-    d_down = spec.differential(degree - 1) if degree >= 1 else None
-    if d_down is not None:
-        rank_down = _rank_of(evaluate(d_down, rep, f"d_{degree - 1}@{tag}"),
-                             gaps["-"].threshold)
-    else:
-        rank_down = 0
-    if gaps["-"].kernel_dim != dim - rank_down:
-        raise AssertionError(
-            f"ker Delta^- ({gaps['-'].kernel_dim}) differs from ker d_(n-1)* "
-            f"({dim - rank_down}) under {tag!r}")
+    for key, n, kernel in (("+", degree, "ker d_n"),
+                           ("-", degree - 1, "ker d_(n-1)*")):
+        d = spec.differential(n)
+        rank = 0
+        if d is not None:
+            rank = _rank_of(evaluate(d, rep, f"d_{n}@{tag}"),
+                            gaps[key].threshold)
+        if gaps[key].kernel_dim != dim - rank:
+            raise InvariantError(
+                f"ker Delta^{key} ({gaps[key].kernel_dim}) differs from "
+                f"{kernel} ({dim - rank}) under {tag!r}")
 
     def project(key: str) -> ProjectionMatrix:
         if method == "heat":
@@ -246,7 +239,7 @@ def _int_coeff_matrix(matrix: GroupRingMatrix,
             for word, coeff in matrix.entry(i, j).terms():
                 value = coeff * denominator_clear
                 if value.denominator != 1:
-                    raise AssertionError("denominator clearing failed")
+                    raise InvariantError("denominator clearing failed")
                 entry[word] = entry.get(word, 0) + value.numerator
             row.append({w: c for w, c in entry.items() if c})
         out.append(row)
@@ -336,8 +329,6 @@ def l2_betti_upper_bounds(spec: CochainComplexSpec, degree: int,
             spec, bundle, norm_bound, m_max, term_budget)
         backend = "free-ring"
     else:
-        from .errors import EnumerationOverflowError
-
         try:
             table = todd_coxeter(spec.presentation, (), max_cosets=max_cosets)
         except EnumerationOverflowError as exc:
@@ -367,98 +358,23 @@ def l2_betti_upper_bounds(spec: CochainComplexSpec, degree: int,
 def _upper_bounds_free(spec: CochainComplexSpec, bundle: LaplacianBundle,
                        r_bound: Fraction, m_max: int,
                        term_budget: int) -> tuple[tuple[Fraction, ...], bool]:
-    """Free-ring powers with the split-and-pair trace.
+    """Free-ring values u_m = tau((I - Delta/R)^m).
 
-    tau(T^m) is evaluated as tau(T^a T^b) with a = ceil(m/2), so only
-    powers up to ceil(m_max/2) are convolved; the trace of a product
-    pairs supports without multiplying them out.
-    """
-    down = spec.differential(bundle.degree - 1) if bundle.degree >= 1 else None
-    if down is not None and bundle.plus_part.is_zero():
-        return _upper_bounds_free_cyclic(bundle, down, r_bound, m_max,
-                                         term_budget)
-    k = bundle.cell_count
-    denominators = [r_bound.denominator]
-    for i in range(k):
-        for j in range(k):
-            for _w, c in bundle.laplacian.entry(i, j).terms():
-                denominators.append(c.denominator)
-    clear = math.lcm(*denominators)
-    numerator = GroupRingMatrix.identity(k).scale(r_bound) - bundle.laplacian
-    base = _int_coeff_matrix(numerator, clear)
-    scale_per_power = Fraction(clear) * r_bound  # u_m uses (clear * R)^m
-
-    powers: list[list[list[dict[Word, int]]]] = [base]
-    cutoff = False
-    top = (m_max + 1) // 2
-    while len(powers) < top:
-        nxt = _int_matrix_mul(powers[-1], base)
-        if _int_matrix_terms(nxt) > term_budget:
-            cutoff = True
-            break
-        powers.append(nxt)
-
-    values = []
-    for m in range(1, m_max + 1):
-        a = (m + 1) // 2
-        b = m - a
-        if a > len(powers):
-            cutoff = True
-            break
-        if b == 0:
-            total = sum(
-                (Fraction(powers[a - 1][i][i].get(Word(), 0)) for i in range(k)),
-                Fraction(0))
-        else:
-            total = Fraction(_paired_trace(powers[a - 1], powers[b - 1]))
-        values.append(total / scale_per_power ** m)
-    return tuple(values), cutoff
-
-
-def _upper_bounds_free_cyclic(bundle: LaplacianBundle, down: GroupRingMatrix,
-                              r_bound: Fraction, m_max: int, term_budget: int
-                              ) -> tuple[tuple[Fraction, ...], bool]:
-    """Top-degree reduction through the cyclic trace.
-
-    When Delta_n = d d* (no part above), tau((d d*)^j) = tau((d* d)^j),
-    and for the presentation's d_0 the element d* d has support of word
-    length one, so its powers live in far smaller balls than powers of
-    the Laplacian itself.  u_m is assembled binomially from those traces.
+    In general u_m = tau((R - Delta)^m) / R^m.  When Delta_n = d d* (no
+    part above), tau((d d*)^j) = tau((d* d)^j), and for the presentation's
+    d_0 the element d* d has support of word length one, so its powers
+    live in far smaller balls than powers of the Laplacian itself; u_m is
+    then assembled binomially from those traces.
     """
     k = bundle.cell_count
-    small = down.adjoint() @ down
-    denominators = [r_bound.denominator]
-    for i in range(small.rows):
-        for j in range(small.cols):
-            for _w, c in small.entry(i, j).terms():
-                denominators.append(c.denominator)
-    clear = math.lcm(*denominators)
-    base = _int_coeff_matrix(small, clear)
-
-    powers: list[list[list[dict[Word, int]]]] = [base]
-    cutoff = False
-    top = (m_max + 1) // 2
-    while len(powers) < top:
-        nxt = _int_matrix_mul(powers[-1], base)
-        if _int_matrix_terms(nxt) > term_budget:
-            cutoff = True
-            break
-        powers.append(nxt)
-
-    traces: list[Fraction] = []          # traces[j-1] = tau((d* d)^j)
-    for j in range(1, m_max + 1):
-        a = (j + 1) // 2
-        b = j - a
-        if a > len(powers):
-            cutoff = True
-            break
-        if b == 0:
-            raw = sum(powers[a - 1][i][i].get(Word(), 0)
-                      for i in range(small.rows))
-        else:
-            raw = _paired_trace(powers[a - 1], powers[b - 1])
-        traces.append(Fraction(raw, clear ** j))
-
+    down = spec.differential(bundle.degree - 1)
+    if down is None or not bundle.plus_part.is_zero():
+        shifted = GroupRingMatrix.identity(k).scale(r_bound) - bundle.laplacian
+        traces, cutoff = _free_power_traces(shifted, m_max, term_budget)
+        return tuple(t / r_bound ** m
+                     for m, t in enumerate(traces, start=1)), cutoff
+    traces, cutoff = _free_power_traces(down.adjoint() @ down, m_max,
+                                        term_budget)
     values = []
     for m in range(1, len(traces) + 1):
         total = Fraction(k)
@@ -467,6 +383,46 @@ def _upper_bounds_free_cyclic(bundle: LaplacianBundle, down: GroupRingMatrix,
                       * traces[j - 1] / r_bound ** j)
         values.append(total)
     return tuple(values), cutoff
+
+
+def _free_power_traces(matrix: GroupRingMatrix, m_max: int, term_budget: int
+                       ) -> tuple[list[Fraction], bool]:
+    """Exact tau(M^j) for j = 1..m_max, and whether support growth beyond
+    ``term_budget`` cut the list short.
+
+    Coefficients are cleared to integers first.  tau(M^j) is evaluated as
+    tau(M^a M^b) with a = ceil(j/2), so only powers up to ceil(m_max/2)
+    are convolved; the trace of a product pairs supports without
+    multiplying them out.
+    """
+    k = matrix.rows
+    clear = math.lcm(*(c.denominator for i in range(k) for j in range(k)
+                       for _w, c in matrix.entry(i, j).terms()))
+    base = _int_coeff_matrix(matrix, clear)
+
+    powers: list[list[list[dict[Word, int]]]] = [base]
+    cutoff = False
+    top = (m_max + 1) // 2
+    while len(powers) < top:
+        nxt = _int_matrix_mul(powers[-1], base)
+        if _int_matrix_terms(nxt) > term_budget:
+            cutoff = True
+            break
+        powers.append(nxt)
+
+    traces: list[Fraction] = []          # traces[j-1] = tau(M^j)
+    for j in range(1, m_max + 1):
+        a = (j + 1) // 2
+        b = j - a
+        if a > len(powers):
+            cutoff = True
+            break
+        if b == 0:
+            raw = sum(powers[a - 1][i][i].get(Word(), 0) for i in range(k))
+        else:
+            raw = _paired_trace(powers[a - 1], powers[b - 1])
+        traces.append(Fraction(raw, clear ** j))
+    return traces, cutoff
 
 
 def _upper_bounds_finite(bundle: LaplacianBundle, r_bound: Fraction,
@@ -561,7 +517,6 @@ def euler_class_trace(spec: CochainComplexSpec, chain: QuotientChain,
             "only a truncation")
     chi = spec.euler_characteristic()
     records = []
-    all_match = True
     for position, order, _table, rep in chain.stages():
         dims = tuple(
             betti_report(spec, n, rep, zero_tolerance)[0]
@@ -571,10 +526,9 @@ def euler_class_trace(spec: CochainComplexSpec, chain: QuotientChain,
         records.append(EulerRecord(
             position=position, quotient_order=order,
             kernel_dims=dims, euler_trace=trace))
-        if trace != chi:
-            all_match = False
     return EulerReport(
-        euler_characteristic=chi, records=tuple(records), all_match=all_match)
+        euler_characteristic=chi, records=tuple(records),
+        all_match=all(r.euler_trace == chi for r in records))
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ import numpy as np
 from . import exact
 from .cosets import Representation
 from .errors import (
+    InvariantError,
     NotPositiveSemidefiniteError,
     ShapeMismatchError,
     UnresolvedGapError,
@@ -126,7 +127,7 @@ def evaluate(matrix: GroupRingMatrix, rep: Representation,
     result = EvaluatedOperator(exact_matrix, provenance=provenance)
     if matrix.rows == matrix.cols and matrix.is_self_adjoint():
         if not result.is_symmetric_exact():
-            raise AssertionError(
+            raise InvariantError(
                 "self-adjoint input evaluated to a non-symmetric matrix")
     return result
 
@@ -151,17 +152,6 @@ class GapReport:
                 f"zero cluster of {self.provenance!r} is not separated: "
                 f"gap={self.gap:.3e} threshold={self.threshold:.3e}")
         return self
-
-
-def _symmetric_eigh(op: EvaluatedOperator) -> tuple[np.ndarray, np.ndarray]:
-    if op.rows != op.cols:
-        raise ShapeMismatchError("eigencomputation requires a square operator")
-    if not op.is_symmetric_exact():
-        raise NotPositiveSemidefiniteError(
-            f"operator {op.provenance!r} is not symmetric")
-    if op.rows == 0:
-        return np.array([]), np.empty((0, 0))
-    return np.linalg.eigh(op.shadow)
 
 
 def lanczos_lowest(shadow: np.ndarray, count: int,
@@ -329,9 +319,10 @@ def kernel_projection(op: EvaluatedOperator,
     Requires the gap to be resolved; raises UnresolvedGapError otherwise.
     """
     report = spectral_gap(op, zero_tolerance).require_resolved()
-    values, vectors = _symmetric_eigh(op)
-    k = report.kernel_dim
-    basis = vectors[:, :k]
+    # spectral_gap has rejected operators that are not square and exactly
+    # symmetric, so the float shadow goes straight to the eigensolver
+    vectors = np.linalg.eigh(op.shadow)[1] if op.rows else np.empty((0, 0))
+    basis = vectors[:, :report.kernel_dim]
     matrix = basis @ basis.T
     return _projection_from_array(
         matrix, "eigen", f"ker[{op.provenance}]")

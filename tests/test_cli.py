@@ -86,12 +86,10 @@ class TestSpectrum:
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
     def test_run_meta_segregates_nondeterminism(self, tmp_path, capsys):
-        _, stdout, out = run_cli(tmp_path, capsys, "spectrum", CYCLIC3,
-                                 "--threads", "3")
+        _, stdout, out = run_cli(tmp_path, capsys, "spectrum", CYCLIC3)
         assert "timestamp_utc" not in stdout
         meta = json.loads((out / "run_meta.json").read_text())
         assert meta["command"] == "spectrum"
-        assert meta["options"]["threads"] == 3
         assert "timestamp_utc" in meta
         assert "python_version" in meta
 
@@ -152,6 +150,18 @@ class TestBetti:
         assert bounds["values"] == ["3/2", "21/16"]
         assert bounds["backend"] == "free-ring"
         assert bounds["cutoff"] is False
+
+    def test_gap_hint_must_be_a_number(self, tmp_path, capsys):
+        payload = dict(FREE2, degree=1,
+                       representation={"kind": "quotient",
+                                       "relators": ["a^2", "b^2",
+                                                    "a*b*a^-1*b^-1"]},
+                       upper_bounds={"m_max": 2, "gap_hint": "abc"})
+        code, stdout, _ = run_cli(tmp_path, capsys, "betti", payload)
+        assert code == 2
+        error = json.loads(stdout)["error"]
+        assert error["type"] == "MalformedInputError"
+        assert "gap_hint" in error["message"]
 
     def test_trivial_representation(self, tmp_path, capsys):
         payload = dict(TORUS, degree=0,
@@ -385,6 +395,26 @@ class TestVerifyCert:
         assert code == 2
 
 
+class TestChainIdentity:
+    """A complex with d_2 d_1 != 0 is rejected before any number is
+    reported, with the documented error JSON."""
+
+    NOT_A_COMPLEX = dict(TORUS, higher_differentials={"2": [["1 - a"]]},
+                         degree=2, chain=TORUS_CHAIN)
+
+    @pytest.mark.parametrize("command", ["betti", "project"])
+    def test_rejected_with_error_json(self, tmp_path, capsys, command):
+        code, stdout, out = run_cli(tmp_path, capsys, command,
+                                    self.NOT_A_COMPLEX, "--ball-radius", "2")
+        assert code == 1
+        error = json.loads(stdout)["error"]
+        assert error["type"] == "ChainIdentityError"
+        assert error["command"] == command
+        assert json.loads((out / "error.json").read_text()) == {"error": error}
+        assert not (out / f"{command}.json").exists()
+        assert not (out / f"{command}.csv").exists()
+
+
 class TestErrorHandling:
     def test_missing_file_is_malformed_input(self, tmp_path, capsys):
         code = main(["spectrum", str(tmp_path / "absent.json"),
@@ -421,13 +451,13 @@ class TestErrorHandling:
                              dict(CYCLIC3, zero_tolerance=2.0))
         assert code == 2
 
-    def test_threads_must_be_positive(self, tmp_path, capsys):
+    def test_threads_option_is_rejected(self, tmp_path, capsys):
         spec = tmp_path / "exp.json"
         spec.write_text(json.dumps(CYCLIC3))
-        code = main(["spectrum", str(spec), "--threads", "0",
+        code = main(["spectrum", str(spec), "--threads", "1",
                      "--out-dir", str(tmp_path / "out")])
         assert code == 2
-        assert "--threads" in capsys.readouterr().out
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
     def test_unknown_subcommand_exits_two(self, tmp_path, capsys):
         assert main(["transmogrify", "x.json"]) == 2
