@@ -241,16 +241,12 @@ def check_claim_soundness(claim: GapClaim, operator: EvaluatedOperator,
     """
     values = np.linalg.eigvalsh(operator.shadow)
     threshold = zero_tolerance * max(1.0, operator.one_norm())
-    offender = None
-    for value in values:
-        if value < -threshold:
-            offender = float(value)
-            break
-        if claim.kind == "spectral-gap" and claim.verified and \
-                claim.epsilon is not None:
-            if threshold < value < float(claim.epsilon) - slack:
-                offender = float(value)
-                break
+    bad = values < -threshold
+    if claim.kind == "spectral-gap" and claim.verified and \
+            claim.epsilon is not None:
+        bad |= (threshold < values) & (values < float(claim.epsilon) - slack)
+    # eigvalsh sorts ascending, so this is the lowest offending eigenvalue
+    offender = float(values[bad][0]) if bad.any() else None
     return SoundnessCheck(
         holds=offender is None,
         offending_eigenvalue=offender,

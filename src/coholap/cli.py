@@ -32,7 +32,9 @@ import math
 import os
 import platform
 import sys
+import warnings
 from fractions import Fraction
+from importlib.metadata import PackageNotFoundError, version
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -47,6 +49,7 @@ from .cosets import (
     DEFAULT_BALL_RADIUS,
     DEFAULT_MAX_COSETS,
     QuotientChain,
+    SeparationWarning,
     quotient_chain,
 )
 from .description import (
@@ -79,13 +82,8 @@ from .pipeline import (
 from .spectral import evaluate, spectral_gap
 
 try:  # the installed distribution knows its version; a checkout falls back
-    from importlib.metadata import PackageNotFoundError, version
-
-    try:
-        VERSION = version("coholap")
-    except PackageNotFoundError:
-        VERSION = "0.1.0"
-except ImportError:  # pragma: no cover
+    VERSION = version("coholap")
+except PackageNotFoundError:
     VERSION = "0.1.0"
 
 
@@ -200,7 +198,15 @@ def _chain(run: _Run) -> QuotientChain:
     chain = quotient_chain(
         run.presentation,
         parse_chain(run.payload, run.presentation, run.args.command),
-        ball_radius=run.args.ball_radius, max_cosets=run.args.max_cosets)
+        ball_radius=run.args.ball_radius, max_cosets=run.args.max_cosets,
+        warn=False)
+    if not chain.separation.separated:
+        # the description's chain fails to separate: point at its line
+        with open(run.args.spec, encoding="utf-8") as handle:
+            line = next((number for number, text in enumerate(handle, 1)
+                         if '"chain"' in text), 1)
+        warnings.warn_explicit(chain.separation.warning_text(),
+                               SeparationWarning, run.args.spec, line)
     _check_cochain(run, chain.representations)
     return chain
 

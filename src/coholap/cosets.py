@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
+import numpy as np
+
 from . import exact
 from .errors import (
     EnumerationOverflowError,
@@ -255,9 +257,10 @@ class Representation:
         self.dimension = dimension
         self.label = label
         if perms is not None:
-            self.perms: tuple[tuple[int, ...], ...] | None = tuple(
-                tuple(p) for p in perms)
-            for p in self.perms:
+            # one row per generator; a row of the wrong length cannot reshape
+            self.perms: np.ndarray | None = np.array(
+                perms, dtype=np.int64).reshape(len(perms), dimension)
+            for p in self.perms.tolist():
                 if sorted(p) != list(range(dimension)):
                     raise ValueError("generator image is not a permutation")
             # Permutations act as index maps; dense images are built per
@@ -265,9 +268,9 @@ class Representation:
             self.matrices = None
         else:
             self.perms = None
-            self.matrices = tuple(exact.from_rows(m) for m in matrices)
+            self.matrices = tuple(exact.Matrix(m) for m in matrices)
             for m in self.matrices:
-                if exact.shape(m) != (dimension, dimension):
+                if m.array.shape != (dimension, dimension):
                     raise ShapeMismatchError(
                         "generator image has the wrong dimension")
                 if not exact.is_orthogonal(m):
@@ -290,32 +293,27 @@ class Representation:
         x * g^-1; composing left-to-right then matches word products, so
         the result is a homomorphism on words.
         """
-        perms = []
-        for i in range(table.presentation.generator_count):
-            inverse_column = table.columns[2 * i + 1]
-            perms.append(tuple(inverse_column))
-        if not label:
-            label = f"regular[{table.coset_count}]"
-        return Representation(table.coset_count, perms=perms, label=label)
+        return Representation(table.coset_count, perms=table.columns[1::2],
+                              label=label or f"regular[{table.coset_count}]")
 
-    def word_perm(self, word: Word) -> tuple[int, ...]:
+    def word_perm(self, word: Word) -> np.ndarray:
+        """pi(word) as an index array: basis vector c goes to out[c]."""
         if self.perms is None:
             raise ValueError("not a permutation representation")
-        out = list(range(self.dimension))
+        out = np.arange(self.dimension)
         # pi(w) = pi(l_1) ... pi(l_k) acting on the left: apply letters
-        # right-to-left as functions.
+        # right-to-left as functions; argsort inverts a permutation.
         for letter in reversed(word):
             p = self.perms[abs(letter) - 1]
-            if letter > 0:
-                out = [p[x] for x in out]
-            else:
-                inv = _invert_perm(p)
-                out = [inv[x] for x in out]
-        return tuple(out)
+            out = p[out] if letter > 0 else np.argsort(p)[out]
+        return out
 
     def word_matrix(self, word: Word) -> exact.Matrix:
         if self.perms is not None:
-            return exact.perm_to_matrix(self.word_perm(word))
+            # column c holds a 1 in row perm[c]
+            out = np.zeros((self.dimension, self.dimension), dtype=np.int64)
+            out[self.word_perm(word), np.arange(self.dimension)] = 1
+            return exact.Matrix(out)
         out = exact.identity(self.dimension)
         for letter in word:
             m = self.matrices[abs(letter) - 1]
@@ -326,7 +324,8 @@ class Representation:
 
     def word_is_identity(self, word: Word) -> bool:
         if self.perms is not None:
-            return all(i == x for i, x in enumerate(self.word_perm(word)))
+            return np.array_equal(self.word_perm(word),
+                                  np.arange(self.dimension))
         return self.word_matrix(word) == exact.identity(self.dimension)
 
     def validate_relators(self, presentation: Presentation,
@@ -342,13 +341,6 @@ class Representation:
         return f"Representation({kind}, dim={self.dimension}, label={self.label!r})"
 
 
-def _invert_perm(p: Sequence[int]) -> list[int]:
-    out = [0] * len(p)
-    for i, x in enumerate(p):
-        out[x] = i
-    return out
-
-
 @dataclass(frozen=True)
 class SeparationReport:
     """Outcome of checking that short words survive into some quotient."""
@@ -359,20 +351,20 @@ class SeparationReport:
     failure_count: int
     first_failure: str | None
 
+    def warning_text(self) -> str:
+        return (f"chain does not separate {self.failure_count} word(s) of "
+                f"length <= {self.radius}; first: {self.first_failure}")
 
+
+@dataclass(eq=False)
 class QuotientChain:
     """A strictly increasing chain of finite quotients of one group."""
 
-    def __init__(self, presentation: Presentation,
-                 specs: tuple[tuple[Word, ...], ...],
-                 tables: tuple[CosetTable, ...],
-                 representations: tuple[Representation, ...],
-                 separation: SeparationReport):
-        self.presentation = presentation
-        self.specs = specs
-        self.tables = tables
-        self.representations = representations
-        self.separation = separation
+    presentation: Presentation
+    specs: tuple[tuple[Word, ...], ...]
+    tables: tuple[CosetTable, ...]
+    representations: tuple[Representation, ...]
+    separation: SeparationReport
 
     @property
     def indices(self) -> tuple[int, ...]:
@@ -403,9 +395,8 @@ def quotient_chain(presentation: Presentation,
     if not chain:
         raise MalformedInputError("chain must name at least one quotient")
     specs = tuple(_coerce_words(presentation, spec) for spec in chain)
-    tables = []
-    for spec in specs:
-        tables.append(todd_coxeter(presentation, spec, max_cosets=max_cosets))
+    tables = [todd_coxeter(presentation, spec, max_cosets=max_cosets)
+              for spec in specs]
     indices = [t.coset_count for t in tables]
     for previous, current in zip(indices, indices[1:]):
         if current <= previous:
@@ -417,12 +408,8 @@ def quotient_chain(presentation: Presentation,
         for i, table in enumerate(tables))
     separation = _separation_check(presentation, tables, ball_radius)
     if warn and not separation.separated:
-        warnings.warn(
-            f"chain does not separate {separation.failure_count} word(s) of "
-            f"length <= {separation.radius}; first: {separation.first_failure}",
-            SeparationWarning,
-            stacklevel=2,
-        )
+        warnings.warn(separation.warning_text(), SeparationWarning,
+                      stacklevel=2)
     return QuotientChain(presentation, specs, tables,
                          representations, separation)
 
@@ -430,36 +417,36 @@ def quotient_chain(presentation: Presentation,
 def _separation_check(presentation: Presentation,
                       tables: Sequence[CosetTable],
                       radius: int) -> SeparationReport:
-    """Depth-first walk of the reduced ball, carrying one permutation
-    per quotient and counting words that all quotients kill."""
+    """Depth-first walk of the reduced ball, counting words that all
+    quotients kill.  Each table is a regular action, which is free, so a
+    word acts trivially exactly when it fixes coset 0: the walk carries
+    one coset per quotient."""
     from .textform import format_word
 
     n = presentation.generator_count
     letters = [i for g in range(1, n + 1) for i in (g, -g)]
-    identity_states = [tuple(range(t.coset_count)) for t in tables]
 
     words_checked = 0
     failure_count = 0
     first_failure: str | None = None
 
-    stack: list[tuple[list[int], list[tuple[int, ...]]]] = [([], identity_states)]
+    stack: list[tuple[list[int], tuple[int, ...]]] = [([], (0,) * len(tables))]
     while stack:
-        prefix, states = stack.pop()
+        prefix, cosets = stack.pop()
         for letter in reversed(letters):
             if prefix and prefix[-1] == -letter:
                 continue
             new_prefix = prefix + [letter]
-            new_states = []
-            for table, state in zip(tables, states):
-                column = table.columns[CosetTable._column(letter)]
-                new_states.append(tuple(column[x] for x in state))
+            column = CosetTable._column(letter)
+            new_cosets = tuple(table.columns[column][x]
+                               for table, x in zip(tables, cosets))
             words_checked += 1
-            if all(s == i for s, i in zip(new_states, identity_states)):
+            if not any(new_cosets):  # coset 0 in every quotient
                 failure_count += 1
                 if first_failure is None:
                     first_failure = format_word(Word(new_prefix), presentation)
             if len(new_prefix) < radius:
-                stack.append((new_prefix, new_states))
+                stack.append((new_prefix, new_cosets))
 
     return SeparationReport(
         radius=radius,

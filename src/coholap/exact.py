@@ -1,99 +1,102 @@
-"""Small dense exact-rational matrix helpers.
+"""Exact matrices stored in numpy arrays.
 
-Matrices are immutable tuples of tuples of ``fractions.Fraction``.  These
-are deliberately naive O(n^3) routines: they exist so that representation
-images, evaluated operators, and certificate residues can be manipulated
-without any floating-point step, at the modest dimensions this package
-targets.  Floating point enters only through :func:`to_float`.
+A :class:`Matrix` holds ``int64`` entries when they are integers and the
+arithmetic that made them provably fits, and ``object`` entries (Python
+``int`` and ``fractions.Fraction``) otherwise, so every result is exact.
+Every routine is a whole-array operation; floating point enters only
+through :func:`to_float`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
 from .errors import ShapeMismatchError
 
-Matrix = tuple[tuple[Fraction, ...], ...]
+INT64_LIMIT = 2**63
+
+_to_fraction = np.frompyfunc(Fraction, 1, 1)
 
 
-def from_rows(rows: Sequence[Sequence]) -> Matrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+class Matrix:
+    """An exact matrix; read as a sequence, its rows are tuples of Fraction.
+
+    Built from a 2-D int64 or object array, kept as the storage, or from
+    nested rows of rationals, converted to Fraction.  Never mutated.
+    """
+
+    __slots__ = ("array",)
+
+    def __init__(self, entries):
+        array = entries
+        if not isinstance(entries, np.ndarray):
+            # ragged rows give a 1-D array of row objects
+            array = np.array(entries, dtype=object)
+            if array.ndim == 2:
+                array = _to_fraction(array)
+        if array.ndim != 2:
+            raise ShapeMismatchError(
+                f"matrix rows must have equal lengths, got shape {array.shape}")
+        self.array = array
+
+    def __len__(self) -> int:
+        return self.array.shape[0]
+
+    def __getitem__(self, row: int) -> tuple[Fraction, ...]:
+        return tuple(map(Fraction, self.array[row].tolist()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Matrix):
+            try:
+                other = Matrix(other)
+            except (ShapeMismatchError, TypeError, ValueError):
+                return NotImplemented
+        return np.array_equal(self.array, other.array)
+
+    def __repr__(self) -> str:
+        return f"Matrix({self.array!r})"
+
+
+def _max_abs(array: np.ndarray) -> int:
+    return int(np.abs(array).max(initial=0))
 
 
 def identity(n: int) -> Matrix:
-    zero, one = Fraction(0), Fraction(1)
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-
-
-def shape(m: Matrix) -> tuple[int, int]:
-    return (len(m), len(m[0]) if m else 0)
+    return Matrix(np.eye(n, dtype=np.int64))
 
 
 def transpose(m: Matrix) -> Matrix:
-    rows, cols = shape(m)
-    return tuple(tuple(m[i][j] for i in range(rows)) for j in range(cols))
-
-
-def sub(a: Matrix, b: Matrix) -> Matrix:
-    if shape(a) != shape(b):
-        raise ShapeMismatchError(f"cannot subtract {shape(a)} and {shape(b)}")
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def scale(m: Matrix, scalar) -> Matrix:
-    factor = Fraction(scalar)
-    return tuple(tuple(x * factor for x in row) for row in m)
+    return Matrix(m.array.T)
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
-    (ar, ac), (br, bc) = shape(a), shape(b)
-    if ac != br:
-        raise ShapeMismatchError(f"cannot multiply {shape(a)} by {shape(b)}")
-    bt = transpose(b)
-    zero = Fraction(0)
-    out = []
-    for row in a:
-        out_row = []
-        for col in bt:
-            acc = zero
-            for x, y in zip(row, col):
-                if x and y:
-                    acc += x * y
-            out_row.append(acc)
-        out.append(tuple(out_row))
-    return tuple(out)
-
-
-def perm_to_matrix(p: Sequence[int]) -> Matrix:
-    n = len(p)
-    zero, one = Fraction(0), Fraction(1)
-    return tuple(
-        tuple(one if p[j] == i else zero for j in range(n)) for i in range(n))
+    """Exact product: in int64 when no partial sum can overflow, else on
+    Python objects."""
+    x, y = a.array, b.array
+    if x.shape[1] != y.shape[0]:
+        raise ShapeMismatchError(f"cannot multiply {x.shape} by {y.shape}")
+    if (x.dtype == y.dtype == np.int64
+            and x.shape[1] * _max_abs(x) * _max_abs(y) < INT64_LIMIT):
+        return Matrix(x @ y)
+    return Matrix(x.astype(object) @ y.astype(object))
 
 
 def is_zero(m: Matrix) -> bool:
-    return all(x == 0 for row in m for x in row)
+    return not np.count_nonzero(m.array)
 
 
 def is_symmetric(m: Matrix) -> bool:
-    rows, cols = shape(m)
-    if rows != cols:
-        return False
-    return all(m[i][j] == m[j][i] for i in range(rows) for j in range(i + 1, cols))
+    rows, cols = m.array.shape
+    return rows == cols and np.array_equal(m.array, m.array.T)
 
 
 def is_orthogonal(m: Matrix) -> bool:
-    rows, cols = shape(m)
+    rows, cols = m.array.shape
     return rows == cols and matmul(m, transpose(m)) == identity(rows)
 
 
 def to_float(m: Matrix) -> np.ndarray:
-    rows, cols = shape(m)
-    out = np.empty((rows, cols), dtype=np.float64)
-    for i in range(rows):
-        for j in range(cols):
-            out[i, j] = float(m[i][j])
-    return out
+    """Nearest float64 of every entry, as ``float(Fraction)`` rounds."""
+    return m.array.astype(np.float64)

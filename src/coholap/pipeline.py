@@ -19,6 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
+from . import exact
 from .complexes import CochainComplexSpec, LaplacianBundle, build_laplacian
 from .cosets import QuotientChain, Representation, todd_coxeter
 from .errors import (
@@ -229,6 +230,12 @@ class UpperBoundReport:
     gap_hint: float | None
 
 
+def _denominator_lcm(matrix: GroupRingMatrix) -> int:
+    return math.lcm(*(coeff.denominator
+                      for i in range(matrix.rows) for j in range(matrix.cols)
+                      for _w, coeff in matrix.entry(i, j).terms()))
+
+
 def _int_coeff_matrix(matrix: GroupRingMatrix,
                       denominator_clear: int) -> list[list[dict[Word, int]]]:
     out = []
@@ -396,8 +403,7 @@ def _free_power_traces(matrix: GroupRingMatrix, m_max: int, term_budget: int
     multiplying them out.
     """
     k = matrix.rows
-    clear = math.lcm(*(c.denominator for i in range(k) for j in range(k)
-                       for _w, c in matrix.entry(i, j).terms()))
+    clear = _denominator_lcm(matrix)
     base = _int_coeff_matrix(matrix, clear)
 
     powers: list[list[list[dict[Word, int]]]] = [base]
@@ -427,21 +433,24 @@ def _free_power_traces(matrix: GroupRingMatrix, m_max: int, term_budget: int
 
 def _upper_bounds_finite(bundle: LaplacianBundle, r_bound: Fraction,
                          m_max: int, table) -> tuple[Fraction, ...]:
-    """Exact normalized regular trace of (I - Delta/R)^m for finite groups."""
-    from . import exact
+    """Exact normalized regular trace of (I - Delta/R)^m for finite groups.
 
+    With c clearing the denominators of R - Delta, A = c(R - Delta) is an
+    integer matrix and u_m = tr(A^m) / ((cR)^m |G|).
+    """
     rep = Representation.from_coset_table(table, label="full-regular")
-    op = evaluate(bundle.laplacian, rep, provenance="Delta@full-regular")
-    n = op.rows
-    order = table.coset_count
-    t_matrix = exact.sub(
-        exact.identity(n), exact.scale(op.exact_matrix, Fraction(1) / r_bound))
+    shifted = (GroupRingMatrix.identity(bundle.cell_count).scale(r_bound)
+               - bundle.laplacian)
+    clear = _denominator_lcm(shifted)
+    t_matrix = evaluate(shifted.scale(clear), rep,
+                        provenance="c(R-Delta)@full-regular").exact_matrix
     values = []
     power = t_matrix
-    for _m in range(m_max):
-        trace = sum((power[i][i] for i in range(n)), Fraction(0))
-        values.append(trace / order)
-        if _m + 1 < m_max:
+    for m in range(1, m_max + 1):
+        # summed as Python ints: an int64 trace could overflow
+        trace = sum(power.array.diagonal().tolist())
+        values.append(trace / (clear * r_bound) ** m / table.coset_count)
+        if m < m_max:
             power = exact.matmul(power, t_matrix)
     return tuple(values)
 

@@ -1,10 +1,11 @@
 """Spectral analysis of group-ring matrices under exact representations.
 
 ``evaluate`` turns a k x k matrix over the group ring into an exact
-rational (k * dim) x (k * dim) block matrix, block (i, j) being
-``sum_w coeff * pi(w)``.  Everything downstream of the evaluation keeps
-both the exact matrix and a float64 shadow; the exact-to-float boundary
-sits immediately before eigenvalue computation and nowhere earlier.
+(k * dim) x (k * dim) block matrix, block (i, j) being
+``sum_w coeff * pi(w)``, held in one :class:`exact.Matrix` (int64 for
+integer coefficients under permutations, Python rationals otherwise).
+An evaluated operator keeps that matrix and its float64 shadow; the
+exact-to-float boundary sits immediately before eigenvalue computation.
 
 Spectral quantities follow one convention throughout:
 
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -53,7 +53,7 @@ class EvaluatedOperator:
 
     def __init__(self, exact_matrix: exact.Matrix, provenance: str = ""):
         self.exact_matrix = exact_matrix
-        self.rows, self.cols = exact.shape(exact_matrix)
+        self.rows, self.cols = exact_matrix.array.shape
         self.shadow = exact.to_float(exact_matrix)
         self.provenance = provenance
 
@@ -75,8 +75,13 @@ class EvaluatedOperator:
             product, provenance=f"({self.provenance})*({other.provenance})")
 
     def __sub__(self, other: "EvaluatedOperator") -> "EvaluatedOperator":
+        left, right = self.exact_matrix.array, other.exact_matrix.array
+        if left.shape != right.shape:
+            raise ShapeMismatchError(
+                f"cannot subtract {left.shape} and {right.shape}")
+        # on Python objects, so no int64 difference can overflow
         return EvaluatedOperator(
-            exact.sub(self.exact_matrix, other.exact_matrix),
+            exact.Matrix(left.astype(object) - right.astype(object)),
             provenance=f"({self.provenance})-({other.provenance})")
 
     def one_norm(self) -> float:
@@ -95,40 +100,33 @@ def evaluate(matrix: GroupRingMatrix, rep: Representation,
 
     A *-homomorphism: products, sums, and adjoints commute with
     evaluation, and self-adjoint inputs give exactly symmetric outputs.
+    Each group-ring term is one scatter into the grid.  An entry of a
+    permutation evaluation is a sum of coefficients, so with integer
+    coefficients of absolute sum below 2**62 the grid is int64.
     """
     dim = rep.dimension
-    total_rows = matrix.rows * dim
-    total_cols = matrix.cols * dim
-    grid: list[list[Fraction]] = [
-        [Fraction(0)] * total_cols for _ in range(total_rows)]
-    for i in range(matrix.rows):
-        for j in range(matrix.cols):
-            element = matrix.entry(i, j)
-            if element.is_zero():
-                continue
-            row0, col0 = i * dim, j * dim
-            if rep.perms is not None:
-                for word, coeff in element.terms():
-                    perm = rep.word_perm(word)
-                    for col in range(dim):
-                        grid[row0 + perm[col]][col0 + col] += coeff
-            else:
-                for word, coeff in element.terms():
-                    block = rep.word_matrix(word)
-                    for r in range(dim):
-                        block_row = block[r]
-                        grid_row = grid[row0 + r]
-                        for col in range(dim):
-                            if block_row[col]:
-                                grid_row[col0 + col] += coeff * block_row[col]
-    exact_matrix = tuple(tuple(row) for row in grid)
-    if not provenance:
-        provenance = f"{matrix.rows}x{matrix.cols}@{rep.label or 'rep'}"
-    result = EvaluatedOperator(exact_matrix, provenance=provenance)
-    if matrix.rows == matrix.cols and matrix.is_self_adjoint():
-        if not result.is_symmetric_exact():
-            raise InvariantError(
-                "self-adjoint input evaluated to a non-symmetric matrix")
+    terms = [(i, j, word, coeff)
+             for i in range(matrix.rows) for j in range(matrix.cols)
+             for word, coeff in matrix.entry(i, j).terms()]
+    integral = (rep.perms is not None
+                and all(coeff.denominator == 1 for *_, coeff in terms)
+                and sum(abs(coeff) for *_, coeff in terms) < 2**62)
+    grid = np.zeros((matrix.rows * dim, matrix.cols * dim),
+                    dtype=np.int64 if integral else object)
+    columns = np.arange(dim)
+    for i, j, word, coeff in terms:
+        row0, col0 = i * dim, j * dim
+        if rep.perms is not None:
+            grid[row0 + rep.word_perm(word), col0 + columns] += (
+                coeff.numerator if integral else coeff)
+        else:
+            grid[row0:row0 + dim, col0:col0 + dim] += (
+                coeff * rep.word_matrix(word).array)
+    provenance = provenance or f"{matrix.rows}x{matrix.cols}@{rep.label or 'rep'}"
+    result = EvaluatedOperator(exact.Matrix(grid), provenance=provenance)
+    if matrix.is_self_adjoint() and not result.is_symmetric_exact():
+        raise InvariantError(
+            "self-adjoint input evaluated to a non-symmetric matrix")
     return result
 
 

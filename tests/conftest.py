@@ -102,3 +102,83 @@ def tree_walk_counts(branching: int, max_length: int) -> list[int]:
                 nxt[dist + 1] = nxt.get(dist + 1, 0) + ways * (branching - 1)
         state = nxt
     return counts
+
+
+# ---------------------------------------------------------------------------
+# Slow exact paths kept as oracles for the vectorized package code
+# ---------------------------------------------------------------------------
+
+
+def slow_matmul(a, b):
+    """Product of two row-sequence Fraction matrices, entry by entry."""
+    bt = tuple(zip(*b))
+    return tuple(
+        tuple(sum((x * y for x, y in zip(row, col) if x and y), Fraction(0))
+              for col in bt)
+        for row in a)
+
+
+def slow_word_matrix(rep, word):
+    """Image of a word under an orthogonal representation, as rows of
+    Fractions, multiplied letter by letter."""
+    dim = rep.dimension
+    out = tuple(tuple(Fraction(int(i == j)) for j in range(dim))
+                for i in range(dim))
+    for letter in word:
+        image = tuple(rep.matrices[abs(letter) - 1])
+        if letter < 0:
+            image = tuple(zip(*image))
+        out = slow_matmul(out, image)
+    return out
+
+
+def slow_evaluate(matrix, rep):
+    """Block evaluation of a group-ring matrix into a tuple-of-tuples
+    Fraction grid, one grid entry at a time."""
+    dim = rep.dimension
+    grid = [[Fraction(0)] * (matrix.cols * dim)
+            for _ in range(matrix.rows * dim)]
+    for i in range(matrix.rows):
+        for j in range(matrix.cols):
+            row0, col0 = i * dim, j * dim
+            for word, coeff in matrix.entry(i, j).terms():
+                if rep.perms is not None:
+                    perm = rep.word_perm(word)
+                    for col in range(dim):
+                        grid[row0 + perm[col]][col0 + col] += coeff
+                else:
+                    block = slow_word_matrix(rep, word)
+                    for r in range(dim):
+                        for col in range(dim):
+                            grid[row0 + r][col0 + col] += coeff * block[r][col]
+    return tuple(tuple(row) for row in grid)
+
+
+def all_coset_separation(presentation, tables, radius):
+    """(words checked, failures, first failure) of the reduced ball walk
+    that carries every coset of every quotient, in depth-first order."""
+    from coholap import format_word
+
+    n = presentation.generator_count
+    letters = [i for g in range(1, n + 1) for i in (g, -g)]
+    identity_states = [tuple(range(t.coset_count)) for t in tables]
+    words_checked = failure_count = 0
+    first_failure = None
+    stack = [([], identity_states)]
+    while stack:
+        prefix, states = stack.pop()
+        for letter in reversed(letters):
+            if prefix and prefix[-1] == -letter:
+                continue
+            new_prefix = prefix + [letter]
+            column = 2 * (letter - 1) if letter > 0 else 2 * (-letter - 1) + 1
+            new_states = [tuple(table.columns[column][x] for x in state)
+                          for table, state in zip(tables, states)]
+            words_checked += 1
+            if new_states == identity_states:
+                failure_count += 1
+                if first_failure is None:
+                    first_failure = format_word(Word(new_prefix), presentation)
+            if len(new_prefix) < radius:
+                stack.append((new_prefix, new_states))
+    return words_checked, failure_count, first_failure

@@ -480,3 +480,14 @@ class TestErrorHandling:
     def test_error_json_not_left_behind_on_success(self, tmp_path, capsys):
         _, _, out = run_cli(tmp_path, capsys, "spectrum", CYCLIC3)
         assert not (out / "error.json").exists()
+
+
+class TestSeparationWarningSource:
+    def test_warning_points_at_the_description(self, tmp_path, capsys):
+        payload = dict(CYCLIC3, chain=[["a"]])
+        with pytest.warns(SeparationWarning) as record:
+            code, _, _ = run_cli(tmp_path, capsys, "spectrum", payload)
+        assert code == 0
+        assert [w.filename for w in record] == [
+            str(tmp_path / "exp-spectrum-out.json")]
+        assert str(record[0].message).endswith("first: a^-1")

@@ -1,11 +1,12 @@
 """Coset enumeration, representations, and quotient chains."""
 
 import warnings
+from fractions import Fraction
 from random import Random
 
 import pytest
 
-from conftest import closure_order, random_word
+from conftest import all_coset_separation, closure_order, random_word
 
 from coholap import (
     ChainOrderError,
@@ -14,9 +15,11 @@ from coholap import (
     Presentation,
     Representation,
     SeparationWarning,
+    ShapeMismatchError,
     Word,
     parse_word,
     quotient_chain,
+    surface_genus2_complex,
     todd_coxeter,
 )
 
@@ -231,3 +234,57 @@ class TestQuotientChain:
         for i, (_pos, _order, _table, rep) in enumerate(chain.stages()):
             for word in chain.specs[i]:
                 assert rep.word_is_identity(word)
+
+
+class TestOrthogonalImages:
+    def test_ragged_or_wrong_size_images_rejected(self):
+        for image in ([[0, 1], [1, 0, 0]], [[1, 0], [0]], [[1]]):
+            with pytest.raises(ShapeMismatchError):
+                Representation(2, matrices=[image])
+
+    def test_word_images_are_exact(self):
+        rotation = Representation(2, matrices=[[["3/5", "-4/5"],
+                                                ["4/5", "3/5"]]])
+        assert rotation.word_matrix(Word([1, 1])) == (
+            (Fraction(-7, 25), Fraction(-24, 25)),
+            (Fraction(24, 25), Fraction(-7, 25)))
+        assert rotation.word_is_identity(Word([1, -1]))
+        assert not rotation.word_is_identity(Word([1, 1, 1, 1]))
+        assert rotation.word_matrix(Word([-1])) == (
+            (Fraction(3, 5), Fraction(4, 5)),
+            (Fraction(-4, 5), Fraction(3, 5)))
+
+
+def _abelian_stages(p, ms):
+    names = p.generator_names
+    commutators = [f"{x}*{y}*{x}^-1*{y}^-1"
+                   for i, x in enumerate(names) for y in names[i + 1:]]
+    return [words(p, [f"{g}^{m}" for g in names] + commutators) for m in ms]
+
+
+class TestSeparationWalkOracle:
+    """The identity-coset walk against the walk that carries every coset."""
+
+    def test_corpus_chains(self):
+        genus2 = surface_genus2_complex().presentation
+        torus = presentation("ab", ["a*b*a^-1*b^-1"])
+        cyclic = presentation("a", [])
+        cases = [
+            (F2, _abelian_stages(F2, (2, 3, 4, 5)), 3),
+            (F2, _abelian_stages(F2, (2, 3)), 5),
+            (F2, [words(F2, ["a", "b^2"])], 3),
+            (genus2, _abelian_stages(genus2, (2, 3)), 4),
+            (torus, [words(torus, ["a^2", "b^2"]),
+                     words(torus, ["a^4", "b^4"])], 4),
+            (cyclic, [words(cyclic, ["a^7"]), words(cyclic, ["a^49"])], 6),
+        ]
+        failing = 0
+        for p, stages, radius in cases:
+            chain = quotient_chain(p, stages, ball_radius=radius, warn=False)
+            report = chain.separation
+            assert (report.words_checked, report.failure_count,
+                    report.first_failure) == all_coset_separation(
+                        p, chain.tables, radius)
+            assert report.separated == (report.failure_count == 0)
+            failing += not report.separated
+        assert failing >= 3
