@@ -13,6 +13,7 @@ a lifted reference value along the chain.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -29,7 +30,7 @@ from .errors import (
     MalformedInputError,
     TraceBackendError,
 )
-from .groupring import GroupRingMatrix, Word
+from .groupring import GroupRingMatrix
 from .spectral import (
     DEFAULT_ZERO_TOLERANCE,
     EvaluatedOperator,
@@ -236,67 +237,56 @@ def _denominator_lcm(matrix: GroupRingMatrix) -> int:
                       for _w, coeff in matrix.entry(i, j).terms()))
 
 
-def _int_coeff_matrix(matrix: GroupRingMatrix,
-                      denominator_clear: int) -> list[list[dict[Word, int]]]:
+def _right_multiply(codes: np.ndarray, digits: tuple[int, ...],
+                    radix: int) -> np.ndarray:
+    """Codes of w * v for every code w; v is given by its letter digits.
+
+    Both words are reduced, so each letter either cancels the last digit
+    or becomes the new last digit.
+    """
+    for digit in digits:
+        inverse = digit + 1 if digit % 2 else digit - 1
+        codes = np.where(codes % radix == inverse, codes // radix,
+                         codes * radix + digit)
+    return codes
+
+
+def _times_base(power, base, radix: int):
+    """M^(j+1) = M^j M; every entry is a (sorted codes, coefficients) pair."""
+    k = len(base)
     out = []
-    for i in range(matrix.rows):
+    for i in range(k):
         row = []
-        for j in range(matrix.cols):
-            entry = {}
-            for word, coeff in matrix.entry(i, j).terms():
-                value = coeff * denominator_clear
-                if value.denominator != 1:
-                    raise InvariantError("denominator clearing failed")
-                entry[word] = entry.get(word, 0) + value.numerator
-            row.append({w: c for w, c in entry.items() if c})
+        for j in range(k):
+            # empty slices carry the dtypes when no term contributes
+            codes, coeffs = [power[i][0][0][:0]], [power[i][0][1][:0]]
+            for m in range(k):
+                left_codes, left_coeffs = power[i][m]
+                for digits, coeff in base[m][j]:
+                    codes.append(_right_multiply(left_codes, digits, radix))
+                    coeffs.append(left_coeffs * coeff)
+            merged, where = np.unique(np.concatenate(codes),
+                                      return_inverse=True)
+            summed = np.zeros(merged.size, dtype=coeffs[0].dtype)
+            np.add.at(summed, where, np.concatenate(coeffs))
+            keep = summed != 0
+            row.append((merged[keep], summed[keep]))
         out.append(row)
     return out
 
 
-def _int_matrix_mul(a: list[list[dict[Word, int]]],
-                    b: list[list[dict[Word, int]]]) -> list[list[dict[Word, int]]]:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = [[dict() for _ in range(cols)] for _ in range(rows)]
-    for i in range(rows):
-        for k in range(inner):
-            left = a[i][k]
-            if not left:
-                continue
-            for j in range(cols):
-                right = b[k][j]
-                if not right:
-                    continue
-                acc = out[i][j]
-                for u, cu in left.items():
-                    for v, cv in right.items():
-                        w = u * v
-                        value = acc.get(w, 0) + cu * cv
-                        if value:
-                            acc[w] = value
-                        else:
-                            del acc[w]
-    return out
-
-
-def _int_matrix_terms(m: list[list[dict[Word, int]]]) -> int:
-    return sum(len(entry) for row in m for entry in row)
-
-
-def _paired_trace(a: list[list[dict[Word, int]]],
-                  b: list[list[dict[Word, int]]]) -> int:
-    """tau(A B) = sum_{i,j,w} A[i][j](w) * B[j][i](w^-1), no convolution."""
+def _paired_trace(a, b) -> int:
+    """tau(A B) = sum_{i,j} <A[i][j], B[i][j]> for self-adjoint B, since
+    B[j][i](w^-1) = B[i][j](w)."""
     total = 0
-    k = len(a)
-    for i in range(k):
-        for j in range(k):
-            left = a[i][j]
-            right = b[j][i]
-            if not left or not right:
-                continue
-            for w, c in left.items():
-                other = right.get(w.inverse())
-                if other:
-                    total += c * other
+    for row_a, row_b in zip(a, b):
+        for (codes_a, coeffs_a), (codes_b, coeffs_b) in zip(row_a, row_b):
+            _, left, right = np.intersect1d(codes_a, codes_b,
+                                            assume_unique=True,
+                                            return_indices=True)
+            # summed as Python ints: a product can pass 2**63
+            total += sum(map(operator.mul, coeffs_a[left].tolist(),
+                             coeffs_b[right].tolist()))
     return total
 
 
@@ -394,41 +384,51 @@ def _upper_bounds_free(spec: CochainComplexSpec, bundle: LaplacianBundle,
 
 def _free_power_traces(matrix: GroupRingMatrix, m_max: int, term_budget: int
                        ) -> tuple[list[Fraction], bool]:
-    """Exact tau(M^j) for j = 1..m_max, and whether support growth beyond
-    ``term_budget`` cut the list short.
+    """Exact tau(M^j) for j = 1..m_max of a self-adjoint M, and whether
+    support growth beyond ``term_budget`` cut the list short.
 
-    Coefficients are cleared to integers first.  tau(M^j) is evaluated as
-    tau(M^a M^b) with a = ceil(j/2), so only powers up to ceil(m_max/2)
-    are convolved; the trace of a product pairs supports without
-    multiplying them out.
+    Coefficients are cleared to integers first.  A reduced word over n
+    generators is an integer code in base 2n + 1, its last letter the
+    least significant digit (s_i is 2i - 1, s_i^-1 is 2i); an entry of
+    M^j is a sorted array of codes with an array of coefficients.  Both
+    are int64 when every code and every partial sum provably fits, else
+    Python ints.  tau(M^j) is evaluated as tau(M^a M^b) with
+    a = ceil(j/2), so only powers up to ceil(m_max/2) are multiplied out.
     """
+    if not matrix.is_self_adjoint():
+        raise InvariantError("free-ring power traces need a self-adjoint "
+                             "matrix")
     k = matrix.rows
     clear = _denominator_lcm(matrix)
-    base = _int_coeff_matrix(matrix, clear)
-
-    powers: list[list[list[dict[Word, int]]]] = [base]
-    cutoff = False
+    radix = 2 * matrix.max_generator() + 1
+    base = [[[(tuple(2 * abs(letter) - (letter > 0) for letter in word),
+               int(coeff * clear))
+              for word, coeff in matrix.entry(i, j).terms()]
+             for j in range(k)] for i in range(k)]
+    terms = [term for row in base for entry in row for term in entry]
     top = (m_max + 1) // 2
-    while len(powers) < top:
-        nxt = _int_matrix_mul(powers[-1], base)
-        if _int_matrix_terms(nxt) > term_budget:
+    # M^top has words of length at most max_len * top, and the l1 norm
+    # of M^j over all entries is at most l1^j
+    max_len = max((len(digits) for digits, _ in terms), default=0)
+    l1 = sum(abs(coeff) for _, coeff in terms)
+    code_type = np.int64 if radix ** (max_len * top) < 2**63 else object
+    coeff_type = np.int64 if l1 ** top < 2**62 else object
+
+    identity = [[(np.zeros(int(i == j), dtype=code_type),
+                  np.ones(int(i == j), dtype=coeff_type))
+                 for j in range(k)] for i in range(k)]
+    powers = [identity, _times_base(identity, base, radix)]  # M^0, M^1
+    cutoff = False
+    while len(powers) <= top:
+        nxt = _times_base(powers[-1], base, radix)
+        if sum(codes.size for row in nxt for codes, _ in row) > term_budget:
             cutoff = True
             break
         powers.append(nxt)
-
-    traces: list[Fraction] = []          # traces[j-1] = tau(M^j)
-    for j in range(1, m_max + 1):
-        a = (j + 1) // 2
-        b = j - a
-        if a > len(powers):
-            cutoff = True
-            break
-        if b == 0:
-            raw = sum(powers[a - 1][i][i].get(Word(), 0) for i in range(k))
-        else:
-            raw = _paired_trace(powers[a - 1], powers[b - 1])
-        traces.append(Fraction(raw, clear ** j))
-    return traces, cutoff
+    # tau(M^j) = tau(M^ceil(j/2) M^floor(j/2)) needs M^ceil(j/2)
+    last = min(m_max, 2 * len(powers) - 2)
+    return [Fraction(_paired_trace(powers[(j + 1) // 2], powers[j // 2]),
+                     clear ** j) for j in range(1, last + 1)], cutoff
 
 
 def _upper_bounds_finite(bundle: LaplacianBundle, r_bound: Fraction,

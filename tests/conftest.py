@@ -182,3 +182,63 @@ def all_coset_separation(presentation, tables, radius):
             if len(new_prefix) < radius:
                 stack.append((new_prefix, new_states))
     return words_checked, failure_count, first_failure
+
+
+def slow_free_power_traces(matrix, m_max, term_budget):
+    """Exact tau(M^j) for j = 1..m_max and the cutoff flag, from dicts of
+    words multiplied term by term; tau(M^j) = tau(M^a M^b), a = ceil(j/2),
+    pairs A[i][j](w) with B[j][i](w^-1)."""
+    import math
+
+    k = matrix.rows
+    clear = math.lcm(*(coeff.denominator
+                       for i in range(k) for j in range(k)
+                       for _w, coeff in matrix.entry(i, j).terms()))
+    base = [[{word: int(coeff * clear)
+              for word, coeff in matrix.entry(i, j).terms()}
+             for j in range(k)] for i in range(k)]
+
+    def times(a, b):
+        out = [[{} for _ in range(k)] for _ in range(k)]
+        for i in range(k):
+            for m in range(k):
+                for j in range(k):
+                    acc = out[i][j]
+                    for u, cu in a[i][m].items():
+                        for v, cv in b[m][j].items():
+                            w = u * v
+                            value = acc.get(w, 0) + cu * cv
+                            if value:
+                                acc[w] = value
+                            else:
+                                del acc[w]
+        return out
+
+    def paired_trace(a, b):
+        return sum(c * b[j][i].get(w.inverse(), 0)
+                   for i in range(k) for j in range(k)
+                   for w, c in a[i][j].items())
+
+    powers = [base]
+    cutoff = False
+    top = (m_max + 1) // 2
+    while len(powers) < top:
+        nxt = times(powers[-1], base)
+        if sum(len(entry) for row in nxt for entry in row) > term_budget:
+            cutoff = True
+            break
+        powers.append(nxt)
+
+    traces = []
+    for j in range(1, m_max + 1):
+        a = (j + 1) // 2
+        b = j - a
+        if a > len(powers):
+            cutoff = True
+            break
+        if b == 0:
+            raw = sum(powers[a - 1][i][i].get(Word(), 0) for i in range(k))
+        else:
+            raw = paired_trace(powers[a - 1], powers[b - 1])
+        traces.append(Fraction(raw, clear ** j))
+    return traces, cutoff

@@ -151,6 +151,27 @@ class TestBetti:
         assert bounds["backend"] == "free-ring"
         assert bounds["cutoff"] is False
 
+    def test_non_self_adjoint_power_traces_give_error_json(
+            self, tmp_path, capsys, monkeypatch):
+        from coholap import GroupRingMatrix
+
+        # every matrix now reads as not self-adjoint, so the free-ring
+        # power traces refuse theirs
+        monkeypatch.setattr(GroupRingMatrix, "is_self_adjoint",
+                            lambda self: False)
+        payload = dict(
+            FREE2, degree=1,
+            representation={"kind": "quotient",
+                            "relators": ["a^2", "b^2", "a*b*a^-1*b^-1"]},
+            upper_bounds={"m_max": 2})
+        code, stdout, out = run_cli(tmp_path, capsys, "betti", payload)
+        assert code == 1
+        error = json.loads(stdout)["error"]
+        assert error["type"] == "InvariantError"
+        assert "self-adjoint" in error["message"]
+        assert json.loads((out / "error.json").read_text()) == {"error": error}
+        assert not (out / "betti.json").exists()
+
     def test_gap_hint_must_be_a_number(self, tmp_path, capsys):
         payload = dict(FREE2, degree=1,
                        representation={"kind": "quotient",

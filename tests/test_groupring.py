@@ -58,6 +58,22 @@ class TestWord:
             v = random_word(rng, 3)
             assert (u * v).inverse() == v.inverse() * u.inverse()
 
+    def test_products_match_reducing_the_concatenation(self):
+        rng = Random(11)
+        for _ in range(500):
+            u = random_word(rng, 3, max_length=8)
+            v = random_word(rng, 3, max_length=8)
+            # half the pairs cancel deep into the junction
+            if rng.random() < 0.5:
+                v = u.inverse() * v
+            product = u * v
+            assert type(product) is Word
+            assert product == Word(tuple(u) + tuple(v))
+            inverse = u.inverse()
+            assert type(inverse) is Word
+            assert inverse == Word(-letter for letter in reversed(u))
+            assert u * inverse == Word()
+
 
 class TestElementArithmetic:
     def test_zero_and_one(self):

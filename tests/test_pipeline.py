@@ -12,15 +12,24 @@ Oracles used here and nowhere else in the library:
 
 import math
 from fractions import Fraction
+from random import Random
 
 import pytest
 
-from conftest import exact_kernel_dim, tree_walk_counts
+from conftest import (
+    exact_kernel_dim,
+    random_element,
+    slow_free_power_traces,
+    tree_walk_counts,
+)
 
 from coholap import (
     BetaRef,
     GapClaim,
+    GroupRingElement,
+    GroupRingMatrix,
     IncompleteComplexError,
+    InvariantError,
     MalformedInputError,
     Presentation,
     Representation,
@@ -45,6 +54,7 @@ from coholap import (
     surface_genus2_complex,
     todd_coxeter,
 )
+from coholap.pipeline import _free_power_traces
 
 
 def torus_complex():
@@ -298,6 +308,97 @@ class TestUpperBounds:
         with pytest.raises(TraceBackendError):
             l2_betti_upper_bounds(torus_complex(), 1, m_max=2,
                                   max_cosets=500)
+
+
+def shifted_laplacian(spec, degree):
+    bundle = build_laplacian(spec, degree)
+    return (GroupRingMatrix.identity(bundle.cell_count)
+            .scale(bundle.laplacian.l1_operator_bound()) - bundle.laplacian)
+
+
+def down_square(spec, degree):
+    down = spec.differential(degree - 1)
+    return down.adjoint() @ down
+
+
+def element_matrix(terms):
+    return GroupRingMatrix.from_element(GroupRingElement(terms))
+
+
+class TestFreePowerTracesOracle:
+    """The word-code power traces against dicts of words multiplied term
+    by term (``slow_free_power_traces``)."""
+
+    @pytest.mark.parametrize("name,matrix,m_max", [
+        ("F2 R - Delta_0", shifted_laplacian(free_group_complex(2), 0), 10),
+        ("F2 d0* d0", down_square(free_group_complex(2), 1), 12),
+        ("F3 R - Delta_0", shifted_laplacian(free_group_complex(3), 0), 8),
+        ("F3 d0* d0", down_square(free_group_complex(3), 1), 8),
+        ("F2 2x2 R - Delta_1", shifted_laplacian(free_group_complex(2), 1),
+         6),
+    ])
+    def test_matches_dict_convolution(self, name, matrix, m_max):
+        traces, cutoff = _free_power_traces(matrix, m_max, 2_000_000)
+        assert (traces, cutoff) == slow_free_power_traces(
+            matrix, m_max, 2_000_000)
+        assert len(traces) == m_max and not cutoff
+        assert all(isinstance(t, Fraction) for t in traces)
+
+    def test_rational_coefficients(self):
+        rng = Random(7)
+        for _ in range(4):
+            x = random_element(rng, 2, terms=3, max_length=2)
+            matrix = GroupRingMatrix.from_element(x.star() * x)
+            assert any(c.denominator > 1 for _w, c in matrix.entry(0, 0)
+                       .terms())
+            assert _free_power_traces(matrix, 6, 10**6) == \
+                slow_free_power_traces(matrix, 6, 10**6)
+        # a 2x2 matrix X* X with rational entries in every position
+        x = GroupRingMatrix(2, 2, [
+            [random_element(rng, 2, terms=2, max_length=2)
+             for _ in range(2)] for _ in range(2)])
+        matrix = x.adjoint() @ x
+        assert _free_power_traces(matrix, 5, 10**6) == \
+            slow_free_power_traces(matrix, 5, 10**6)
+
+    def test_every_term_budget(self):
+        matrix = down_square(free_group_complex(2), 1)
+        full = 1 + 4 + 12 + 36 + 108      # M^4 lives on the radius-4 ball
+        seen = set()
+        for budget in range(1, full + 3):
+            got = _free_power_traces(matrix, 8, budget)
+            assert got == slow_free_power_traces(matrix, 8, budget)
+            seen.add((len(got[0]), got[1]))
+        assert (8, False) in seen and (2, True) in seen
+
+    def test_long_words_use_python_int_codes(self):
+        w = Word((1, 2) * 7)
+        matrix = element_matrix({w: 1, w.inverse(): 1, Word(): 2})
+        for m_max in (4, 6):
+            # radix 5, words of length 14 * ceil(m_max / 2) pass 2**63
+            assert 5 ** (14 * ((m_max + 1) // 2)) >= 2**63
+            assert _free_power_traces(matrix, m_max, 10**6) == \
+                slow_free_power_traces(matrix, m_max, 10**6)
+
+    def test_large_coefficients_use_python_int_coefficients(self):
+        big = 999_983
+        matrix = element_matrix({Word((1,)): big, Word((-1,)): big,
+                                 Word((2,)): 1, Word((-2,)): 1, Word(): 3})
+        # l1 norm 2 * big + 5; (l1)^4 passes 2**62
+        assert (2 * big + 5) ** 4 >= 2**62
+        traces, cutoff = _free_power_traces(matrix, 8, 10**6)
+        assert (traces, cutoff) == slow_free_power_traces(matrix, 8, 10**6)
+        assert traces[-1] > 2**63
+
+    @pytest.mark.parametrize("matrix", [
+        element_matrix({Word((1,)): 1, Word(): 2}),
+        GroupRingMatrix(2, 2, [
+            [GroupRingElement.one(), GroupRingElement.generator(1)],
+            [GroupRingElement.generator(1), GroupRingElement.one()]]),
+    ])
+    def test_rejects_non_self_adjoint(self, matrix):
+        with pytest.raises(InvariantError, match="self-adjoint"):
+            _free_power_traces(matrix, 4, 10**6)
 
 
 class TestLambdaRingMembership:
