@@ -93,7 +93,6 @@ from .spectral import (
     kernel_projection,
     lanczos_lowest,
     spectral_gap,
-    spectrum_low,
 )
 from .textform import format_element, format_word, parse_element, parse_word
 

@@ -388,12 +388,16 @@ def quotient_chain(presentation: Presentation,
 
     Indices must strictly increase along the chain.  A residual
     separation check walks all nontrivial reduced words of length at most
-    ``ball_radius``; any word that every quotient sends to the identity
-    triggers a :class:`SeparationWarning` (the chain cannot distinguish
-    it), never an error.
+    ``ball_radius`` (none at radius 0; a negative radius is malformed);
+    any word that every quotient sends to the identity triggers a
+    :class:`SeparationWarning` (the chain cannot distinguish it), never
+    an error.
     """
     if not chain:
         raise MalformedInputError("chain must name at least one quotient")
+    if ball_radius < 0:
+        raise MalformedInputError(
+            f"ball radius must be nonnegative, got {ball_radius}")
     specs = tuple(_coerce_words(presentation, spec) for spec in chain)
     tables = [todd_coxeter(presentation, spec, max_cosets=max_cosets)
               for spec in specs]
@@ -430,7 +434,8 @@ def _separation_check(presentation: Presentation,
     failure_count = 0
     first_failure: str | None = None
 
-    stack: list[tuple[list[int], tuple[int, ...]]] = [([], (0,) * len(tables))]
+    stack: list[tuple[list[int], tuple[int, ...]]] = (
+        [([], (0,) * len(tables))] if radius > 0 else [])
     while stack:
         prefix, cosets = stack.pop()
         for letter in reversed(letters):

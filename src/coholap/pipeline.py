@@ -21,7 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from . import exact
-from .complexes import CochainComplexSpec, LaplacianBundle, build_laplacian
+from .complexes import CochainComplexSpec, build_laplacian
 from .cosets import QuotientChain, Representation, todd_coxeter
 from .errors import (
     EnumerationOverflowError,
@@ -305,6 +305,12 @@ def l2_betti_upper_bounds(spec: CochainComplexSpec, degree: int,
     relators, and the exact normalized regular trace when the presented
     group is finite; other groups have no exact backend here.
 
+    Both backends take the traces tau(X^j) of one operator X, and
+    u_M = k + sum_j C(M, j) (-1/R)^j tau(X^j) with k the cell count.
+    X is d* d when Delta_n = d d* (no part above), since
+    tau((d d*)^j) = tau((d* d)^j) for j >= 1 and d* d is the smaller
+    matrix with the shorter words; otherwise X is Delta_n.
+
     Support growth beyond ``term_budget`` stops the sequence early and
     sets the ``cutoff`` flag instead of raising.
     """
@@ -320,10 +326,18 @@ def l2_betti_upper_bounds(spec: CochainComplexSpec, degree: int,
                 f"{l1_bound}")
     if m_max < 1:
         raise MalformedInputError("m_max must be at least 1")
+    if gap_hint is not None and not (0 < gap_hint <= float(norm_bound)):
+        raise MalformedInputError(
+            f"gap hint {gap_hint} outside (0, {float(norm_bound)}]")
+
+    down = spec.differential(degree - 1)
+    if down is None or not bundle.plus_part.is_zero():
+        x = bundle.laplacian
+    else:
+        x = down.adjoint() @ down
 
     if not spec.presentation.relators:
-        values, cutoff = _upper_bounds_free(
-            spec, bundle, norm_bound, m_max, term_budget)
+        traces, cutoff = _free_power_traces(x, m_max, term_budget)
         backend = "free-ring"
     else:
         try:
@@ -333,53 +347,24 @@ def l2_betti_upper_bounds(spec: CochainComplexSpec, degree: int,
                 "exact traces are available only for free presentations "
                 "(free-ring backend) or finite groups (regular backend); "
                 "this group did not enumerate within the coset budget") from exc
-        values = _upper_bounds_finite(bundle, norm_bound, m_max, table)
-        cutoff = False
+        traces, cutoff = _regular_power_traces(x, m_max, table), False
         backend = "finite-regular"
 
+    k = bundle.cell_count
+    step = -1 / norm_bound
+    values = tuple(
+        k + sum(math.comb(m, j) * step ** j * traces[j - 1]
+                for j in range(1, m + 1))
+        for m in range(1, len(traces) + 1))
     lower = None
     if gap_hint is not None:
-        if not (0 < gap_hint <= float(norm_bound)):
-            raise MalformedInputError(
-                f"gap hint {gap_hint} outside (0, {float(norm_bound)}]")
         shrink = 1.0 - gap_hint / float(norm_bound)
-        lower = tuple(
-            float(u) - bundle.cell_count * shrink ** (m + 1)
-            for m, u in enumerate(values))
+        lower = tuple(float(u) - k * shrink ** (m + 1)
+                      for m, u in enumerate(values))
     return UpperBoundReport(
         degree=degree, norm_bound=norm_bound, values=values,
         lower_bounds=lower, cutoff=cutoff, backend=backend,
         term_budget=term_budget, gap_hint=gap_hint)
-
-
-def _upper_bounds_free(spec: CochainComplexSpec, bundle: LaplacianBundle,
-                       r_bound: Fraction, m_max: int,
-                       term_budget: int) -> tuple[tuple[Fraction, ...], bool]:
-    """Free-ring values u_m = tau((I - Delta/R)^m).
-
-    In general u_m = tau((R - Delta)^m) / R^m.  When Delta_n = d d* (no
-    part above), tau((d d*)^j) = tau((d* d)^j), and for the presentation's
-    d_0 the element d* d has support of word length one, so its powers
-    live in far smaller balls than powers of the Laplacian itself; u_m is
-    then assembled binomially from those traces.
-    """
-    k = bundle.cell_count
-    down = spec.differential(bundle.degree - 1)
-    if down is None or not bundle.plus_part.is_zero():
-        shifted = GroupRingMatrix.identity(k).scale(r_bound) - bundle.laplacian
-        traces, cutoff = _free_power_traces(shifted, m_max, term_budget)
-        return tuple(t / r_bound ** m
-                     for m, t in enumerate(traces, start=1)), cutoff
-    traces, cutoff = _free_power_traces(down.adjoint() @ down, m_max,
-                                        term_budget)
-    values = []
-    for m in range(1, len(traces) + 1):
-        total = Fraction(k)
-        for j in range(1, m + 1):
-            total += (math.comb(m, j) * Fraction(-1) ** j
-                      * traces[j - 1] / r_bound ** j)
-        values.append(total)
-    return tuple(values), cutoff
 
 
 def _free_power_traces(matrix: GroupRingMatrix, m_max: int, term_budget: int
@@ -431,47 +416,32 @@ def _free_power_traces(matrix: GroupRingMatrix, m_max: int, term_budget: int
                      clear ** j) for j in range(1, last + 1)], cutoff
 
 
-def _upper_bounds_finite(bundle: LaplacianBundle, r_bound: Fraction,
-                         m_max: int, table) -> tuple[Fraction, ...]:
-    """Exact normalized regular trace of (I - Delta/R)^m for finite groups.
+def _regular_power_traces(matrix: GroupRingMatrix, m_max: int,
+                          table) -> list[Fraction]:
+    """Exact normalized regular traces tau(M^j) for j = 1..m_max, the
+    presented group being finite with regular coset table ``table``.
 
-    With c clearing the denominators of R - Delta, A = c(R - Delta) is an
-    integer matrix and u_m = tr(A^m) / ((cR)^m |G|).
+    With c clearing the denominators of M, A = pi(cM) is an integer
+    matrix and tau(M^j) = tr(A^j) / (c^j |G|).
     """
     rep = Representation.from_coset_table(table, label="full-regular")
-    shifted = (GroupRingMatrix.identity(bundle.cell_count).scale(r_bound)
-               - bundle.laplacian)
-    clear = _denominator_lcm(shifted)
-    t_matrix = evaluate(shifted.scale(clear), rep,
-                        provenance="c(R-Delta)@full-regular").exact_matrix
-    values = []
-    power = t_matrix
-    for m in range(1, m_max + 1):
+    clear = _denominator_lcm(matrix)
+    base = evaluate(matrix.scale(clear), rep,
+                    provenance="cX@full-regular").exact_matrix
+    traces = []
+    power = base
+    for j in range(1, m_max + 1):
         # summed as Python ints: an int64 trace could overflow
-        trace = sum(power.array.diagonal().tolist())
-        values.append(trace / (clear * r_bound) ** m / table.coset_count)
-        if m < m_max:
-            power = exact.matmul(power, t_matrix)
-    return tuple(values)
+        traces.append(Fraction(sum(power.array.diagonal().tolist()),
+                               clear ** j * table.coset_count))
+        if j < m_max:
+            power = exact.matmul(power, base)
+    return traces
 
 
 # ---------------------------------------------------------------------------
 # Membership in the ring of fractions with finite-subgroup denominators
 # ---------------------------------------------------------------------------
-
-
-def _prime_factors(n: int) -> set[int]:
-    factors = set()
-    n = abs(n)
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            factors.add(d)
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        factors.add(n)
-    return factors
 
 
 def lambda_ring_membership(value: Fraction,
@@ -485,10 +455,15 @@ def lambda_ring_membership(value: Fraction,
     orders = [int(o) for o in finite_subgroup_orders]
     if any(o <= 0 for o in orders):
         raise MalformedInputError("finite subgroup orders must be positive")
-    value = Fraction(value)
-    denominator_primes = _prime_factors(value.denominator)
-    return all(any(order % p == 0 for order in orders)
-               for p in denominator_primes)
+    denominator = Fraction(value).denominator
+    product = math.prod(orders)
+    # strip every prime the orders share with the denominator; what is
+    # left is 1 exactly when no other prime divides it
+    shared = math.gcd(denominator, product)
+    while shared > 1:
+        denominator //= shared
+        shared = math.gcd(denominator, product)
+    return denominator == 1
 
 
 # ---------------------------------------------------------------------------

@@ -207,21 +207,6 @@ def lanczos_lowest(shadow: np.ndarray, count: int,
     return ritz_lowest(q) if lowest is None else lowest
 
 
-def spectrum_low(op: EvaluatedOperator, count: int | None = None,
-                 dense_cutoff: int = DENSE_EIG_CUTOFF) -> np.ndarray:
-    """Sorted ascending eigenvalues (all of them below the dense cutoff,
-    the lowest ``count`` via Lanczos above it)."""
-    if op.rows != op.cols:
-        raise ShapeMismatchError("spectrum requires a square operator")
-    if op.rows <= dense_cutoff:
-        values = np.linalg.eigvalsh(op.shadow) if op.rows else np.array([])
-        return values if count is None else values[:count]
-    if count is None:
-        raise ValueError(
-            f"dimension {op.rows} exceeds the dense cutoff; pass count=")
-    return lanczos_lowest(op.shadow, count)
-
-
 def spectral_gap(op: EvaluatedOperator,
                  zero_tolerance: float = DEFAULT_ZERO_TOLERANCE,
                  dense_cutoff: int = DENSE_EIG_CUTOFF) -> GapReport:

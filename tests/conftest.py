@@ -242,3 +242,62 @@ def slow_free_power_traces(matrix, m_max, term_budget):
             raw = paired_trace(powers[a - 1], powers[b - 1])
         traces.append(Fraction(raw, clear ** j))
     return traces, cutoff
+
+
+def slow_upper_bounds(spec, degree, m_max, gap_hint=None, norm_bound=None,
+                      term_budget=2_000_000, max_cosets=10**6):
+    """(values, cutoff, lower bounds) of u_m = tau((I - Delta/R)^m) by
+    three separate routes: powers of R - Delta over the free group ring,
+    the binomial sum over tau((d* d)^j) when Delta = d d* over the free
+    group ring, and powers of c(R - Delta) in the full regular
+    representation of a finite group."""
+    import math
+
+    from coholap import (
+        GroupRingMatrix,
+        Representation,
+        build_laplacian,
+        evaluate,
+        exact,
+        todd_coxeter,
+    )
+
+    bundle = build_laplacian(spec, degree)
+    r_bound = Fraction(norm_bound if norm_bound is not None
+                       else bundle.laplacian.l1_operator_bound())
+    k = bundle.cell_count
+    shifted = GroupRingMatrix.identity(k).scale(r_bound) - bundle.laplacian
+    down = spec.differential(degree - 1)
+    cutoff = False
+    if spec.presentation.relators:
+        table = todd_coxeter(spec.presentation, (), max_cosets=max_cosets)
+        rep = Representation.from_coset_table(table)
+        clear = math.lcm(*(coeff.denominator
+                           for i in range(k) for j in range(k)
+                           for _w, coeff in shifted.entry(i, j).terms()))
+        t_matrix = evaluate(shifted.scale(clear), rep).exact_matrix
+        values, power = [], t_matrix
+        for m in range(1, m_max + 1):
+            trace = sum(power.array.diagonal().tolist())
+            values.append(trace / (clear * r_bound) ** m / table.coset_count)
+            if m < m_max:
+                power = exact.matmul(power, t_matrix)
+    elif down is None or not bundle.plus_part.is_zero():
+        traces, cutoff = slow_free_power_traces(shifted, m_max, term_budget)
+        values = [t / r_bound ** m for m, t in enumerate(traces, start=1)]
+    else:
+        traces, cutoff = slow_free_power_traces(
+            down.adjoint() @ down, m_max, term_budget)
+        values = []
+        for m in range(1, len(traces) + 1):
+            total = Fraction(k)
+            for j in range(1, m + 1):
+                total += (math.comb(m, j) * Fraction(-1) ** j
+                          * traces[j - 1] / r_bound ** j)
+            values.append(total)
+    lower = None
+    if gap_hint is not None:
+        shrink = 1.0 - gap_hint / float(r_bound)
+        lower = tuple(float(u) - k * shrink ** (m + 1)
+                      for m, u in enumerate(values))
+    return tuple(values), cutoff, lower

@@ -222,6 +222,23 @@ class TestLuck:
         assert code == 2
         assert json.loads(stdout)["error"]["type"] == "MalformedInputError"
 
+    def test_negative_ball_radius_is_malformed(self, tmp_path, capsys):
+        code, stdout, out = run_cli(tmp_path, capsys, "luck", self.PAYLOAD,
+                                    "--ball-radius", "-1")
+        assert code == 2
+        error = json.loads(stdout)["error"]
+        assert error["type"] == "MalformedInputError"
+        assert "ball radius" in error["message"]
+        assert not (out / "luck.json").exists()
+
+    def test_ball_radius_zero_checks_no_word(self, tmp_path, capsys):
+        code, stdout, _ = run_cli(tmp_path, capsys, "luck", self.PAYLOAD,
+                                  "--ball-radius", "0")
+        assert code == 0
+        separation = json.loads(stdout)["chain_separation"]
+        assert separation == {"radius": 0, "separated": True,
+                              "failure_count": 0}
+
 
 class TestProject:
     def test_torus_projection(self, tmp_path, capsys):

@@ -208,6 +208,26 @@ class TestQuotientChain:
         with pytest.raises(MalformedInputError):
             quotient_chain(F2, [])
 
+    def test_radius_zero_checks_no_word(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # a is killed by the quotient, yet no word is walked
+            chain = quotient_chain(F2, [words(F2, ["a", "b^2"])],
+                                   ball_radius=0)
+        report = chain.separation
+        assert (report.radius, report.words_checked) == (0, 0)
+        assert report.separated and report.failure_count == 0
+        assert report.first_failure is None
+        one = quotient_chain(F2, [words(F2, ["a", "b^2"])], ball_radius=1,
+                             warn=False)
+        assert one.separation.words_checked == 4
+
+    @pytest.mark.parametrize("radius", [-1, -5])
+    def test_negative_radius_rejected(self, radius):
+        with pytest.raises(MalformedInputError, match="ball radius"):
+            quotient_chain(F2, [words(F2, ["a^2", "b^2"])],
+                           ball_radius=radius)
+
     def test_separation_failure_warns(self):
         with pytest.warns(SeparationWarning):
             chain = quotient_chain(F2, [words(F2, ["a", "b^2"])],

@@ -11,6 +11,7 @@ Oracles used here and nowhere else in the library:
 """
 
 import math
+import signal
 from fractions import Fraction
 from random import Random
 
@@ -20,6 +21,7 @@ from conftest import (
     exact_kernel_dim,
     random_element,
     slow_free_power_traces,
+    slow_upper_bounds,
     tree_walk_counts,
 )
 
@@ -60,6 +62,12 @@ from coholap.pipeline import _free_power_traces
 def torus_complex():
     return build_complex(
         Presentation(("a", "b"), (Word((1, 2, -1, -2)),)), aspherical=True)
+
+
+def s4_complex():
+    # S4 = <a, b | a^2, b^3, (ab)^4>, truncated at its relator cells
+    return build_complex(Presentation(
+        ("a", "b"), (Word((1, 1)), Word((2, 2, 2)), Word((1, 2) * 4))))
 
 
 def regular_rep(presentation, extra):
@@ -310,6 +318,72 @@ class TestUpperBounds:
                                   max_cosets=500)
 
 
+class TestUpperBoundsOracle:
+    """One trace sequence assembled binomially, against today's three
+    routes (``slow_upper_bounds``): powers of R - Delta and of d* d over
+    the free group ring, and powers of c(R - Delta) in the regular
+    representation of a finite group."""
+
+    @pytest.mark.parametrize("name,spec,degree,kwargs", [
+        ("F2 degree 0", free_group_complex(2), 0,
+         {"m_max": 8, "gap_hint": 2.0}),
+        ("F3 degree 0", free_group_complex(3), 0, {"m_max": 6}),
+        ("F2 degree 1", free_group_complex(2), 1, {"m_max": 10}),
+        ("F2 degree 1 rational R", free_group_complex(2), 1,
+         {"m_max": 8, "norm_bound": Fraction(17, 2), "gap_hint": 0.5}),
+        ("Z/5 degree 0", cyclic_group_complex(5), 0,
+         {"m_max": 12, "gap_hint": 1.0}),
+        ("S4 degree 1", s4_complex(), 1, {"m_max": 6}),
+        ("S4 degree 2", s4_complex(), 2,
+         {"m_max": 6, "norm_bound": Fraction(157, 3), "gap_hint": 3.0}),
+    ])
+    def test_matches_three_routes(self, name, spec, degree, kwargs):
+        report = l2_betti_upper_bounds(spec, degree, **kwargs)
+        values, cutoff, lower = slow_upper_bounds(spec, degree, **kwargs)
+        assert report.values == values
+        assert report.cutoff == cutoff
+        assert report.lower_bounds == lower
+        assert len(values) == kwargs["m_max"] and not cutoff
+        assert all(isinstance(u, Fraction) for u in report.values)
+
+    def test_s4_top_degree_uses_the_smaller_operator(self, monkeypatch):
+        import coholap.pipeline as pipeline
+
+        seen = []
+        original = pipeline._regular_power_traces
+
+        def spy(matrix, m_max, table):
+            seen.append((matrix.rows, matrix.cols))
+            return original(matrix, m_max, table)
+
+        monkeypatch.setattr(pipeline, "_regular_power_traces", spy)
+        l2_betti_upper_bounds(s4_complex(), 2, m_max=2)
+        l2_betti_upper_bounds(s4_complex(), 1, m_max=2)
+        # d1* d1 on the two edges, then Delta_1 itself
+        assert seen == [(2, 2), (2, 2)]
+
+    def test_every_term_budget(self):
+        spec = free_group_complex(2)
+        full = 1 + 4 + 12 + 36 + 108      # X^4 lives on the radius-4 ball
+        seen = set()
+        for budget in range(1, full + 3):
+            report = l2_betti_upper_bounds(spec, 0, m_max=8,
+                                           term_budget=budget)
+            values, cutoff, _ = slow_upper_bounds(spec, 0, m_max=8,
+                                                  term_budget=budget)
+            assert (report.values, report.cutoff) == (values, cutoff)
+            seen.add((len(values), cutoff))
+        assert (8, False) in seen and (2, True) in seen
+
+    def test_gap_hint_checked_before_enumeration(self):
+        # the torus does not enumerate within 500 cosets; a bad gap hint
+        # is reported before the enumeration is tried
+        for gap_hint in (0.0, 100.0):
+            with pytest.raises(MalformedInputError, match="gap hint"):
+                l2_betti_upper_bounds(torus_complex(), 1, m_max=2,
+                                      gap_hint=gap_hint, max_cosets=500)
+
+
 def shifted_laplacian(spec, degree):
     bundle = build_laplacian(spec, degree)
     return (GroupRingMatrix.identity(bundle.cell_count)
@@ -422,6 +496,34 @@ class TestLambdaRingMembership:
     def test_order_validation(self):
         with pytest.raises(MalformedInputError):
             lambda_ring_membership(Fraction(1, 2), [0])
+
+    def test_random_orders_against_clearing(self):
+        rng = Random(2024)
+        for _ in range(500):
+            orders = [rng.randint(1, 60) for _ in range(rng.randint(0, 3))]
+            value = Fraction(rng.randint(-50, 50), rng.randint(1, 5000))
+            # every prime power in the denominator divides product^bits
+            clearing = math.prod(orders) ** value.denominator.bit_length()
+            oracle = (value * clearing).denominator == 1
+            assert lambda_ring_membership(value, orders) == oracle
+
+    def test_large_prime_factors_answer_quickly(self):
+        # Mersenne primes: trial division up to the square root of the
+        # denominator would run for years
+        p, q = 2**61 - 1, 2**89 - 1
+
+        def expire(signum, frame):
+            raise TimeoutError("lambda_ring_membership did not return")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(5)
+        try:
+            assert not lambda_ring_membership(Fraction(1, p * q * q), [p])
+            assert lambda_ring_membership(Fraction(5, p * q * q), [3 * p, q])
+            assert lambda_ring_membership(Fraction(1, p ** 3), [2 * p])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestEulerTrace:

@@ -30,7 +30,6 @@ from coholap import (
     kernel_projection,
     lanczos_lowest,
     spectral_gap,
-    spectrum_low,
     todd_coxeter,
 )
 from coholap import exact
@@ -115,7 +114,7 @@ class TestEigenvalueOracles:
     def test_cyclic_laplacian_spectrum(self, m):
         rep = regular_rep(F1, [f"a^{m}"])
         op = laplacian_operator(F1, rep)
-        values = spectrum_low(op)
+        values = np.linalg.eigvalsh(op.shadow)
         oracle = sorted(2 * (2 - 2 * math.cos(2 * math.pi * j / m))
                         for j in range(m))
         assert np.allclose(values, oracle, atol=1e-9)
@@ -124,7 +123,7 @@ class TestEigenvalueOracles:
     def test_free_square_quotient_spectrum(self, m):
         rep = regular_rep(F2, [f"a^{m}", f"b^{m}", "a*b*a^-1*b^-1"])
         op = laplacian_operator(F2, rep)
-        values = spectrum_low(op)
+        values = np.linalg.eigvalsh(op.shadow)
         oracle = sorted(
             2 * (4 - 2 * math.cos(2 * math.pi * j / m)
                  - 2 * math.cos(2 * math.pi * k / m))
@@ -156,19 +155,6 @@ class TestLanczos:
         dense = np.linalg.eigvalsh(op.shadow)
         low = lanczos_lowest(op.shadow, 6)
         assert np.allclose(low, dense[:6], atol=1e-6)
-
-    def test_spectrum_low_switches_to_lanczos(self):
-        rep = regular_rep(F2, ["a^6", "b^6", "a*b*a^-1*b^-1"])
-        op = laplacian_operator(F2, rep)  # 36 x 36
-        dense = spectrum_low(op, count=5)
-        iterative = spectrum_low(op, count=5, dense_cutoff=10)
-        assert np.allclose(dense, iterative, atol=1e-6)
-
-    def test_spectrum_low_requires_count_above_cutoff(self):
-        rep = regular_rep(F1, ["a^12"])
-        op = laplacian_operator(F1, rep)
-        with pytest.raises(ValueError):
-            spectrum_low(op, dense_cutoff=4)
 
     def test_gap_report_agrees_across_backends(self):
         rep = regular_rep(F2, ["a^5", "b^5", "a*b*a^-1*b^-1"])
