@@ -34,11 +34,11 @@ import platform
 import sys
 import warnings
 from fractions import Fraction
-from importlib.metadata import PackageNotFoundError, version
 from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import __version__ as VERSION
 from .certificates import (
     certificate_gap_claim,
     check_claim_soundness,
@@ -80,11 +80,6 @@ from .pipeline import (
     luck_approximation,
 )
 from .spectral import evaluate, spectral_gap
-
-try:  # the installed distribution knows its version; a checkout falls back
-    VERSION = version("coholap")
-except PackageNotFoundError:
-    VERSION = "0.1.0"
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +514,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     command = _COMMANDS[args.command]
     try:
+        if args.ball_radius < 0:
+            raise MalformedInputError(
+                f"ball radius must be nonnegative, got {args.ball_radius}")
         run = _Run(args, load_payload(args.spec), command.degree_key)
         report = command.handler(run)
         report["command"] = args.command

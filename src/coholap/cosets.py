@@ -2,11 +2,11 @@
 
 Quotients G/N of a finitely presented group G are specified by extra
 relators whose normal closure is N.  Enumeration of the trivial subgroup
-in <generators | relators + extra relators> (relator scanning with
-first-undefined-entry definitions and union-find coincidence handling)
-yields the regular action of the finite quotient.  Tables are renumbered
-by breadth-first search from the identity coset in generator order, so
-identical inputs produce identical tables.
+in <generators | relators + extra relators> (HLT scan-and-fill with
+Holt's eager coincidence routine) yields the regular action of the
+finite quotient.  Tables are renumbered by breadth-first search from the
+identity coset in generator order, so identical inputs produce identical
+tables.
 
 Chains of such quotients, with strictly increasing order, feed the
 spectral pipeline: each stage carries the exact permutation
@@ -34,6 +34,8 @@ from .groupring import Presentation, Word
 
 DEFAULT_MAX_COSETS = 10**6
 DEFAULT_BALL_RADIUS = 6
+# Most words one expansion of the separation walk produces.
+_WALK_BLOCK = 1 << 14
 
 WordLike = Union[Word, str, Sequence[int]]
 
@@ -122,121 +124,134 @@ def todd_coxeter(presentation: Presentation,
     or infinite).
     """
     extras = _coerce_words(presentation, extra_relators)
-    relators = [tuple(w) for w in (*presentation.relators, *extras)]
-    ncols = 2 * presentation.generator_count
-
-    parent: list[int] = []
-    table: list[list[int]] = []
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
+    column_of = CosetTable._column
+    # table[column][x] = x * letter(column), or -1; x is live if rep[x] == x.
+    # Outside coincidence(), live rows point only at live cosets: no find().
+    table: list[list[int]] = [
+        [] for _ in range(2 * presentation.generator_count)]
+    inverses = [table[column ^ 1] for column in range(len(table))]
+    rep: list[int] = []
+    relators = [([table[column_of(letter)] for letter in word],
+                 [table[column_of(-letter)] for letter in word])
+                for word in (*presentation.relators, *extras)]
 
     def new_coset() -> int:
-        if len(table) >= max_cosets:
+        if len(rep) >= max_cosets:
             raise EnumerationOverflowError(
                 f"enumeration exceeded max_cosets={max_cosets}; "
                 "the quotient is too large for the budget or infinite")
-        parent.append(len(table))
-        table.append([-1] * ncols)
-        return len(table) - 1
+        rep.append(len(rep))
+        for column in table:
+            column.append(-1)
+        return len(rep) - 1
 
-    def follow(x: int, column: int) -> int:
-        y = table[x][column]
-        if y == -1:
-            y = new_coset()
-            table[x][column] = y
-            table[y][column ^ 1] = x
-            return y
-        return find(y)
+    def find(x: int) -> int:
+        root = x
+        while rep[root] != root:
+            root = rep[root]
+        while rep[x] != root:
+            rep[x], x = root, rep[x]
+        return root
 
-    def unify(x: int, y: int) -> None:
-        queue = [(x, y)]
-        while queue:
-            a, b = queue.pop()
-            a, b = find(a), find(b)
-            if a == b:
-                continue
-            if b < a:
-                a, b = b, a
-            parent[b] = a
-            row_b = table[b]
-            row_a = table[a]
-            for column in range(ncols):
-                nb = row_b[column]
-                if nb == -1:
+    def coincidence(a: int, b: int) -> None:
+        """Holt's eager routine: each dead coset hands its entries to its
+        live representative, and every entry pointing at it is cleared."""
+        dead: list[int] = []
+
+        def merge(k: int, m: int) -> None:
+            k, m = find(k), find(m)
+            if k != m:
+                rep[max(k, m)] = min(k, m)
+                dead.append(max(k, m))
+
+        merge(a, b)
+        for g in dead:  # grows while it is read
+            for column, inverse in zip(table, inverses):
+                d = column[g]
+                if d < 0:
                     continue
-                na = row_a[column]
-                if na == -1:
-                    row_a[column] = nb
+                inverse[d] = -1
+                mu, nu = find(g), find(d)
+                if column[mu] >= 0:
+                    merge(nu, column[mu])
+                elif inverse[nu] >= 0:
+                    merge(mu, inverse[nu])
                 else:
-                    queue.append((na, nb))
+                    column[mu], inverse[nu] = nu, mu
 
-    column_of = CosetTable._column
+    def scan_and_fill(alpha: int, forward: list, backward: list) -> None:
+        """Close one relator's cycle at alpha: scan it from both ends,
+        deduce a one-letter gap, define a coset to narrow a longer one."""
+        f = b = alpha
+        r = len(forward)
+        i, j = 0, r - 1
+        while True:
+            while i < r and (y := forward[i][f]) >= 0:
+                f, i = y, i + 1
+            if i == r:
+                if f != alpha:
+                    coincidence(f, alpha)
+                return
+            while j >= i and (y := backward[j][b]) >= 0:
+                b, j = y, j - 1
+            if j <= i:
+                if j == i:
+                    forward[i][f], backward[i][b] = b, f
+                elif f != b:
+                    coincidence(f, b)
+                return
+            y = new_coset()
+            forward[i][f], backward[i][y] = y, f
+
     new_coset()  # identity coset
-    c = 0
-    while c < len(table):
-        if find(c) != c:
-            c += 1
-            continue
-        for relator in relators:
-            if find(c) != c:
+    alpha = 0
+    while alpha < len(rep):
+        for forward, backward in relators:
+            if rep[alpha] != alpha:
                 break
-            x = c
-            for letter in relator:
-                x = follow(x, column_of(letter))
-            unify(x, c)
-        if find(c) == c:
-            for column in range(ncols):
-                if find(c) != c:
-                    break
-                if table[c][column] == -1:
-                    follow(c, column)
-        c += 1
-
-    live = [x for x in range(len(table)) if find(x) == x]
+            scan_and_fill(alpha, forward, backward)
+        if rep[alpha] == alpha:
+            for column, inverse in zip(table, inverses):
+                if column[alpha] < 0:
+                    y = new_coset()
+                    column[alpha], inverse[y] = y, alpha
+        alpha += 1
 
     # Canonical renumbering: breadth-first from the identity coset,
     # exploring columns in generator order.
-    relabel = {find(0): 0}
-    order = [find(0)]
-    head = 0
-    while head < len(order):
-        x = order[head]
-        head += 1
-        for column in range(ncols):
-            y = find(table[x][column])
-            if y not in relabel:
+    relabel = [-1] * len(rep)
+    relabel[0] = 0
+    order = [0]
+    for x in order:  # grows while it is read
+        for column in table:
+            y = column[x]
+            if relabel[y] < 0:
                 relabel[y] = len(order)
                 order.append(y)
-    if len(order) != len(live):
+    if len(order) != sum(x == r for x, r in enumerate(rep)):
         raise InvariantError("coset table is not transitive after enumeration")
 
-    columns = tuple(
-        tuple(relabel[find(table[x][column])] for x in order)
-        for column in range(ncols)
-    )
-    result = CosetTable(presentation, extras, columns)
+    columns = np.array(relabel)[np.array(table)[:, order]]
+    result = CosetTable(presentation, extras,
+                        tuple(map(tuple, columns.tolist())))
     _validate_table(result)
     return result
 
 
 def _validate_table(table: CosetTable) -> None:
-    n = table.coset_count
+    """Check every coset: each inverse column undoes its generator column
+    (so both are bijections) and every relator composes to the identity."""
+    columns = np.array(table.columns).reshape(-1, table.coset_count)
+    identity = np.arange(table.coset_count)
     for i in range(table.presentation.generator_count):
-        forward = table.columns[2 * i]
-        backward = table.columns[2 * i + 1]
-        if sorted(forward) != list(range(n)):
-            raise InvariantError(f"generator {i + 1} does not act bijectively")
-        for x in range(n):
-            if backward[forward[x]] != x:
-                raise InvariantError(f"generator {i + 1} inverse column mismatch")
+        if not np.array_equal(columns[2 * i + 1][columns[2 * i]], identity):
+            raise InvariantError(
+                f"generator {i + 1} and its inverse column disagree")
     for relator in (*table.presentation.relators, *table.extra_relators):
-        if not table.word_is_identity(relator):
+        x = identity
+        for letter in relator:
+            x = columns[CosetTable._column(letter)][x]
+        if not np.array_equal(x, identity):
             raise InvariantError("a relator fails to act as the identity")
 
 
@@ -421,42 +436,56 @@ def quotient_chain(presentation: Presentation,
 def _separation_check(presentation: Presentation,
                       tables: Sequence[CosetTable],
                       radius: int) -> SeparationReport:
-    """Depth-first walk of the reduced ball, counting words that all
-    quotients kill.  Each table is a regular action, which is free, so a
-    word acts trivially exactly when it fixes coset 0: the walk carries
-    one coset per quotient."""
+    """Walk the reduced ball, one level per block expansion, counting
+    words that all quotients kill.  Each table is a regular action, which
+    is free, so a word acts trivially exactly when it fixes coset 0: the
+    walk carries one coset per quotient.
+
+    Frontier blocks are expanded depth-first and each expansion yields at
+    most ``_WALK_BLOCK`` words, so memory does not grow with the ball.
+    ``first_failure`` is the first failure of a depth-first walk that
+    takes parents in preorder (letters s1, s1^-1, s2, ...) and checks a
+    parent's children last letter first: the least failing word under
+    (parent letters, -last letter)."""
     from .textform import format_word
 
     n = presentation.generator_count
-    letters = [i for g in range(1, n + 1) for i in (g, -g)]
+    letters = [s * g for g in range(1, n + 1) for s in (1, -1)]
+    columns = [np.array(table.columns) for table in tables]
+    step = max(1, _WALK_BLOCK // len(letters))
+    words_checked = failure_count = 0
+    keys = []
+    # A block holds words as rows of column indices, in lexicographic
+    # order, and cosets[t, k] = 0 * (word k) in quotient t.
+    stack = [(np.zeros((1, 0), int), np.zeros((len(tables), 1), int))]
+    while radius > 0 and stack:
+        words, cosets = stack.pop()
+        allowed = np.ones((len(words), len(letters)), dtype=bool)
+        if words.shape[1]:
+            allowed[np.arange(len(words)), words[:, -1] ^ 1] = False
+        # parent-major, letters ascending: the children stay lexicographic
+        parent, letter = np.nonzero(allowed)
+        cosets = np.stack([column[letter, x[parent]]
+                           for column, x in zip(columns, cosets)])
+        failed = np.flatnonzero(~cosets.any(axis=0))
+        words_checked += len(letter)
+        failure_count += len(failed)
+        if len(failed):  # rows are lexicographic: failed[0] has least parent
+            least = parent[failed[0]]
+            last = letter[failed[parent[failed] == least]].max()
+            keys.append((tuple(words[least].tolist()), -int(last)))
+        if words.shape[1] + 1 < radius:
+            words = np.column_stack((words[parent], letter))
+            for start in range(0, len(letter), step):
+                stack.append((words[start:start + step],
+                              cosets[:, start:start + step]))
 
-    words_checked = 0
-    failure_count = 0
-    first_failure: str | None = None
-
-    stack: list[tuple[list[int], tuple[int, ...]]] = (
-        [([], (0,) * len(tables))] if radius > 0 else [])
-    while stack:
-        prefix, cosets = stack.pop()
-        for letter in reversed(letters):
-            if prefix and prefix[-1] == -letter:
-                continue
-            new_prefix = prefix + [letter]
-            column = CosetTable._column(letter)
-            new_cosets = tuple(table.columns[column][x]
-                               for table, x in zip(tables, cosets))
-            words_checked += 1
-            if not any(new_cosets):  # coset 0 in every quotient
-                failure_count += 1
-                if first_failure is None:
-                    first_failure = format_word(Word(new_prefix), presentation)
-            if len(new_prefix) < radius:
-                stack.append((new_prefix, new_cosets))
-
+    first = min(keys, default=None)
     return SeparationReport(
         radius=radius,
         words_checked=words_checked,
         separated=failure_count == 0,
         failure_count=failure_count,
-        first_failure=first_failure,
+        first_failure=None if first is None else format_word(
+            Word([letters[k] for k in (*first[0], -first[1])]), presentation),
     )

@@ -154,6 +154,113 @@ def slow_evaluate(matrix, rep):
     return tuple(tuple(row) for row in grid)
 
 
+def slow_todd_coxeter(presentation, extra_relators=(), max_cosets=10**6):
+    """Columns of the canonical regular coset table, enumerated by relator
+    scanning with first-undefined-entry definitions and union-find
+    coincidences; raises EnumerationOverflowError past max_cosets."""
+    from coholap import EnumerationOverflowError
+
+    relators = [tuple(w) for w in (*presentation.relators, *extra_relators)]
+    ncols = 2 * presentation.generator_count
+
+    parent = []
+    table = []
+
+    def find(x):
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def new_coset():
+        if len(table) >= max_cosets:
+            raise EnumerationOverflowError(
+                f"enumeration exceeded max_cosets={max_cosets}; "
+                "the quotient is too large for the budget or infinite")
+        parent.append(len(table))
+        table.append([-1] * ncols)
+        return len(table) - 1
+
+    def follow(x, column):
+        y = table[x][column]
+        if y == -1:
+            y = new_coset()
+            table[x][column] = y
+            table[y][column ^ 1] = x
+            return y
+        return find(y)
+
+    def unify(x, y):
+        queue = [(x, y)]
+        while queue:
+            a, b = queue.pop()
+            a, b = find(a), find(b)
+            if a == b:
+                continue
+            if b < a:
+                a, b = b, a
+            parent[b] = a
+            row_b = table[b]
+            row_a = table[a]
+            for column in range(ncols):
+                nb = row_b[column]
+                if nb == -1:
+                    continue
+                na = row_a[column]
+                if na == -1:
+                    row_a[column] = nb
+                else:
+                    queue.append((na, nb))
+
+    def column_of(letter):
+        return 2 * (letter - 1) if letter > 0 else 2 * (-letter - 1) + 1
+
+    new_coset()  # identity coset
+    c = 0
+    while c < len(table):
+        if find(c) != c:
+            c += 1
+            continue
+        for relator in relators:
+            if find(c) != c:
+                break
+            x = c
+            for letter in relator:
+                x = follow(x, column_of(letter))
+            unify(x, c)
+        if find(c) == c:
+            for column in range(ncols):
+                if find(c) != c:
+                    break
+                if table[c][column] == -1:
+                    follow(c, column)
+        c += 1
+
+    live = [x for x in range(len(table)) if find(x) == x]
+
+    # Canonical renumbering: breadth-first from the identity coset,
+    # exploring columns in generator order.
+    relabel = {find(0): 0}
+    order = [find(0)]
+    head = 0
+    while head < len(order):
+        x = order[head]
+        head += 1
+        for column in range(ncols):
+            y = find(table[x][column])
+            if y not in relabel:
+                relabel[y] = len(order)
+                order.append(y)
+    assert len(order) == len(live)
+
+    return tuple(
+        tuple(relabel[find(table[x][column])] for x in order)
+        for column in range(ncols)
+    )
+
+
 def all_coset_separation(presentation, tables, radius):
     """(words checked, failures, first failure) of the reduced ball walk
     that carries every coset of every quotient, in depth-first order."""

@@ -7,9 +7,11 @@ files in the output directory, and the frozen CSV column layout.
 
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
+import coholap
 from coholap import SeparationWarning
 from coholap.cli import main
 
@@ -504,6 +506,29 @@ class TestErrorHandling:
     def test_version_exits_zero(self, capsys):
         assert main(["--version"]) == 0
         assert "coholap" in capsys.readouterr().out
+
+    def test_version_matches_pyproject(self, capsys):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with open(pyproject, "rb") as handle:
+            declared = tomllib.load(handle)["project"]["version"]
+        assert declared == coholap.__version__
+        assert main(["--version"]) == 0
+        assert capsys.readouterr().out == f"coholap {declared}\n"
+
+    @pytest.mark.parametrize("command", [
+        "betti", "euler", "ghost", "luck", "obstruct", "project",
+        "spectrum", "verify-cert"])
+    def test_negative_ball_radius_is_malformed(self, tmp_path, capsys,
+                                               command):
+        code, stdout, out = run_cli(tmp_path, capsys, command,
+                                    dict(TORUS, chain=TORUS_CHAIN),
+                                    "--ball-radius", "-3")
+        assert code == 2
+        error = json.loads(stdout)["error"]
+        assert error == {"type": "MalformedInputError", "command": command,
+                         "message": "ball radius must be nonnegative, got -3"}
+        assert not out.exists()
 
     def test_enumeration_overflow_exits_one(self, tmp_path, capsys):
         code, stdout, out = run_cli(tmp_path, capsys, "spectrum",

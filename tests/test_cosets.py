@@ -6,11 +6,18 @@ from random import Random
 
 import pytest
 
-from conftest import all_coset_separation, closure_order, random_word
+from conftest import (
+    all_coset_separation,
+    closure_order,
+    random_word,
+    slow_todd_coxeter,
+)
 
 from coholap import (
     ChainOrderError,
+    CosetTable,
     EnumerationOverflowError,
+    InvariantError,
     MalformedInputError,
     Presentation,
     Representation,
@@ -22,6 +29,7 @@ from coholap import (
     surface_genus2_complex,
     todd_coxeter,
 )
+from coholap import cosets
 
 F2 = Presentation(("a", "b"), ())
 ABELIAN = ("a*b*a^-1*b^-1",)
@@ -282,8 +290,128 @@ def _abelian_stages(p, ms):
     return [words(p, [f"{g}^{m}" for g in names] + commutators) for m in ms]
 
 
+def _respelled(p, extras, rng):
+    """The same group spelled differently: every relator rotated
+    cyclically and both relator lists shuffled."""
+    def respell(relators):
+        rotated = []
+        for word in relators:
+            k = rng.randrange(len(word))
+            rotated.append(Word(tuple(word)[k:] + tuple(word)[:k]))
+        rng.shuffle(rotated)
+        return rotated
+    return (Presentation(p.generator_names, tuple(respell(p.relators))),
+            respell(extras))
+
+
+def _enumeration_corpus():
+    """(name, presentation, extra relators, quotient order)."""
+    genus2 = surface_genus2_complex().presentation
+    torus = presentation("ab", ["a*b*a^-1*b^-1"])
+    cases = [(f"genus2-(Z/{m})^4", genus2, _abelian_stages(genus2, (m,))[0],
+              m ** 4) for m in range(2, 7)]
+    cases += [(f"torus-(Z/{m})^2", torus,
+               words(torus, [f"a^{m}", f"b^{m}"]), m * m) for m in (2, 3, 4)]
+    for name, gens, relators, order in [
+        ("S4", "ab", ["a^2", "b^3", "a*b*a*b*a*b*a*b"], 24),
+        ("S4-coxeter", "rst", ["r^2", "s^2", "t^2", "r*s*r*s*r*s",
+                               "s*t*s*t*s*t", "r*t*r*t"], 24),
+        ("PSL(2,7)", "ab", ["a^2", "b^3", "*".join(["a*b"] * 7),
+                            "*".join(["a*b*a^-1*b^-1"] * 4)], 168),
+        ("D7", "ab", ["a^7", "b^2", "a*b*a*b"], 14),
+        ("Z/5xZ/5", "ab", ["a^5", "b^5", "a*b*a^-1*b^-1"], 25),
+    ]:
+        cases.append((name, presentation(gens, relators), [], order))
+    return cases
+
+
+class TestEnumerationOracle:
+    """Scan-and-fill against the first-undefined-entry enumeration."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_identical_columns(self, seed):
+        rng = Random(seed)
+        for name, p, extras, order in _enumeration_corpus():
+            table = todd_coxeter(p, extras)
+            assert table.coset_count == order, name
+            assert table.columns == slow_todd_coxeter(p, extras), name
+            p2, extras2 = _respelled(p, extras, rng)
+            assert todd_coxeter(p2, extras2).columns == table.columns, name
+            assert slow_todd_coxeter(p2, extras2) == table.columns, name
+
+    def test_budget_counts_defined_cosets(self):
+        genus2 = surface_genus2_complex().presentation
+        extras = _abelian_stages(genus2, (6,))[0]
+        budget = 4 * 1296
+        assert todd_coxeter(genus2, extras, max_cosets=budget).coset_count \
+            == 1296
+        # the first-undefined-entry enumeration defines 12392 cosets
+        with pytest.raises(EnumerationOverflowError):
+            slow_todd_coxeter(genus2, extras, max_cosets=budget)
+
+    def test_broken_table_fails_validation(self):
+        table = todd_coxeter(F2, words(F2, ["a^3", "b^3", "a*b*a^-1*b^-1"]))
+        columns = [list(c) for c in table.columns]
+        columns[1][0], columns[1][1] = columns[1][1], columns[1][0]
+        with pytest.raises(InvariantError, match="inverse column"):
+            cosets._validate_table(CosetTable(
+                F2, table.extra_relators, tuple(map(tuple, columns))))
+        columns = [list(c) for c in table.columns]
+        columns[0:2] = columns[2:4]  # a acts as b, so a*b acts as b^2
+        with pytest.raises(InvariantError, match="relator"):
+            cosets._validate_table(CosetTable(
+                F2, words(F2, ["a*b"]), tuple(map(tuple, columns))))
+
+
 class TestSeparationWalkOracle:
     """The identity-coset walk against the walk that carries every coset."""
+
+    def _corpus(self):
+        genus2 = surface_genus2_complex().presentation
+        torus = presentation("ab", ["a*b*a^-1*b^-1"])
+        cyclic = presentation("a", [])
+        small = [
+            (F2, _abelian_stages(F2, (2, 3, 4, 5))),
+            (F2, [words(F2, ["a", "b^2"])]),
+            (genus2, _abelian_stages(genus2, (2,))),
+            (torus, [words(torus, ["a^2", "b^2"]),
+                     words(torus, ["a^4", "b^4"])]),
+            (cyclic, [words(cyclic, ["a^7"]), words(cyclic, ["a^49"])]),
+        ]
+        return small, [(genus2, _abelian_stages(genus2, (2, 3)))]
+
+    def _check(self, p, stages, radius):
+        chain = quotient_chain(p, stages, ball_radius=radius, warn=False)
+        report = chain.separation
+        assert (report.words_checked, report.failure_count,
+                report.first_failure) == all_coset_separation(
+                    p, chain.tables, radius)
+        assert report.separated == (report.failure_count == 0)
+        return report
+
+    def test_every_radius_up_to_five(self):
+        small, large = self._corpus()
+        for p, stages in small + large:
+            for radius in range(1, 6):
+                self._check(p, stages, radius)
+            # the oracle walks one level even at radius 0
+            report = quotient_chain(p, stages, ball_radius=0).separation
+            assert (report.words_checked, report.failure_count,
+                    report.first_failure) == (0, 0, None)
+
+    def test_radius_six_on_small_chains(self):
+        small, _ = self._corpus()
+        reports = [self._check(p, stages, 6) for p, stages in small]
+        # genus-2 (Z/2)^4: many failures, and a level of the ball (19208
+        # words) larger than one expansion of the walk
+        assert reports[2].failure_count == 16776
+        assert 19208 > cosets._WALK_BLOCK
+
+    def test_small_blocks(self, monkeypatch):
+        monkeypatch.setattr(cosets, "_WALK_BLOCK", 5)
+        small, large = self._corpus()
+        for p, stages in small[:3] + large:
+            self._check(p, stages, 4)
 
     def test_corpus_chains(self):
         genus2 = surface_genus2_complex().presentation

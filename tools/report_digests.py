@@ -1,8 +1,11 @@
 """Digests of every demo report, for byte-identity checks between commits.
 
 Runs each of the 8 ``coholap`` commands on each experiment description in
-``demos/specs`` at ``--ball-radius 3``, with the ``src/`` of the checkout
-this script lives in, and prints one SHA-256 per exit code, stdout and
+``demos/specs`` at ``--ball-radius 3``, plus ``luck`` on
+``genus2_chain.json`` at ``--ball-radius 5``, where the chain fails to
+separate, with the ``src/`` of the checkout this script lives in.  Prints
+one SHA-256 per exit code, stdout, stderr (the only place a
+``SeparationWarning`` and its first failing word reach the user) and
 written file (``run_meta.json`` holds timestamps and paths and is left
 out).  Every run happens in a scratch directory with relative paths, so
 the output depends only on the code.  To compare two commits::
@@ -25,6 +28,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = ("betti", "euler", "ghost", "luck", "obstruct", "project",
             "spectrum", "verify-cert")
+EXTRA_RUNS = (("genus2_chain.json", "luck", "5"),)
 
 
 def _digest(data: bytes) -> str:
@@ -34,23 +38,24 @@ def _digest(data: bytes) -> str:
 def main() -> int:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     specs = sorted(p.name for p in (ROOT / "demos" / "specs").glob("*.json"))
+    runs = [(spec, command, "3") for spec in specs for command in COMMANDS]
     with tempfile.TemporaryDirectory() as scratch:
         shutil.copytree(ROOT / "demos" / "specs", Path(scratch, "specs"))
-        for spec in specs:
-            for command in COMMANDS:
-                out = Path(scratch, "out")
-                shutil.rmtree(out, ignore_errors=True)
-                done = subprocess.run(
-                    [sys.executable, "-m", "coholap.cli", command,
-                     f"specs/{spec}", "--ball-radius", "3", "--out-dir", "out"],
-                    cwd=scratch, env=env, capture_output=True, check=False)
-                tag = f"{spec} {command}"
-                print(f"{tag} exit {_digest(str(done.returncode).encode())}")
-                print(f"{tag} stdout {_digest(done.stdout)}")
-                written = sorted(out.iterdir()) if out.exists() else []
-                for path in written:
-                    if path.name != "run_meta.json":
-                        print(f"{tag} {path.name} {_digest(path.read_bytes())}")
+        for spec, command, radius in [*runs, *EXTRA_RUNS]:
+            out = Path(scratch, "out")
+            shutil.rmtree(out, ignore_errors=True)
+            done = subprocess.run(
+                [sys.executable, "-m", "coholap.cli", command,
+                 f"specs/{spec}", "--ball-radius", radius, "--out-dir", "out"],
+                cwd=scratch, env=env, capture_output=True, check=False)
+            tag = f"{spec} {command} r{radius}"
+            print(f"{tag} exit {_digest(str(done.returncode).encode())}")
+            print(f"{tag} stdout {_digest(done.stdout)}")
+            print(f"{tag} stderr {_digest(done.stderr)}")
+            written = sorted(out.iterdir()) if out.exists() else []
+            for path in written:
+                if path.name != "run_meta.json":
+                    print(f"{tag} {path.name} {_digest(path.read_bytes())}")
     return 0
 
 
