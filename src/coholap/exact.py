@@ -16,6 +16,7 @@ import numpy as np
 from .errors import ShapeMismatchError
 
 INT64_LIMIT = 2**63
+FLOAT_EXACT_LIMIT = 2**53  # float64 holds every integer of smaller magnitude
 
 _to_fraction = np.frompyfunc(Fraction, 1, 1)
 
@@ -59,8 +60,9 @@ class Matrix:
         return f"Matrix({self.array!r})"
 
 
-def _max_abs(array: np.ndarray) -> int:
-    return int(np.abs(array).max(initial=0))
+def max_abs(array: np.ndarray) -> int:
+    """Largest absolute entry, with no temporary array or int64 negation."""
+    return max(int(array.max(initial=0)), -int(array.min(initial=0)))
 
 
 def identity(n: int) -> Matrix:
@@ -72,14 +74,19 @@ def transpose(m: Matrix) -> Matrix:
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Exact product: in int64 when no partial sum can overflow, else on
-    Python objects."""
+    """Exact product.  Two int64 matrices with inner * max|a| * max|b|
+    below 2**53 multiply in float64, where every partial sum is an
+    integer held exactly; below 2**63 in int64; else on Python objects."""
     x, y = a.array, b.array
     if x.shape[1] != y.shape[0]:
         raise ShapeMismatchError(f"cannot multiply {x.shape} by {y.shape}")
-    if (x.dtype == y.dtype == np.int64
-            and x.shape[1] * _max_abs(x) * _max_abs(y) < INT64_LIMIT):
-        return Matrix(x @ y)
+    if x.dtype == y.dtype == np.int64:
+        bound = x.shape[1] * max_abs(x) * max_abs(y)
+        if bound < FLOAT_EXACT_LIMIT:
+            return Matrix((x.astype(np.float64) @ y.astype(np.float64))
+                          .astype(np.int64))
+        if bound < INT64_LIMIT:
+            return Matrix(x @ y)
     return Matrix(x.astype(object) @ y.astype(object))
 
 

@@ -4,8 +4,10 @@
 (k * dim) x (k * dim) block matrix, block (i, j) being
 ``sum_w coeff * pi(w)``, held in one :class:`exact.Matrix` (int64 for
 integer coefficients under permutations, Python rationals otherwise).
-An evaluated operator keeps that matrix and its float64 shadow; the
-exact-to-float boundary sits immediately before eigenvalue computation.
+An evaluated operator keeps its float64 shadow, and the exact matrix
+beside it only when the shadow is not exact: int64 entries strictly
+between -2**53 and 2**53 are held once, as floats.  The exact-to-float
+boundary sits immediately before eigenvalue computation.
 
 Spectral quantities follow one convention throughout:
 
@@ -44,18 +46,29 @@ GAP_RESOLUTION_FACTOR = 10.0
 class EvaluatedOperator:
     """A group-ring matrix pushed through a representation.
 
-    Carries the exact rational matrix and a float64 shadow.  ``rows`` and
-    ``cols`` are total dimensions (ring rows/cols times representation
-    dimension).
+    Carries a float64 shadow and, when the shadow is not exact, the exact
+    matrix beside it.  ``rows`` and ``cols`` are total dimensions (ring
+    rows/cols times representation dimension).
     """
 
-    __slots__ = ("exact_matrix", "shadow", "rows", "cols", "provenance")
+    __slots__ = ("_exact", "shadow", "rows", "cols", "provenance",
+                 "_eigenvalues")
 
     def __init__(self, exact_matrix: exact.Matrix, provenance: str = ""):
-        self.exact_matrix = exact_matrix
-        self.rows, self.cols = exact_matrix.array.shape
+        array = exact_matrix.array
+        self.rows, self.cols = array.shape
         self.shadow = exact.to_float(exact_matrix)
+        shadow_is_exact = (array.dtype == np.int64 and exact.max_abs(array)
+                           < exact.FLOAT_EXACT_LIMIT)
+        self._exact = None if shadow_is_exact else exact_matrix
         self.provenance = provenance
+        self._eigenvalues = None
+
+    @property
+    def exact_matrix(self) -> exact.Matrix:
+        if self._exact is None:
+            return exact.Matrix(self.shadow.astype(np.int64))
+        return self._exact
 
     @property
     def dimension(self) -> int:
@@ -63,11 +76,23 @@ class EvaluatedOperator:
             raise ShapeMismatchError("dimension is defined for square operators")
         return self.rows
 
+    # an exact shadow holds integer-valued floats: float equality is exact
     def is_symmetric_exact(self) -> bool:
-        return exact.is_symmetric(self.exact_matrix)
+        if self._exact is None:
+            return (self.rows == self.cols
+                    and np.array_equal(self.shadow, self.shadow.T))
+        return exact.is_symmetric(self._exact)
 
     def is_zero_exact(self) -> bool:
-        return exact.is_zero(self.exact_matrix)
+        if self._exact is None:
+            return not np.count_nonzero(self.shadow)
+        return exact.is_zero(self._exact)
+
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues of the symmetric shadow, computed once."""
+        if self._eigenvalues is None:
+            self._eigenvalues = np.linalg.eigvalsh(self.shadow)
+        return self._eigenvalues
 
     def __matmul__(self, other: "EvaluatedOperator") -> "EvaluatedOperator":
         product = exact.matmul(self.exact_matrix, other.exact_matrix)
@@ -85,13 +110,16 @@ class EvaluatedOperator:
             provenance=f"({self.provenance})-({other.provenance})")
 
     def one_norm(self) -> float:
-        if self.rows == 0 or self.cols == 0:
-            return 0.0
-        return float(np.abs(self.shadow).sum(axis=0).max())
+        return _one_norm(self.shadow)
 
     def __repr__(self) -> str:
         return (f"EvaluatedOperator({self.rows}x{self.cols}, "
                 f"provenance={self.provenance!r})")
+
+
+def _one_norm(array: np.ndarray) -> float:
+    """Largest column sum of absolute values; 0.0 for an empty array."""
+    return float(np.abs(array).sum(axis=0).max()) if array.size else 0.0
 
 
 def evaluate(matrix: GroupRingMatrix, rep: Representation,
@@ -124,6 +152,7 @@ def evaluate(matrix: GroupRingMatrix, rep: Representation,
                 coeff * rep.word_matrix(word).array)
     provenance = provenance or f"{matrix.rows}x{matrix.cols}@{rep.label or 'rep'}"
     result = EvaluatedOperator(exact.Matrix(grid), provenance=provenance)
+    del grid  # an exact shadow is now the only copy
     if matrix.is_self_adjoint() and not result.is_symmetric_exact():
         raise InvariantError(
             "self-adjoint input evaluated to a non-symmetric matrix")
@@ -172,7 +201,7 @@ def lanczos_lowest(shadow: np.ndarray, count: int,
     count = min(count, n)
     if count <= 0:
         return np.array([])
-    scale = float(np.abs(shadow).sum(axis=0).max()) + 1.0
+    scale = _one_norm(shadow) + 1.0
     block = min(n, max(count, 2))
     if iterations is None:
         target = min(n, max(8 * block, 256))
@@ -226,7 +255,7 @@ def spectral_gap(op: EvaluatedOperator,
     dimension = op.rows
 
     if dimension <= dense_cutoff:
-        values = np.linalg.eigvalsh(op.shadow) if dimension else np.array([])
+        values = op.eigenvalues()
     else:
         want = 32
         while True:
@@ -288,7 +317,9 @@ class ProjectionMatrix:
 def _projection_from_array(matrix: np.ndarray, method: str,
                            provenance: str) -> ProjectionMatrix:
     idem = float(np.linalg.norm(matrix @ matrix - matrix, 2)) if matrix.size else 0.0
-    sym = float(np.linalg.norm(matrix - matrix.T, 2)) if matrix.size else 0.0
+    # an exactly symmetric matrix has defect 0.0 without an SVD
+    sym = (0.0 if np.array_equal(matrix, matrix.T)
+           else float(np.linalg.norm(matrix - matrix.T, 2)))
     return ProjectionMatrix(
         matrix=matrix, method=method,
         idempotency_defect=idem, selfadjoint_defect=sym,
@@ -313,7 +344,7 @@ def kernel_projection(op: EvaluatedOperator,
 
 def _expm_neg(shadow: np.ndarray, t: float) -> np.ndarray:
     """exp(-t * M) for symmetric PSD M by Taylor series plus squaring."""
-    norm = float(np.abs(shadow).sum(axis=0).max()) if shadow.size else 0.0
+    norm = _one_norm(shadow)
     squarings = max(0, math.ceil(math.log2(max(1.0, t * norm))) + 1)
     small = shadow * (-t / (2 ** squarings))
     n = shadow.shape[0]
@@ -349,7 +380,7 @@ def heat_projection(op: EvaluatedOperator, gap_hint: float,
             f"heat projection needs a positive resolved gap hint, "
             f"got {gap_hint!r}")
     shadow = op.shadow
-    t = 1.0 / max(1.0, float(np.abs(shadow).sum(axis=0).max()) if shadow.size else 1.0)
+    t = 1.0 / max(1.0, _one_norm(shadow))
     current = _expm_neg(shadow, t)
     for _ in range(max_doublings):
         squared = current @ current

@@ -271,7 +271,7 @@ def all_coset_separation(presentation, tables, radius):
     identity_states = [tuple(range(t.coset_count)) for t in tables]
     words_checked = failure_count = 0
     first_failure = None
-    stack = [([], identity_states)]
+    stack = [([], identity_states)] if radius > 0 else []
     while stack:
         prefix, states = stack.pop()
         for letter in reversed(letters):

@@ -392,12 +392,8 @@ class TestSeparationWalkOracle:
     def test_every_radius_up_to_five(self):
         small, large = self._corpus()
         for p, stages in small + large:
-            for radius in range(1, 6):
+            for radius in range(6):
                 self._check(p, stages, radius)
-            # the oracle walks one level even at radius 0
-            report = quotient_chain(p, stages, ball_radius=0).separation
-            assert (report.words_checked, report.failure_count,
-                    report.first_failure) == (0, 0, None)
 
     def test_radius_six_on_small_chains(self):
         small, _ = self._corpus()

@@ -113,6 +113,42 @@ class TestMatmul:
         assert at.array.dtype == object
         assert at == ((2**63,),)
 
+    def test_float_bound_is_exact(self):
+        # inner * max|a| * max|b| just below 2**53 multiplies in float64,
+        # at 2**53 in int64; both must match the oracle entry for entry
+        rng = Random(23)
+        for top in (2**25 - 1, 2**25):
+            a = [[rng.choice((-top, top, rng.randint(-top, top)))
+                  for _ in range(8)] for _ in range(5)]
+            b = [[rng.choice((-top, top, rng.randint(-top, top)))
+                  for _ in range(4)] for _ in range(8)]
+            product = exact.matmul(int_matrix(a), int_matrix(b))
+            assert product.array.dtype == np.int64
+            assert product == slow_matmul(exact.Matrix(a), exact.Matrix(b))
+        # an odd product above 2**53, which float64 cannot hold
+        odd = exact.matmul(int_matrix([[2**27 + 1]]), int_matrix([[2**26 + 1]]))
+        assert odd == (((2**27 + 1) * (2**26 + 1),),)
+
+    def test_max_abs_needs_no_negation(self):
+        assert exact.max_abs(np.array([[-(2**63), 5]], dtype=np.int64)) == 2**63
+        assert exact.max_abs(np.zeros((0, 3), dtype=np.int64)) == 0
+
+    def test_corpus_hodge_products(self):
+        checked = 0
+        for _name, spec, rep in CORPUS:
+            for degree in range(len(spec.cell_counts)):
+                bundle = build_laplacian(spec, degree)
+                plus, minus, full = (evaluate(m, rep).exact_matrix for m in (
+                    bundle.plus_part, bundle.minus_part, bundle.laplacian))
+                product = exact.matmul(plus, minus)
+                assert product == slow_matmul(plus, minus)
+                assert exact.is_zero(product)
+                square = exact.matmul(full, full)
+                assert square.array.dtype == np.int64
+                assert square == slow_matmul(full, full)
+                checked += 1
+        assert checked >= 20
+
     def test_entries_near_2_62_fall_back_to_objects(self):
         rows = [[2**62, -(2**62) + 7], [3, 2**62 - 1]]
         product = exact.matmul(int_matrix(rows), int_matrix(rows))

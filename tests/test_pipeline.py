@@ -12,6 +12,7 @@ Oracles used here and nowhere else in the library:
 
 import math
 import signal
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
@@ -78,6 +79,13 @@ def square_quotient_words(m):
     return [f"a^{m}", f"b^{m}", "a*b*a^-1*b^-1"]
 
 
+def genus2_abelian_words(m):
+    """Relators of the quotient (Z/m)^4 of the genus-2 surface group."""
+    commutators = [f"{x}*{y}*{x}^-1*{y}^-1"
+                   for i, x in enumerate("abcd") for y in "abcd"[i + 1:]]
+    return [f"{x}^{m}" for x in "abcd"] + commutators
+
+
 def chain_of_squares(presentation, orders, **kwargs):
     kwargs.setdefault("warn", False)
     return quotient_chain(
@@ -102,16 +110,28 @@ class TestBettiNumbers:
 
     def test_genus2_cover_betti(self):
         spec = surface_genus2_complex()
-        squares = [f"{x}^2" for x in "abcd"]
-        commutators = [f"{x}*{y}*{x}^-1*{y}^-1"
-                       for i, x in enumerate("abcd")
-                       for y in "abcd"[i + 1:]]
-        rep = regular_rep(spec.presentation, squares + commutators)
+        rep = regular_rep(spec.presentation, genus2_abelian_words(2))
         assert rep.dimension == 16
         # a degree-16 cover of the genus-2 surface has genus 17
         assert betti_finite_quotient(spec, 0, rep) == 1
         assert betti_finite_quotient(spec, 1, rep) == 34
         assert betti_finite_quotient(spec, 2, rep) == 1
+
+    def test_dense_report_peaks_near_two_copies_of_the_laplacian(self):
+        # genus-2 (Z/4)^4, degree 1: Delta_1 is 1024 x 1024.  The integer
+        # operator is held once, as its exact float64 shadow, and the
+        # eigensolver's working copy is the second array
+        spec = surface_genus2_complex()
+        rep = regular_rep(spec.presentation, genus2_abelian_words(4))
+        n = 4 * rep.dimension
+        tracemalloc.start()
+        try:
+            kernel_dim, _ = betti_report(spec, 1, rep)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (n, kernel_dim) == (1024, 514)
+        assert peak < 2.5 * 8 * n * n
 
     def test_matches_exact_kernel_dimension(self):
         cases = [

@@ -33,6 +33,7 @@ from coholap import (
     todd_coxeter,
 )
 from coholap import exact
+from coholap.spectral import _projection_from_array
 
 F1 = Presentation(("a",), ())
 F2 = Presentation(("a", "b"), ())
@@ -98,6 +99,30 @@ class TestEvaluate:
         assert square.exact_matrix == exact.matmul(op.exact_matrix,
                                                    op.exact_matrix)
 
+    def test_integer_operator_is_held_once(self):
+        # entries strictly inside (-2**53, 2**53): the float64 shadow is
+        # exact and the only copy; the int64 matrix is rebuilt on demand
+        for top in (2**53 - 1, -(2**53) + 1):
+            grid = np.array([[0, top], [top, 1]], dtype=np.int64)
+            op = EvaluatedOperator(exact.Matrix(grid))
+            assert op._exact is None
+            assert op.exact_matrix.array.dtype == np.int64
+            assert op.exact_matrix == grid.tolist()
+            assert op.is_symmetric_exact()
+            assert not op.is_zero_exact()
+
+    def test_entries_from_2_53_keep_the_exact_matrix(self):
+        # 2**53 and 2**53 + 1 share a float64: only the exact matrix shows
+        # that this matrix is not symmetric
+        grid = np.array([[0, 2**53], [2**53 + 1, 0]], dtype=np.int64)
+        op = EvaluatedOperator(exact.Matrix(grid))
+        assert op._exact is not None
+        assert np.array_equal(op.shadow, op.shadow.T)
+        assert not op.is_symmetric_exact()
+        low = EvaluatedOperator(exact.Matrix(np.array([[-(2**53)]])))
+        assert low._exact is not None
+        assert low.exact_matrix == ((-(2**53),),)
+
     def test_dimension_requires_square(self):
         rep = regular_rep(F1, ["a^2"])
         matrix = GroupRingMatrix(
@@ -146,6 +171,18 @@ class TestEigenvalueOracles:
         assert report.kernel_dim == report.dimension == 8
         assert report.gap == math.inf
         assert report.resolved
+
+    def test_eigenvalues_computed_once_per_operator(self, monkeypatch):
+        rep = regular_rep(F2, ["a^3", "b^3", "a*b*a^-1*b^-1"])
+        op = laplacian_operator(F2, rep)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda m: calls.append(m.shape) or eigvalsh(m))
+        first = spectral_gap(op)
+        kernel_projection(op)
+        assert spectral_gap(op) == first
+        assert calls == [(9, 9)]
 
 
 class TestLanczos:
@@ -203,6 +240,14 @@ class TestProjections:
         assert proj.idempotency_defect < 1e-10
         assert proj.selfadjoint_defect < 1e-12
         assert abs(proj.trace() - 1.0) < 1e-9
+
+    def test_selfadjoint_defect(self):
+        sym = _projection_from_array(
+            np.array([[1.0, 0.5], [0.5, 0.0]]), "eigen", "")
+        assert sym.selfadjoint_defect == 0.0
+        skew = _projection_from_array(
+            np.array([[1.0, 0.5], [0.25, 0.0]]), "eigen", "")
+        assert skew.selfadjoint_defect == pytest.approx(0.25)
 
     def test_heat_agrees_with_eigen(self):
         rep = regular_rep(F2, ["a^3", "b^3", "a*b*a^-1*b^-1"])
