@@ -52,6 +52,7 @@ from .errors import (
     MalformedInputError,
     NotPositiveSemidefiniteError,
     ShapeMismatchError,
+    SizeBudgetError,
     TraceBackendError,
     UnknownGeneratorError,
     UnresolvedGapError,

@@ -8,8 +8,9 @@ bytes.  Run metadata that is *not* deterministic (timestamps, versions,
 paths) is segregated into ``run_meta.json``.
 
 Exit codes: 0 on success, 1 on a computational failure (gap did not
-resolve, enumeration overflow, no exact trace backend, ...) with a
-machine-readable error JSON on stdout, 2 on malformed input.
+resolve, enumeration overflow, no exact trace backend, stage above the
+dense size budget, ...) with a machine-readable error JSON on stdout,
+2 on malformed input.
 
 The keys of an experiment description are listed in README.md, under
 "Experiment description"; each subcommand reads the ones it needs.

@@ -84,12 +84,6 @@ class CosetTable:
     def _column(letter: int) -> int:
         return 2 * (letter - 1) if letter > 0 else 2 * (-letter - 1) + 1
 
-    def act(self, coset: int, word: Word) -> int:
-        """Right action coset * word."""
-        for letter in word:
-            coset = self.columns[self._column(letter)][coset]
-        return coset
-
     def word_is_identity(self, word: Word) -> bool:
         column_indices = [self._column(letter) for letter in word]
         for x in range(self.coset_count):

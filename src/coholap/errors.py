@@ -47,6 +47,10 @@ class UnresolvedGapError(CoholapError):
     """The zero cluster could not be separated from the rest of the spectrum."""
 
 
+class SizeBudgetError(CoholapError):
+    """An evaluated operator would exceed the dense size budget."""
+
+
 class IncompleteComplexError(CoholapError):
     """An operation needed a full classifying-space complex but only a
     truncated one is available."""

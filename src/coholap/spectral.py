@@ -9,6 +9,11 @@ beside it only when the shadow is not exact: int64 entries strictly
 between -2**53 and 2**53 are held once, as floats.  The exact-to-float
 boundary sits immediately before eigenvalue computation.
 
+Every eigenvalue comes from one dense eigensolve of the shadow, so every
+operator must fit it: ``evaluate`` refuses, with ``SizeBudgetError`` and
+before any grid is allocated, a matrix whose larger side times the
+representation dimension exceeds ``DENSE_EIG_CUTOFF``.
+
 Spectral quantities follow one convention throughout:
 
 * the zero cluster of a PSD operator is every eigenvalue at most
@@ -34,6 +39,7 @@ from .errors import (
     InvariantError,
     NotPositiveSemidefiniteError,
     ShapeMismatchError,
+    SizeBudgetError,
     UnresolvedGapError,
 )
 from .groupring import GroupRingMatrix
@@ -41,6 +47,7 @@ from .groupring import GroupRingMatrix
 DEFAULT_ZERO_TOLERANCE = 1e-8
 DENSE_EIG_CUTOFF = 4096
 GAP_RESOLUTION_FACTOR = 10.0
+HEAT_MAX_DOUBLINGS = 64
 
 
 class EvaluatedOperator:
@@ -99,16 +106,6 @@ class EvaluatedOperator:
         return EvaluatedOperator(
             product, provenance=f"({self.provenance})*({other.provenance})")
 
-    def __sub__(self, other: "EvaluatedOperator") -> "EvaluatedOperator":
-        left, right = self.exact_matrix.array, other.exact_matrix.array
-        if left.shape != right.shape:
-            raise ShapeMismatchError(
-                f"cannot subtract {left.shape} and {right.shape}")
-        # on Python objects, so no int64 difference can overflow
-        return EvaluatedOperator(
-            exact.Matrix(left.astype(object) - right.astype(object)),
-            provenance=f"({self.provenance})-({other.provenance})")
-
     def one_norm(self) -> float:
         return _one_norm(self.shadow)
 
@@ -131,8 +128,16 @@ def evaluate(matrix: GroupRingMatrix, rep: Representation,
     Each group-ring term is one scatter into the grid.  An entry of a
     permutation evaluation is a sum of coefficients, so with integer
     coefficients of absolute sum below 2**62 the grid is int64.
+    Raises SizeBudgetError, before any work, when the grid's larger side
+    exceeds ``DENSE_EIG_CUTOFF``.
     """
     dim = rep.dimension
+    provenance = provenance or f"{matrix.rows}x{matrix.cols}@{rep.label or 'rep'}"
+    side = max(matrix.rows, matrix.cols) * dim
+    if side > DENSE_EIG_CUTOFF:
+        raise SizeBudgetError(
+            f"operator {provenance!r} has dimension {side}, above the dense "
+            f"size budget of {DENSE_EIG_CUTOFF}")
     terms = [(i, j, word, coeff)
              for i in range(matrix.rows) for j in range(matrix.cols)
              for word, coeff in matrix.entry(i, j).terms()]
@@ -150,7 +155,6 @@ def evaluate(matrix: GroupRingMatrix, rep: Representation,
         else:
             grid[row0:row0 + dim, col0:col0 + dim] += (
                 coeff * rep.word_matrix(word).array)
-    provenance = provenance or f"{matrix.rows}x{matrix.cols}@{rep.label or 'rep'}"
     result = EvaluatedOperator(exact.Matrix(grid), provenance=provenance)
     del grid  # an exact shadow is now the only copy
     if matrix.is_self_adjoint() and not result.is_symmetric_exact():
@@ -195,7 +199,8 @@ def lanczos_lowest(shadow: np.ndarray, count: int,
     ``iterations`` bounds the number of block expansions; the default
     grows the subspace to roughly four blocks (or the full space when
     that is smaller) and stops early once the requested values stop
-    moving.
+    moving.  No kernel dimension is read from it: nothing certifies that
+    its lowest Ritz values have converged to a zero cluster.
     """
     n = shadow.shape[0]
     count = min(count, n)
@@ -237,8 +242,7 @@ def lanczos_lowest(shadow: np.ndarray, count: int,
 
 
 def spectral_gap(op: EvaluatedOperator,
-                 zero_tolerance: float = DEFAULT_ZERO_TOLERANCE,
-                 dense_cutoff: int = DENSE_EIG_CUTOFF) -> GapReport:
+                 zero_tolerance: float = DEFAULT_ZERO_TOLERANCE) -> GapReport:
     """Locate the zero cluster of a PSD operator and the gap above it.
 
     The cluster threshold is ``zero_tolerance * max(1, ||M||_1)``; the
@@ -253,19 +257,7 @@ def spectral_gap(op: EvaluatedOperator,
     scale = max(1.0, op.one_norm())
     threshold = zero_tolerance * scale
     dimension = op.rows
-
-    if dimension <= dense_cutoff:
-        values = op.eigenvalues()
-    else:
-        want = 32
-        while True:
-            values = lanczos_lowest(op.shadow, want)
-            if len(values) < want or values[-1] > threshold:
-                break
-            if want >= dimension:
-                break
-            want = min(dimension, want * 2)
-
+    values = op.eigenvalues()
     if len(values) and values[0] < -threshold:
         raise NotPositiveSemidefiniteError(
             f"operator {op.provenance!r} has eigenvalue {values[0]:.6e} "
@@ -309,9 +301,6 @@ class ProjectionMatrix:
 
     def max_abs_entry(self) -> float:
         return float(np.abs(self.matrix).max()) if self.matrix.size else 0.0
-
-    def distance(self, other: "ProjectionMatrix") -> float:
-        return float(np.linalg.norm(self.matrix - other.matrix, 2))
 
 
 def _projection_from_array(matrix: np.ndarray, method: str,
@@ -360,8 +349,7 @@ def _expm_neg(shadow: np.ndarray, t: float) -> np.ndarray:
 
 
 def heat_projection(op: EvaluatedOperator, gap_hint: float,
-                    tolerance: float = DEFAULT_ZERO_TOLERANCE,
-                    max_doublings: int = 64) -> ProjectionMatrix:
+                    tolerance: float = DEFAULT_ZERO_TOLERANCE) -> ProjectionMatrix:
     """Kernel projection as the limit of the heat semigroup exp(-tM).
 
     Starts from a safe t, then squares the matrix so t doubles each step,
@@ -382,7 +370,7 @@ def heat_projection(op: EvaluatedOperator, gap_hint: float,
     shadow = op.shadow
     t = 1.0 / max(1.0, _one_norm(shadow))
     current = _expm_neg(shadow, t)
-    for _ in range(max_doublings):
+    for _ in range(HEAT_MAX_DOUBLINGS):
         squared = current @ current
         squared = 0.5 * (squared + squared.T)
         t *= 2.0

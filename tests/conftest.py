@@ -10,7 +10,9 @@ against these.
 from fractions import Fraction
 from random import Random
 
-from coholap import GroupRingElement, Word
+import numpy as np
+
+from coholap import EvaluatedOperator, GroupRingElement, Word, exact
 
 
 def random_word(rng: Random, generator_count: int, max_length: int = 6) -> Word:
@@ -102,6 +104,27 @@ def tree_walk_counts(branching: int, max_length: int) -> list[int]:
                 nxt[dist + 1] = nxt.get(dist + 1, 0) + ways * (branching - 1)
         state = nxt
     return counts
+
+
+def coset_act(table, coset: int, word: Word) -> int:
+    """Right action coset * word on a coset table."""
+    for letter in word:
+        column = 2 * (letter - 1) if letter > 0 else 2 * (-letter - 1) + 1
+        coset = table.columns[column][coset]
+    return coset
+
+
+def operator_difference(left, right) -> EvaluatedOperator:
+    """Exact left - right of two evaluated operators of one shape, on
+    Python objects, so no int64 difference can overflow."""
+    a, b = left.exact_matrix.array, right.exact_matrix.array
+    assert a.shape == b.shape
+    return EvaluatedOperator(exact.Matrix(a.astype(object) - b.astype(object)))
+
+
+def projection_distance(p, q) -> float:
+    """Spectral-norm distance between two projection matrices."""
+    return float(np.linalg.norm(p.matrix - q.matrix, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,27 @@ class TestBetti:
         assert json.loads((out / "error.json").read_text()) == {"error": error}
         assert not (out / "betti.json").exists()
 
+    def test_stage_above_the_dense_budget_is_refused(self, tmp_path, capsys):
+        # genus 2 over (Z/6)^4 in degree 1 is 4 * 1296 = 5184 wide: no
+        # eigensolve backs a kernel dimension there, so none is reported
+        commutators = [f"{x}*{y}*{x}^-1*{y}^-1"
+                       for i, x in enumerate("abcd") for y in "abcd"[i + 1:]]
+        payload = {
+            "presentation": {"generators": list("abcd"),
+                             "relators": ["a*b*a^-1*b^-1*c*d*c^-1*d^-1"]},
+            "aspherical": True,
+            "degree": 1,
+            "chain": [[f"{x}^6" for x in "abcd"] + commutators],
+        }
+        code, stdout, out = run_cli(tmp_path, capsys, "betti", payload,
+                                    "--ball-radius", "2")
+        assert code == 1
+        error = json.loads(stdout)["error"]
+        assert error["type"] == "SizeBudgetError"
+        assert "5184" in error["message"]
+        assert json.loads((out / "error.json").read_text()) == {"error": error}
+        assert not (out / "betti.json").exists()
+
     def test_gap_hint_must_be_a_number(self, tmp_path, capsys):
         payload = dict(FREE2, degree=1,
                        representation={"kind": "quotient",

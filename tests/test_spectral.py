@@ -7,13 +7,14 @@ tensor product of circulants), so its spectrum is known in closed form.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
 import numpy as np
 import pytest
 
-from conftest import random_element
+from conftest import operator_difference, projection_distance, random_element
 
 from coholap import (
     EvaluatedOperator,
@@ -23,6 +24,7 @@ from coholap import (
     Presentation,
     Representation,
     ShapeMismatchError,
+    SizeBudgetError,
     UnresolvedGapError,
     Word,
     evaluate,
@@ -32,7 +34,7 @@ from coholap import (
     spectral_gap,
     todd_coxeter,
 )
-from coholap import exact
+from coholap import exact, spectral
 from coholap.spectral import _projection_from_array
 
 F1 = Presentation(("a",), ())
@@ -93,7 +95,7 @@ class TestEvaluate:
     def test_operator_algebra(self):
         rep = regular_rep(F1, ["a^4"])
         op = laplacian_operator(F1, rep)
-        zero = op - op
+        zero = operator_difference(op, op)
         assert zero.is_zero_exact()
         square = op @ op
         assert square.exact_matrix == exact.matmul(op.exact_matrix,
@@ -193,13 +195,25 @@ class TestLanczos:
         low = lanczos_lowest(op.shadow, 6)
         assert np.allclose(low, dense[:6], atol=1e-6)
 
-    def test_gap_report_agrees_across_backends(self):
-        rep = regular_rep(F2, ["a^5", "b^5", "a*b*a^-1*b^-1"])
-        op = laplacian_operator(F2, rep)
-        dense = spectral_gap(op)
-        iterative = spectral_gap(op, dense_cutoff=8)
-        assert iterative.kernel_dim == dense.kernel_dim == 1
-        assert abs(iterative.gap - dense.gap) < 1e-6
+
+class TestSizeBudget:
+    def test_refused_before_the_grid_exists(self, monkeypatch):
+        # F2 over (Z/20)^2 in degree 0: n = 400, beta_0 = 1
+        rep = regular_rep(F2, ["a^20", "b^20", "a*b*a^-1*b^-1"])
+        matrix = GroupRingMatrix.from_element(F2.degree_zero_laplacian())
+        monkeypatch.setattr(spectral, "DENSE_EIG_CUTOFF", 399)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeBudgetError, match="400"):
+                evaluate(matrix, rep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 400**2
+        monkeypatch.setattr(spectral, "DENSE_EIG_CUTOFF", 400)
+        report = spectral_gap(evaluate(matrix, rep))
+        assert report.kernel_dim == 1
+        assert report.resolved
 
 
 class TestGapPolicy:
@@ -255,7 +269,7 @@ class TestProjections:
         gap = spectral_gap(op).require_resolved().gap
         eigen = kernel_projection(op)
         heat = heat_projection(op, gap_hint=gap, tolerance=1e-10)
-        assert eigen.distance(heat) < 1e-6
+        assert projection_distance(eigen, heat) < 1e-6
         assert heat.method == "heat"
         assert eigen.method == "eigen"
 
