@@ -30,7 +30,7 @@ from .groupring import (
     Presentation,
     Word,
 )
-from .spectral import EvaluatedOperator
+from .spectral import DEFAULT_ZERO_TOLERANCE, EvaluatedOperator
 
 # eigenvalues down to epsilon - SOUNDNESS_SLACK still honour a gap claim
 SOUNDNESS_SLACK = 1e-6
@@ -232,7 +232,8 @@ class SoundnessCheck:
 
 
 def check_claim_soundness(claim: GapClaim, operator: EvaluatedOperator,
-                          zero_tolerance: float = 1e-8) -> SoundnessCheck:
+                          zero_tolerance: float = DEFAULT_ZERO_TOLERANCE
+                          ) -> SoundnessCheck:
     """Numerically test a claim against one evaluated representation.
 
     For a spectral-gap claim the spectrum must lie in

@@ -518,6 +518,9 @@ def main(argv=None) -> int:
         if args.ball_radius < 0:
             raise MalformedInputError(
                 f"ball radius must be nonnegative, got {args.ball_radius}")
+        if args.max_cosets < 1:
+            raise MalformedInputError(
+                f"max cosets must be positive, got {args.max_cosets}")
         run = _Run(args, load_payload(args.spec), command.degree_key)
         report = command.handler(run)
         report["command"] = args.command

@@ -90,14 +90,12 @@ def presentation_differentials(
 
 def build_complex(presentation: Presentation,
                   higher_differentials: Mapping[int, GroupRingMatrix] | None = None,
-                  representations: Sequence[Representation] = (),
                   aspherical: bool = False) -> CochainComplexSpec:
     """Assemble the presentation complex, optionally extended upward.
 
     ``higher_differentials`` maps degree n >= 2 to d_n; degrees must be
-    consecutive and shapes must chain.  Each supplied representation is
-    used to check d_{n+1} d_n = 0 exactly; a violation raises
-    :class:`ChainIdentityError`.
+    consecutive and shapes must chain.  :func:`validate_chain_identity`
+    checks d_{n+1} d_n = 0 in a representation.
     """
     differentials = list(presentation_differentials(presentation))
     cell_counts = [1, presentation.generator_count]
@@ -121,15 +119,12 @@ def build_complex(presentation: Presentation,
             differentials.append(d)
             cell_counts.append(d.rows)
 
-    spec = CochainComplexSpec(
+    return CochainComplexSpec(
         presentation=presentation,
         differentials=tuple(differentials),
         cell_counts=tuple(cell_counts),
         aspherical=aspherical,
     )
-    for rep in representations:
-        validate_chain_identity(spec, rep)
-    return spec
 
 
 def validate_chain_identity(spec: CochainComplexSpec,

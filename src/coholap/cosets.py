@@ -64,48 +64,27 @@ def _coerce_words(presentation: Presentation,
 class CosetTable:
     """Regular action of a finite quotient on its own elements.
 
-    ``columns[2*(i-1)]`` is the permutation of generator ``s_i`` acting on
-    the right (coset -> coset * s_i) and ``columns[2*(i-1)+1]`` its
-    inverse.  Coset 0 is the identity coset and numbering is canonical
-    (breadth-first from 0 in generator order).
+    ``columns`` is one read-only int64 array of shape
+    (2 * generator_count, coset_count).  Row ``2*(i-1)`` is the
+    permutation of generator ``s_i`` acting on the right
+    (coset -> coset * s_i) and row ``2*(i-1)+1`` its inverse.  Coset 0 is
+    the identity coset and numbering is canonical (breadth-first from 0
+    in generator order).
     """
 
     __slots__ = ("presentation", "extra_relators", "coset_count", "columns")
 
     def __init__(self, presentation: Presentation,
-                 extra_relators: tuple[Word, ...],
-                 columns: tuple[tuple[int, ...], ...]):
+                 extra_relators: tuple[Word, ...], columns: np.ndarray):
         self.presentation = presentation
         self.extra_relators = extra_relators
         self.columns = columns
-        self.coset_count = len(columns[0]) if columns else 0
+        self.columns.flags.writeable = False
+        self.coset_count = columns.shape[1]
 
     @staticmethod
     def _column(letter: int) -> int:
         return 2 * (letter - 1) if letter > 0 else 2 * (-letter - 1) + 1
-
-    def word_is_identity(self, word: Word) -> bool:
-        column_indices = [self._column(letter) for letter in word]
-        for x in range(self.coset_count):
-            y = x
-            for ci in column_indices:
-                y = self.columns[ci][y]
-            if y != x:
-                return False
-        return True
-
-    def to_dict(self) -> dict:
-        from .textform import format_word
-
-        return {
-            "coset_count": self.coset_count,
-            "extra_relators": [format_word(w, self.presentation)
-                               for w in self.extra_relators],
-            "generator_actions": {
-                name: list(self.columns[2 * i])
-                for i, name in enumerate(self.presentation.generator_names)
-            },
-        }
 
 
 def todd_coxeter(presentation: Presentation,
@@ -225,9 +204,8 @@ def todd_coxeter(presentation: Presentation,
     if len(order) != sum(x == r for x, r in enumerate(rep)):
         raise InvariantError("coset table is not transitive after enumeration")
 
-    columns = np.array(relabel)[np.array(table)[:, order]]
-    result = CosetTable(presentation, extras,
-                        tuple(map(tuple, columns.tolist())))
+    columns = np.array(relabel, dtype=np.int64)[np.array(table)[:, order]]
+    result = CosetTable(presentation, extras, columns)
     _validate_table(result)
     return result
 
@@ -235,7 +213,7 @@ def todd_coxeter(presentation: Presentation,
 def _validate_table(table: CosetTable) -> None:
     """Check every coset: each inverse column undoes its generator column
     (so both are bijections) and every relator composes to the identity."""
-    columns = np.array(table.columns).reshape(-1, table.coset_count)
+    columns = table.columns
     identity = np.arange(table.coset_count)
     for i in range(table.presentation.generator_count):
         if not np.array_equal(columns[2 * i + 1][columns[2 * i]], identity):
@@ -267,11 +245,10 @@ class Representation:
         self.label = label
         if perms is not None:
             # one row per generator; a row of the wrong length cannot reshape
-            self.perms: np.ndarray | None = np.array(
+            self.perms: np.ndarray | None = np.asarray(
                 perms, dtype=np.int64).reshape(len(perms), dimension)
-            for p in self.perms.tolist():
-                if sorted(p) != list(range(dimension)):
-                    raise ValueError("generator image is not a permutation")
+            if (np.sort(self.perms, axis=1) != np.arange(dimension)).any():
+                raise ValueError("generator image is not a permutation")
             # Permutations act as index maps; dense images are built per
             # word only when asked for (word_matrix).
             self.matrices = None
@@ -337,14 +314,6 @@ class Representation:
                                   np.arange(self.dimension))
         return self.word_matrix(word) == exact.identity(self.dimension)
 
-    def validate_relators(self, presentation: Presentation,
-                          extra_relators: Iterable[Word] = ()) -> None:
-        for relator in (*presentation.relators, *extra_relators):
-            if not self.word_is_identity(relator):
-                raise ValueError(
-                    f"relator {tuple(relator)} does not map to the identity "
-                    f"under representation {self.label!r}")
-
     def __repr__(self) -> str:
         kind = "perm" if self.perms is not None else "orth"
         return f"Representation({kind}, dim={self.dimension}, label={self.label!r})"
@@ -378,9 +347,6 @@ class QuotientChain:
     @property
     def indices(self) -> tuple[int, ...]:
         return tuple(t.coset_count for t in self.tables)
-
-    def __len__(self) -> int:
-        return len(self.tables)
 
     def stages(self):
         """Yield (position, quotient order, table, representation)."""
@@ -445,7 +411,7 @@ def _separation_check(presentation: Presentation,
 
     n = presentation.generator_count
     letters = [s * g for g in range(1, n + 1) for s in (1, -1)]
-    columns = [np.array(table.columns) for table in tables]
+    columns = [table.columns for table in tables]
     step = max(1, _WALK_BLOCK // len(letters))
     words_checked = failure_count = 0
     keys = []

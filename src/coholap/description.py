@@ -62,6 +62,13 @@ def _string_list(value, what: str) -> list[str]:
     return value
 
 
+def _list(block: dict, key: str, where: str) -> list:
+    value = block.get(key, [])
+    if not isinstance(value, list):
+        raise MalformedInputError(f"{where}.{key} must be a list")
+    return value
+
+
 def _words(value, presentation: Presentation, what: str) -> list:
     return [parse_word(text, presentation.generator_names)
             for text in _string_list(value, what)]
@@ -194,7 +201,7 @@ def parse_scalar(value, what: str) -> Fraction:
         if isinstance(value, float):
             return Fraction(value).limit_denominator(10**12)
         return Fraction(str(value))
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise MalformedInputError(f"{what} is not a rational number: {value!r}")
 
 
@@ -248,9 +255,9 @@ def parse_certificates(payload: dict, presentation: Presentation,
 
         squares = tuple(
             parse_ring_matrix(m, presentation, f"{where}.squares[{j}]")
-            for j, m in enumerate(block.get("squares", [])))
+            for j, m in enumerate(_list(block, "squares", where)))
         witnesses = []
-        for j, w in enumerate(block.get("witnesses", [])):
+        for j, w in enumerate(_list(block, "witnesses", where)):
             at = f"{where}.witnesses[{j}]"
             if not isinstance(w, dict):
                 raise MalformedInputError(f"{at} must be an object")
@@ -305,6 +312,8 @@ def parse_upper_bounds(block) -> dict:
     gap_hint = block.get("gap_hint")
     if gap_hint is not None:
         try:
+            if isinstance(gap_hint, bool):  # JSON true loads as 1
+                raise TypeError
             gap_hint = float(gap_hint)
         except (TypeError, ValueError):
             raise MalformedInputError("upper_bounds.gap_hint must be a number")

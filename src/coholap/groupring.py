@@ -49,10 +49,6 @@ class Word(tuple):
     def __new__(cls, letters: Iterable[int] = ()):
         return super().__new__(cls, _reduce_letters(letters))
 
-    @property
-    def length(self) -> int:
-        return len(self)
-
     def inverse(self) -> "Word":
         return Word(-letter for letter in reversed(self))
 
@@ -293,9 +289,6 @@ class GroupRingMatrix:
     def entry(self, i: int, j: int) -> GroupRingElement:
         return self._entries[i][j]
 
-    def entries(self) -> tuple[tuple[GroupRingElement, ...], ...]:
-        return self._entries
-
     def __add__(self, other: "GroupRingMatrix") -> "GroupRingMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatchError(
@@ -447,14 +440,6 @@ class Presentation:
     def symmetric_set_size(self) -> int:
         """Size of the symmetric generating set S = {s_i, s_i^-1}."""
         return 2 * len(self.generator_names)
-
-    def generator_index(self, name: str) -> int:
-        try:
-            return self.generator_names.index(name) + 1
-        except ValueError:
-            raise UnknownGeneratorError(
-                f"unknown generator {name!r}; have {list(self.generator_names)}"
-            ) from None
 
     def word(self, text: str) -> Word:
         from .textform import parse_word

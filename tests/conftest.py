@@ -108,9 +108,10 @@ def tree_walk_counts(branching: int, max_length: int) -> list[int]:
 
 def coset_act(table, coset: int, word: Word) -> int:
     """Right action coset * word on a coset table."""
+    columns = table.columns.tolist()
     for letter in word:
         column = 2 * (letter - 1) if letter > 0 else 2 * (-letter - 1) + 1
-        coset = table.columns[column][coset]
+        coset = columns[column][coset]
     return coset
 
 
@@ -292,6 +293,7 @@ def all_coset_separation(presentation, tables, radius):
     n = presentation.generator_count
     letters = [i for g in range(1, n + 1) for i in (g, -g)]
     identity_states = [tuple(range(t.coset_count)) for t in tables]
+    table_columns = [t.columns.tolist() for t in tables]
     words_checked = failure_count = 0
     first_failure = None
     stack = [([], identity_states)] if radius > 0 else []
@@ -302,8 +304,8 @@ def all_coset_separation(presentation, tables, radius):
                 continue
             new_prefix = prefix + [letter]
             column = 2 * (letter - 1) if letter > 0 else 2 * (-letter - 1) + 1
-            new_states = [tuple(table.columns[column][x] for x in state)
-                          for table, state in zip(tables, states)]
+            new_states = [tuple(columns[column][x] for x in state)
+                          for columns, state in zip(table_columns, states)]
             words_checked += 1
             if new_states == identity_states:
                 failure_count += 1

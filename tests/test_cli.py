@@ -37,8 +37,10 @@ ROTATION_CERT = {
 
 
 def run_cli(tmp_path, capsys, command, payload, *extra, out_name="out"):
+    """Run one command; a str payload is written as raw JSON text."""
     spec = tmp_path / f"exp-{command}-{out_name}.json"
-    spec.write_text(json.dumps(payload))
+    spec.write_text(payload if isinstance(payload, str)
+                    else json.dumps(payload))
     out_dir = tmp_path / out_name
     code = main([command, str(spec), "--out-dir", str(out_dir), *extra])
     return code, capsys.readouterr().out, out_dir
@@ -207,6 +209,33 @@ class TestBetti:
         assert error["type"] == "MalformedInputError"
         assert "gap_hint" in error["message"]
 
+    def test_gap_hint_must_not_be_a_boolean(self, tmp_path, capsys):
+        payload = dict(FREE2, degree=1,
+                       representation={"kind": "quotient",
+                                       "relators": ["a^2", "b^2",
+                                                    "a*b*a^-1*b^-1"]},
+                       upper_bounds={"m_max": 2, "gap_hint": True})
+        code, stdout, out = run_cli(tmp_path, capsys, "betti", payload)
+        assert code == 2
+        error = json.loads(stdout)["error"]
+        assert error["type"] == "MalformedInputError"
+        assert "gap_hint" in error["message"]
+        assert not out.exists()
+
+    def test_overflowing_norm_bound_is_malformed(self, tmp_path, capsys):
+        payload = json.dumps(dict(
+            FREE2, degree=1,
+            representation={"kind": "quotient",
+                            "relators": ["a^2", "b^2", "a*b*a^-1*b^-1"]},
+            upper_bounds={"m_max": 2, "norm_bound": "BIG"}))
+        code, stdout, out = run_cli(tmp_path, capsys, "betti",
+                                    payload.replace('"BIG"', "1e999"))
+        assert code == 2
+        error = json.loads(stdout)["error"]
+        assert error["type"] == "MalformedInputError"
+        assert "upper_bounds.norm_bound" in error["message"]
+        assert not out.exists()
+
     def test_trivial_representation(self, tmp_path, capsys):
         payload = dict(TORUS, degree=0,
                        representation={"kind": "trivial"})
@@ -333,6 +362,19 @@ class TestObstruct:
         assert report["gap_claim"]["epsilon"] == "6"
         assert report["chain_separation"]["separated"] is False
 
+    def test_overflowing_beta_ref_is_malformed(self, tmp_path, capsys):
+        payload = json.dumps(dict(
+            TORUS, degree=1, chain=TORUS_CHAIN,
+            beta_ref={"value": "BIG", "provenance": "user-cited"}))
+        code, stdout, out = run_cli(tmp_path, capsys, "obstruct",
+                                    payload.replace('"BIG"', "1e999"),
+                                    "--ball-radius", "2")
+        assert code == 2
+        error = json.loads(stdout)["error"]
+        assert error["type"] == "MalformedInputError"
+        assert "beta_ref.value" in error["message"]
+        assert not out.exists()
+
     def test_beta_ref_is_required(self, tmp_path, capsys):
         payload = dict(TORUS, degree=1, chain=TORUS_CHAIN)
         code, _, _ = run_cli(tmp_path, capsys, "obstruct", payload,
@@ -450,6 +492,31 @@ class TestVerifyCert:
         assert code == 2
         assert "not both" in json.loads(stdout)["error"]["message"]
 
+    @pytest.mark.parametrize("key", ["squares", "witnesses"])
+    @pytest.mark.parametrize("value", [None, 3, True])
+    def test_certificate_lists_must_be_lists(self, tmp_path, capsys, key,
+                                             value):
+        payload = {"presentation": CYCLIC3["presentation"],
+                   "certificates": [dict(ROTATION_CERT, **{key: value})]}
+        code, stdout, out = run_cli(tmp_path, capsys, "verify-cert", payload)
+        assert code == 2
+        error = json.loads(stdout)["error"]
+        assert error["type"] == "MalformedInputError"
+        assert error["message"] == f"certificates[0].{key} must be a list"
+        assert not out.exists()
+
+    def test_infinite_epsilon_is_malformed(self, tmp_path, capsys):
+        payload = {"presentation": CYCLIC3["presentation"],
+                   "certificate": dict(ROTATION_CERT, epsilon=float("inf"))}
+        text = json.dumps(payload)
+        assert '"epsilon": Infinity' in text
+        code, stdout, out = run_cli(tmp_path, capsys, "verify-cert", text)
+        assert code == 2
+        error = json.loads(stdout)["error"]
+        assert error["type"] == "MalformedInputError"
+        assert "certificates[0].epsilon" in error["message"]
+        assert not out.exists()
+
     def test_certificates_key_is_required(self, tmp_path, capsys):
         code, _, _ = run_cli(tmp_path, capsys, "verify-cert",
                              {"presentation": CYCLIC3["presentation"]})
@@ -560,6 +627,17 @@ class TestErrorHandling:
             "EnumerationOverflowError"
         assert (out / "error.json").exists()
         assert not (out / "spectrum.json").exists()
+
+    @pytest.mark.parametrize("budget", ["0", "-4"])
+    def test_nonpositive_max_cosets_is_malformed(self, tmp_path, capsys,
+                                                 budget):
+        code, stdout, out = run_cli(tmp_path, capsys, "spectrum", CYCLIC3,
+                                    "--max-cosets", budget)
+        assert code == 2
+        error = json.loads(stdout)["error"]
+        assert error == {"type": "MalformedInputError", "command": "spectrum",
+                         "message": f"max cosets must be positive, got {budget}"}
+        assert not out.exists()
 
     def test_error_json_not_left_behind_on_success(self, tmp_path, capsys):
         _, _, out = run_cli(tmp_path, capsys, "spectrum", CYCLIC3)

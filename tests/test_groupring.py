@@ -338,11 +338,3 @@ class TestPresentation:
             "8 - 2*a - 2*a^-1 - 2*b - 2*b^-1", ("a", "b"))
         assert p.degree_zero_laplacian() == expected
         assert p.symmetric_set_size == 4
-
-    def test_generator_index(self):
-        p = Presentation(("x", "y"), ())
-        assert p.generator_index("y") == 2
-        from coholap import UnknownGeneratorError
-
-        with pytest.raises(UnknownGeneratorError):
-            p.generator_index("z")
