@@ -32,6 +32,10 @@ def load_payload(path: str) -> dict:
         raise MalformedInputError(f"{path} is a directory, not a JSON file")
     except json.JSONDecodeError as exc:
         raise MalformedInputError(f"{path} is not valid JSON: {exc}")
+    except UnicodeDecodeError as exc:
+        raise MalformedInputError(f"{path} is not UTF-8 text: {exc}")
+    except RecursionError:
+        raise MalformedInputError(f"{path} nests JSON too deeply to read")
     if not isinstance(payload, dict):
         raise MalformedInputError("experiment description must be a JSON object")
     return payload

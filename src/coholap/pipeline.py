@@ -121,7 +121,8 @@ def higher_kazhdan_projection(spec: CochainComplexSpec, degree: int,
             for key, op in ops.items()}
 
     # The evaluated parts must annihilate each other exactly.
-    if not (ops["+"] @ ops["-"]).is_zero_exact():
+    if not exact.is_zero(exact.matmul(ops["+"].exact_matrix,
+                                      ops["-"].exact_matrix)):
         raise InvariantError(
             f"Delta^+ Delta^- is nonzero under {tag!r}; the chain identity "
             "must have failed upstream")

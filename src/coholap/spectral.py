@@ -22,8 +22,8 @@ Spectral quantities follow one convention throughout:
   "resolved" when it exceeds ten times the cluster threshold.
 
 Kernel projections come from two independent routes, eigenvector outer
-products and heat-semigroup squaring (exp(-tM) with t doubling), which
-the tests require to agree.
+products and repeated squaring of I - M/s with s = max(1, ||M||_1) (a
+discrete heat semigroup), which the tests require to agree.
 """
 
 from __future__ import annotations
@@ -100,11 +100,6 @@ class EvaluatedOperator:
         if self._eigenvalues is None:
             self._eigenvalues = np.linalg.eigvalsh(self.shadow)
         return self._eigenvalues
-
-    def __matmul__(self, other: "EvaluatedOperator") -> "EvaluatedOperator":
-        product = exact.matmul(self.exact_matrix, other.exact_matrix)
-        return EvaluatedOperator(
-            product, provenance=f"({self.provenance})*({other.provenance})")
 
     def one_norm(self) -> float:
         return _one_norm(self.shadow)
@@ -331,31 +326,15 @@ def kernel_projection(op: EvaluatedOperator,
         matrix, "eigen", f"ker[{op.provenance}]")
 
 
-def _expm_neg(shadow: np.ndarray, t: float) -> np.ndarray:
-    """exp(-t * M) for symmetric PSD M by Taylor series plus squaring."""
-    norm = _one_norm(shadow)
-    squarings = max(0, math.ceil(math.log2(max(1.0, t * norm))) + 1)
-    small = shadow * (-t / (2 ** squarings))
-    n = shadow.shape[0]
-    term = np.eye(n)
-    total = np.eye(n)
-    for k in range(1, 24):
-        term = term @ small / k
-        total = total + term
-    for _ in range(squarings):
-        total = total @ total
-        total = 0.5 * (total + total.T)
-    return total
-
-
 def heat_projection(op: EvaluatedOperator, gap_hint: float,
                     tolerance: float = DEFAULT_ZERO_TOLERANCE) -> ProjectionMatrix:
-    """Kernel projection as the limit of the heat semigroup exp(-tM).
+    """Kernel projection as the limit of (I - M/s)^(2^k), s = max(1, ||M||_1).
 
-    Starts from a safe t, then squares the matrix so t doubles each step,
-    until successive iterates differ by less than the tolerance and the
-    a-priori bound exp(-t * gap_hint) <= tolerance certifies that the
-    iterate is within tolerance of the exact projection.
+    I - M/s has eigenvalue 1 on the kernel and eigenvalues in
+    [0, 1 - gap/s] above it.  Squaring it until successive iterates differ
+    by less than the tolerance and the a-priori bound
+    (1 - gap_hint/s)^(2^k) <= tolerance certifies that the iterate is
+    within tolerance of the exact projection.
     """
     if op.rows != op.cols:
         raise ShapeMismatchError("heat projection requires a square operator")
@@ -367,16 +346,16 @@ def heat_projection(op: EvaluatedOperator, gap_hint: float,
         raise UnresolvedGapError(
             f"heat projection needs a positive resolved gap hint, "
             f"got {gap_hint!r}")
-    shadow = op.shadow
-    t = 1.0 / max(1.0, _one_norm(shadow))
-    current = _expm_neg(shadow, t)
+    scale = max(1.0, op.one_norm())
+    current = np.eye(op.rows) - op.shadow / scale
+    bound = max(0.0, 1.0 - gap_hint / scale)  # bounds |eigenvalues| off the kernel
     for _ in range(HEAT_MAX_DOUBLINGS):
         squared = current @ current
         squared = 0.5 * (squared + squared.T)
-        t *= 2.0
+        bound *= bound
         diff = float(np.linalg.norm(squared - current, 2)) if current.size else 0.0
         current = squared
-        if diff <= tolerance / 2 and math.exp(-t * gap_hint) <= tolerance / 2:
+        if diff <= tolerance / 2 and bound <= tolerance / 2:
             break
     else:
         raise UnresolvedGapError(

@@ -8,6 +8,12 @@ The textual form is a sum of terms like ``3/2*a*b^-1 + 1 - 2*a^3``:
   ``k`` (so ``a^-2`` abbreviates ``a^-1*a^-1``);
 * the empty word is written ``1``; the zero element is ``0``.
 
+The grammar has no parentheses and no nesting, so it is regular: one
+anchored pattern recognizes a whole element, and two more read its
+signed terms and the factors of each term.  Exponents are checked
+before they are expanded: one element holds at most
+``MAX_ELEMENT_LETTERS`` letters before free reduction.
+
 Printing is canonical: terms appear in length-then-lexicographic word
 order, letters are printed one at a time (``a*a`` rather than ``a^2``),
 and ``parse(print(x)) == x`` holds exactly.
@@ -22,11 +28,16 @@ from typing import Sequence, Union
 from .errors import MalformedInputError, UnknownGeneratorError
 from .groupring import GroupRingElement, Presentation, Word
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+(?:/\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[\^*+-]))"
-)
+_NUMBER = r"\d+(?:/\d+)?"
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_FACTOR = rf"(?:{_NUMBER}|{_NAME}(?:\s*\^\s*(?:-\s*)?\d+)?)"
+_TERM = rf"{_FACTOR}(?:\s*\*\s*{_FACTOR})*"
+# No two whitespace runs touch, so a failed match backtracks in linear time.
+_ELEMENT_RE = re.compile(rf"\s*(?:[+-]\s*)?{_TERM}(?:\s*[+-]\s*{_TERM})*\s*")
+_SIGNED_TERM_RE = re.compile(rf"\s*(?:([+-])\s*)?({_TERM})")
+_FACTOR_RE = re.compile(rf"({_NUMBER})|({_NAME})(?:\s*\^\s*(?:(-)\s*)?(\d+))?")
+_DEFAULT_NAME_RE = re.compile(r"g[1-9][0-9]*")
+MAX_ELEMENT_LETTERS = 10**7
 
 NamesLike = Union[Presentation, Sequence[str], None]
 
@@ -39,134 +50,47 @@ def _generator_names(source: NamesLike, needed: int = 0) -> list[str]:
     return list(source)
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens: list[tuple[str, str]] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None or match.end() == pos:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise MalformedInputError(
-                f"unexpected character {rest[0]!r} at position {pos} in {text!r}")
-        if match.group("number") is not None:
-            tokens.append(("number", match.group("number")))
-        elif match.group("name") is not None:
-            tokens.append(("name", match.group("name")))
-        else:
-            tokens.append(("op", match.group("op")))
-        pos = match.end()
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str, names: list[str]):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.index = {name: i + 1 for i, name in enumerate(names)}
-        self.pos = 0
-
-    def peek(self) -> tuple[str, str] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> tuple[str, str]:
-        token = self.peek()
-        if token is None:
-            raise MalformedInputError(f"unexpected end of input in {self.text!r}")
-        self.pos += 1
-        return token
-
-    def parse_exponent(self) -> int:
-        sign = 1
-        token = self.take()
-        if token == ("op", "-"):
-            sign = -1
-            token = self.take()
-        if token[0] != "number" or "/" in token[1]:
-            raise MalformedInputError(
-                f"exponent must be an integer in {self.text!r}")
-        return sign * int(token[1])
-
-    def parse_term(self) -> tuple[Fraction, Word]:
-        """One product of rational factors and powered letters."""
-        coeff = Fraction(1)
-        letters: list[int] = []
-        saw_factor = False
-        while True:
-            token = self.take()
-            if token[0] == "number":
-                try:
-                    coeff *= Fraction(token[1])
-                except ZeroDivisionError:
-                    raise MalformedInputError(
-                        f"zero denominator in {self.text!r}")
-            elif token[0] == "name":
-                name = token[1]
-                if name not in self.index:
-                    raise UnknownGeneratorError(
-                        f"unknown generator {name!r} in {self.text!r}")
-                gen = self.index[name]
-                exponent = 1
-                if self.peek() == ("op", "^"):
-                    self.take()
-                    exponent = self.parse_exponent()
-                letter = gen if exponent >= 0 else -gen
-                letters.extend([letter] * abs(exponent))
-            else:
-                raise MalformedInputError(
-                    f"expected a factor, got {token[1]!r} in {self.text!r}")
-            saw_factor = True
-            if self.peek() == ("op", "*"):
-                self.take()
-                continue
-            break
-        if not saw_factor:
-            raise MalformedInputError(f"empty term in {self.text!r}")
-        return coeff, Word(letters)
-
-    def parse_element(self) -> GroupRingElement:
-        terms: dict[Word, Fraction] = {}
-        sign = Fraction(1)
-        token = self.peek()
-        if token == ("op", "-"):
-            self.take()
-            sign = Fraction(-1)
-        elif token == ("op", "+"):
-            self.take()
-        while True:
-            coeff, word = self.parse_term()
-            coeff *= sign
-            terms[word] = terms.get(word, Fraction(0)) + coeff
-            token = self.peek()
-            if token is None:
-                break
-            if token == ("op", "+"):
-                sign = Fraction(1)
-            elif token == ("op", "-"):
-                sign = Fraction(-1)
-            else:
-                raise MalformedInputError(
-                    f"expected '+' or '-', got {token[1]!r} in {self.text!r}")
-            self.take()
-        return GroupRingElement(terms)
-
-
-def _default_names_needed(text: str) -> int:
-    """Highest default-name index (g1, g2, ...) mentioned in the text."""
-    needed = 0
-    for match in re.finditer(r"\bg(\d+)\b", text):
-        needed = max(needed, int(match.group(1)))
-    return needed
+def _rational(numeral: str, text: str) -> Fraction:
+    try:
+        return Fraction(numeral)
+    except ZeroDivisionError:
+        raise MalformedInputError(f"zero denominator in {text!r}")
+    except ValueError:  # more digits than int() reads from a string
+        raise MalformedInputError(f"numeral too long in {text!r}")
 
 
 def parse_element(text: str, names: NamesLike) -> GroupRingElement:
     """Parse the textual form of a group-ring element."""
     if not text.strip():
         raise MalformedInputError("empty element string")
-    needed = _default_names_needed(text) if names is None else 0
-    parser = _Parser(text, _generator_names(names, needed))
-    element = parser.parse_element()
+    if _ELEMENT_RE.fullmatch(text) is None:
+        raise MalformedInputError(
+            f"{text!r} is not a sum of terms like '3/2*a*b^-1 - 1'")
+    index = {name: i for i, name in enumerate(_generator_names(names), 1)}
+    terms: dict[Word, Fraction] = {}
+    letter_count = 0
+    # stripped: findall would retry every position of trailing whitespace
+    for sign, term in _SIGNED_TERM_RE.findall(text.strip()):
+        coeff = Fraction(-1 if sign == "-" else 1)
+        letters: list[int] = []
+        for numeral, name, minus, digits in _FACTOR_RE.findall(term):
+            if numeral:
+                coeff *= _rational(numeral, text)
+                continue
+            default = names is None and _DEFAULT_NAME_RE.fullmatch(name)
+            gen = int(name[1:]) if default else index.get(name)
+            if gen is None:
+                raise UnknownGeneratorError(
+                    f"unknown generator {name!r} in {text!r}")
+            exponent = int(_rational(digits, text)) if digits else 1
+            letter_count += exponent
+            if letter_count > MAX_ELEMENT_LETTERS:
+                raise MalformedInputError(
+                    f"{text!r} has more than {MAX_ELEMENT_LETTERS} letters")
+            letters.extend([-gen if minus else gen] * exponent)
+        word = Word(letters)
+        terms[word] = terms.get(word, Fraction(0)) + coeff
+    element = GroupRingElement(terms)
     if isinstance(names, Presentation):
         if element.max_generator() > names.generator_count:
             raise UnknownGeneratorError(

@@ -7,12 +7,21 @@ Fourier analysis gives circulant spectra.  Tests compare package output
 against these.
 """
 
+import re
 from fractions import Fraction
 from random import Random
 
 import numpy as np
 
-from coholap import EvaluatedOperator, GroupRingElement, Word, exact
+from coholap import (
+    EvaluatedOperator,
+    GroupRingElement,
+    MalformedInputError,
+    Presentation,
+    UnknownGeneratorError,
+    Word,
+    exact,
+)
 
 
 def random_word(rng: Random, generator_count: int, max_length: int = 6) -> Word:
@@ -433,3 +442,153 @@ def slow_upper_bounds(spec, degree, m_max, gap_hint=None, norm_bound=None,
         lower = tuple(float(u) - k * shrink ** (m + 1)
                       for m, u in enumerate(values))
     return tuple(values), cutoff, lower
+
+
+# ---------------------------------------------------------------------------
+# Tokenizer and recursive-descent parser: the oracle for textform
+# ---------------------------------------------------------------------------
+
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<number>\d+(?:/\d+)?)"
+    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<op>[\^*+-]))"
+)
+
+
+def _tokenize(text: str) -> list[tuple[str, str]]:
+    tokens: list[tuple[str, str]] = []
+    pos = 0
+    while pos < len(text):
+        match = _TOKEN_RE.match(text, pos)
+        if match is None or match.end() == pos:
+            rest = text[pos:].strip()
+            if not rest:
+                break
+            raise MalformedInputError(
+                f"unexpected character {rest[0]!r} at position {pos} in {text!r}")
+        if match.group("number") is not None:
+            tokens.append(("number", match.group("number")))
+        elif match.group("name") is not None:
+            tokens.append(("name", match.group("name")))
+        else:
+            tokens.append(("op", match.group("op")))
+        pos = match.end()
+    return tokens
+
+
+class _Parser:
+    def __init__(self, text: str, names: list[str]):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.index = {name: i + 1 for i, name in enumerate(names)}
+        self.pos = 0
+
+    def peek(self) -> tuple[str, str] | None:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self) -> tuple[str, str]:
+        token = self.peek()
+        if token is None:
+            raise MalformedInputError(f"unexpected end of input in {self.text!r}")
+        self.pos += 1
+        return token
+
+    def parse_exponent(self) -> int:
+        sign = 1
+        token = self.take()
+        if token == ("op", "-"):
+            sign = -1
+            token = self.take()
+        if token[0] != "number" or "/" in token[1]:
+            raise MalformedInputError(
+                f"exponent must be an integer in {self.text!r}")
+        return sign * int(token[1])
+
+    def parse_term(self) -> tuple[Fraction, Word]:
+        """One product of rational factors and powered letters."""
+        coeff = Fraction(1)
+        letters: list[int] = []
+        saw_factor = False
+        while True:
+            token = self.take()
+            if token[0] == "number":
+                try:
+                    coeff *= Fraction(token[1])
+                except ZeroDivisionError:
+                    raise MalformedInputError(
+                        f"zero denominator in {self.text!r}")
+            elif token[0] == "name":
+                name = token[1]
+                if name not in self.index:
+                    raise UnknownGeneratorError(
+                        f"unknown generator {name!r} in {self.text!r}")
+                gen = self.index[name]
+                exponent = 1
+                if self.peek() == ("op", "^"):
+                    self.take()
+                    exponent = self.parse_exponent()
+                letter = gen if exponent >= 0 else -gen
+                letters.extend([letter] * abs(exponent))
+            else:
+                raise MalformedInputError(
+                    f"expected a factor, got {token[1]!r} in {self.text!r}")
+            saw_factor = True
+            if self.peek() == ("op", "*"):
+                self.take()
+                continue
+            break
+        if not saw_factor:
+            raise MalformedInputError(f"empty term in {self.text!r}")
+        return coeff, Word(letters)
+
+    def parse_element(self) -> GroupRingElement:
+        terms: dict[Word, Fraction] = {}
+        sign = Fraction(1)
+        token = self.peek()
+        if token == ("op", "-"):
+            self.take()
+            sign = Fraction(-1)
+        elif token == ("op", "+"):
+            self.take()
+        while True:
+            coeff, word = self.parse_term()
+            coeff *= sign
+            terms[word] = terms.get(word, Fraction(0)) + coeff
+            token = self.peek()
+            if token is None:
+                break
+            if token == ("op", "+"):
+                sign = Fraction(1)
+            elif token == ("op", "-"):
+                sign = Fraction(-1)
+            else:
+                raise MalformedInputError(
+                    f"expected '+' or '-', got {token[1]!r} in {self.text!r}")
+            self.take()
+        return GroupRingElement(terms)
+
+
+def _default_names_needed(text: str) -> int:
+    """Highest default-name index (g1, g2, ...) mentioned in the text."""
+    needed = 0
+    for match in re.finditer(r"\bg(\d+)\b", text):
+        needed = max(needed, int(match.group(1)))
+    return needed
+
+
+def slow_parse_element(text: str, names) -> GroupRingElement:
+    """Parse an element with the tokenizer and the recursive descent."""
+    if not text.strip():
+        raise MalformedInputError("empty element string")
+    if names is None:
+        resolved = [f"g{i}" for i in range(1, _default_names_needed(text) + 1)]
+    elif isinstance(names, Presentation):
+        resolved = list(names.generator_names)
+    else:
+        resolved = list(names)
+    element = _Parser(text, resolved).parse_element()
+    if isinstance(names, Presentation):
+        if element.max_generator() > names.generator_count:
+            raise UnknownGeneratorError(
+                f"element {text!r} uses a generator outside the presentation")
+    return element

@@ -559,6 +559,20 @@ class TestErrorHandling:
         assert code == 2
         assert "not valid JSON" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("raw, message", [
+        (b'\xff\xfe{"degree": 1}', "not UTF-8 text"),
+        (b"[" * 200_000 + b"]" * 200_000, "nests JSON too deeply"),
+    ], ids=["not-utf8", "deep-nesting"])
+    def test_unreadable_file_is_malformed_input(self, tmp_path, capsys,
+                                                raw, message):
+        spec = tmp_path / "exp.json"
+        spec.write_bytes(raw)
+        code = main(["betti", str(spec), "--out-dir", str(tmp_path / "out")])
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert code == 2
+        assert error["type"] == "MalformedInputError"
+        assert message in error["message"]
+
     def test_payload_must_be_object(self, tmp_path, capsys):
         code, _, _ = run_cli(tmp_path, capsys, "spectrum", [1, 2, 3])
         assert code == 2

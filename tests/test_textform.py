@@ -1,11 +1,12 @@
 """Text grammar for words and group-ring elements."""
 
+import re
 from fractions import Fraction
 from random import Random
 
 import pytest
 
-from conftest import random_element
+from conftest import random_element, slow_parse_element
 
 from coholap import (
     GroupRingElement,
@@ -17,6 +18,7 @@ from coholap import (
     format_word,
     parse_element,
     parse_word,
+    textform,
 )
 
 NAMES = ["a", "b", "c"]
@@ -139,3 +141,86 @@ class TestFormatting:
         for _ in range(120):
             w = random_word(rng, 3)
             assert parse_word(format_word(w, NAMES), NAMES) == w
+
+
+class TestLetterLimit:
+    def test_exponent_checked_before_expansion(self, monkeypatch):
+        monkeypatch.setattr(textform, "MAX_ELEMENT_LETTERS", 5)
+        assert parse_word("a^5", NAMES) == Word([1] * 5)
+        for bad in ("a^6", "a^-6", "a^3*b^-3", "a^3 + b^3"):
+            with pytest.raises(MalformedInputError, match="more than 5"):
+                parse_element(bad, NAMES)
+
+    def test_huge_exponent_refused(self):
+        # numerals past any list size and past int()'s digit limit
+        for bad in ("a^-" + "9" * 30, "a^" + "9" * 5000):
+            with pytest.raises(MalformedInputError):
+                parse_element(bad, NAMES)
+
+
+def _outcome(parse, text, names):
+    try:
+        return parse(text, names)
+    except (MalformedInputError, UnknownGeneratorError) as exc:
+        return type(exc)
+
+
+def _random_element_text(rng: Random, known, unknown) -> str:
+    def space():
+        return rng.choice(("", "", " ", "  ", "\t"))
+
+    def factor():
+        if rng.random() < 0.3:
+            return rng.choice(("0", "1", "3", "007", "3/2", "12/8", "1/0"))
+        name = rng.choice(unknown if rng.random() < 0.05 else known)
+        if rng.random() < 0.5:
+            name += (space() + "^" + space() + rng.choice(("", "-"))
+                     + space() + str(rng.randint(0, 3)))
+        return name
+
+    pieces = [rng.choice(("", "", "-", "+"))]
+    for position in range(rng.randint(1, 4)):
+        if position:
+            pieces.append(rng.choice(("+", "-")))
+        star = space() + "*" + space()
+        pieces.append(star.join(factor() for _ in range(rng.randint(1, 3))))
+    return space() + space().join(pieces) + space()
+
+
+class TestAgainstTokenizerOracle:
+    """The anchored patterns agree with the tokenizer and recursive
+    descent they replace, on grammatical text and on junk."""
+
+    NAME_POOLS = (
+        (NAMES, NAMES, ("z", "ab", "a1", "_")),
+        (None, ("g1", "g2", "g3", "g10"), ("g0", "g01", "a")),
+        (Presentation(("a", "b"), ()), ("a", "b"), ("c",)),
+    )
+
+    def test_differential(self):
+        rng = Random(20200813)
+        seen = set()
+        for names, known, unknown in self.NAME_POOLS:
+            for _ in range(3000):
+                text = _random_element_text(rng, known, unknown)
+                roll = rng.random()
+                if roll < 0.3:  # one character inserted, dropped or replaced
+                    cut = rng.randint(0, len(text))
+                    text = (text[:cut] + rng.choice("ag1/^*+- (")
+                            + text[cut + rng.randint(0, 1):])
+                elif roll < 0.5:
+                    text = "".join(rng.choice("abgz019/^*+- \t(._")
+                                   for _ in range(rng.randint(0, 12)))
+                expected = _outcome(slow_parse_element, text, names)
+                actual = _outcome(parse_element, text, names)
+                seen.add(expected if isinstance(expected, type) else "element")
+                if (expected is UnknownGeneratorError
+                        and actual is MalformedInputError):
+                    # an unknown name before a syntax fault: the grammar
+                    # is checked first, so the fault is what is reported
+                    every_name = re.findall(r"[A-Za-z_][A-Za-z0-9_]*", text)
+                    assert (_outcome(slow_parse_element, text, every_name)
+                            is MalformedInputError), text
+                else:
+                    assert actual == expected, text
+        assert seen == {"element", MalformedInputError, UnknownGeneratorError}
