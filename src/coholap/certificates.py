@@ -36,15 +36,6 @@ from .spectral import DEFAULT_ZERO_TOLERANCE, EvaluatedOperator
 SOUNDNESS_SLACK = 1e-6
 
 
-def _matrix_times_element(matrix: GroupRingMatrix,
-                          element: GroupRingElement) -> GroupRingMatrix:
-    """Right-multiply every entry by a ring element (order matters)."""
-    return GroupRingMatrix(matrix.rows, matrix.cols, [
-        [matrix.entry(i, j) * element for j in range(matrix.cols)]
-        for i in range(matrix.rows)
-    ])
-
-
 @dataclass(frozen=True)
 class IdealWitness:
     """One term a (r - 1) b with r an ideal generator."""
@@ -170,8 +161,7 @@ def verify_certificate(certificate: Certificate) -> CertificateReport:
     for witness in certificate.witnesses:
         relator = certificate.ideal_generators[witness.relator_index]
         middle = GroupRingElement.from_word(relator) - one
-        residual = residual - (
-            _matrix_times_element(witness.left, middle) @ witness.right)
+        residual = residual - (witness.left.scale(middle) @ witness.right)
     terms = sum(
         residual.entry(i, j).support_size
         for i in range(residual.rows) for j in range(residual.cols))

@@ -176,6 +176,7 @@ class _Run:
         elif degree_key == "degrees":
             self.degrees = parse_degrees(payload, args.command)
         self.tol = parse_tolerance(payload, args.tol)
+        self.chain: QuotientChain | None = None  # set by _chain
 
 
 def _check_cochain(run: _Run, representations) -> None:
@@ -191,7 +192,9 @@ def _check_cochain(run: _Run, representations) -> None:
 
 
 def _chain(run: _Run) -> QuotientChain:
-    chain = quotient_chain(
+    """The description's quotient chain, kept on ``run`` so that main adds
+    its separation summary to the report."""
+    chain = run.chain = quotient_chain(
         run.presentation,
         parse_chain(run.payload, run.presentation, run.args.command),
         ball_radius=run.args.ball_radius, max_cosets=run.args.max_cosets,
@@ -207,35 +210,26 @@ def _chain(run: _Run) -> QuotientChain:
     return chain
 
 
-def _separation(chain: QuotientChain) -> dict:
-    return _pick(chain.separation, "radius separated failure_count")
-
-
 def _per_stage(run: _Run, key: str, records: Callable) -> dict:
     """A report whose list ``key`` holds ``records(order, rep)`` for every
     stage named by the input, each with its position and quotient order.
 
-    A 'chain' block names the stages of the full quotient chain and adds
-    its separation summary; otherwise the single 'representation' block
-    (default: the regular representation of the presented group) names
-    one stage.
+    A 'chain' block names the stages of the full quotient chain;
+    otherwise the single 'representation' block (default: the regular
+    representation of the presented group) names one stage.
     """
-    report = {}
     if "chain" in run.payload:
-        chain = _chain(run)
         stages = [(position, order, rep)
-                  for position, order, _table, rep in chain.stages()]
-        report["chain_separation"] = _separation(chain)
+                  for position, order, _table, rep in _chain(run).stages()]
     else:
         order, rep = parse_representation(
             run.payload.get("representation", {"kind": "regular"}),
             run.presentation, run.args.max_cosets)
         _check_cochain(run, [rep])
         stages = [(0, order, rep)]
-    report[key] = [{"position": position, "quotient_order": order, **record}
-                   for position, order, rep in stages
-                   for record in records(order, rep)]
-    return report
+    return {key: [{"position": position, "quotient_order": order, **record}
+                  for position, order, rep in stages
+                  for record in records(order, rep)]}
 
 
 # ---------------------------------------------------------------------------
@@ -308,13 +302,11 @@ def _cmd_betti(run: _Run) -> dict:
 @_command("luck", "normalized Betti sequence along a chain of quotients",
           "degree", "records", "position quotient_order betti ratio gap")
 def _cmd_luck(run: _Run) -> dict:
-    chain = _chain(run)
-    luck = luck_approximation(run.complex, run.degree, chain, run.tol)
+    luck = luck_approximation(run.complex, run.degree, _chain(run), run.tol)
     report = {
         "records": [_pick(r, "position quotient_order betti ratio gap")
                     for r in luck.records],
         **_pick(luck, "tail_estimates extrapolated extrapolation_note"),
-        "chain_separation": _separation(chain),
     }
     orders = run.payload.get("finite_subgroup_orders")
     if orders is not None and luck.extrapolated is not None:
@@ -378,7 +370,6 @@ def _cmd_obstruct(run: _Run) -> dict:
                              "certified_epsilon box_metric_note"),
         "gap_claim": None if gap_claim is None
         else _pick(gap_claim, "label kind verified epsilon"),
-        "chain_separation": _separation(chain),
     }
 
 
@@ -525,6 +516,9 @@ def main(argv=None) -> int:
         report = command.handler(run)
         report["command"] = args.command
         report["zero_tolerance"] = run.tol
+        if run.chain is not None:
+            report["chain_separation"] = _pick(
+                run.chain.separation, "radius separated failure_count")
         if command.degree_key is not None:
             # _Run keeps the parsed degree input under the report key's name
             report[command.degree_key] = getattr(run, command.degree_key)

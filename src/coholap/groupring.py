@@ -78,6 +78,18 @@ class Word(tuple):
 IDENTITY_WORD = Word(())
 
 
+def _accumulate(terms: dict[Word, Fraction],
+                pairs: Iterable[tuple[Word, Fraction]]) -> dict[Word, Fraction]:
+    """Add (word, coefficient) pairs into ``terms``, dropping zero sums."""
+    for word, coeff in pairs:
+        total = terms.get(word, 0) + coeff
+        if total:
+            terms[word] = total
+        else:
+            terms.pop(word, None)
+    return terms
+
+
 def generator_word(index: int) -> Word:
     """The word consisting of the single generator ``s_index`` (1-based)."""
     if index <= 0:
@@ -95,22 +107,23 @@ class GroupRingElement:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Word, Scalar] | None = None):
-        clean: dict[Word, Fraction] = {}
-        for word, coeff in (terms or {}).items():
-            if not isinstance(word, Word):
-                word = Word(word)
-            total = clean.get(word, 0) + Fraction(coeff)
-            if total:
-                clean[word] = total
-            else:
-                clean.pop(word, None)
-        self._terms = clean
+        self._terms = _accumulate({}, (
+            (word if isinstance(word, Word) else Word(word), Fraction(coeff))
+            for word, coeff in (terms or {}).items()))
+
+    @classmethod
+    def _wrap(cls, terms: dict[Word, Fraction]) -> "GroupRingElement":
+        """An element holding ``terms``, a finished Word -> nonzero
+        Fraction dict that the caller hands over."""
+        element = cls.__new__(cls)
+        element._terms = terms
+        return element
 
     # ---- constructors -------------------------------------------------
 
     @staticmethod
     def zero() -> "GroupRingElement":
-        return GroupRingElement()
+        return GroupRingElement._wrap({})
 
     @staticmethod
     def one() -> "GroupRingElement":
@@ -153,21 +166,11 @@ class GroupRingElement:
     def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
         if not isinstance(other, GroupRingElement):
             return NotImplemented
-        merged = dict(self._terms)
-        for word, coeff in other._terms.items():
-            total = merged.get(word, Fraction(0)) + coeff
-            if total:
-                merged[word] = total
-            else:
-                merged.pop(word, None)
-        result = GroupRingElement()
-        result._terms = merged
-        return result
+        return GroupRingElement._wrap(
+            _accumulate(dict(self._terms), other._terms.items()))
 
     def __neg__(self) -> "GroupRingElement":
-        result = GroupRingElement()
-        result._terms = {w: -c for w, c in self._terms.items()}
-        return result
+        return self.scale(-1)
 
     def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
         return self + (-other)
@@ -176,9 +179,8 @@ class GroupRingElement:
         frac = Fraction(scalar)
         if frac == 0:
             return GroupRingElement.zero()
-        result = GroupRingElement()
-        result._terms = {w: c * frac for w, c in self._terms.items()}
-        return result
+        return GroupRingElement._wrap(
+            {w: c * frac for w, c in self._terms.items()})
 
     def __mul__(self, other) -> "GroupRingElement":
         """Convolution product; scalar operands scale instead."""
@@ -186,18 +188,10 @@ class GroupRingElement:
             return self.scale(other)
         if not isinstance(other, GroupRingElement):
             return NotImplemented
-        product: dict[Word, Fraction] = {}
-        for u, cu in self._terms.items():
-            for v, cv in other._terms.items():
-                w = u * v
-                total = product.get(w, Fraction(0)) + cu * cv
-                if total:
-                    product[w] = total
-                else:
-                    product.pop(w, None)
-        result = GroupRingElement()
-        result._terms = product
-        return result
+        return GroupRingElement._wrap(_accumulate({}, (
+            (u * v, cu * cv)
+            for u, cu in self._terms.items()
+            for v, cv in other._terms.items())))
 
     def __rmul__(self, other) -> "GroupRingElement":
         if isinstance(other, (int, Fraction)):
@@ -219,9 +213,8 @@ class GroupRingElement:
 
     def star(self) -> "GroupRingElement":
         """The involution sum c_g g  ->  sum c_g g^-1."""
-        result = GroupRingElement()
-        result._terms = {w.inverse(): c for w, c in self._terms.items()}
-        return result
+        return GroupRingElement._wrap(
+            {w.inverse(): c for w, c in self._terms.items()})
 
     # ---- traces ---------------------------------------------------------
 
@@ -301,31 +294,24 @@ class GroupRingMatrix:
     def __sub__(self, other: "GroupRingMatrix") -> "GroupRingMatrix":
         return self + other.scale(-1)
 
-    def scale(self, scalar: Scalar) -> "GroupRingMatrix":
+    def scale(self, factor: Scalar | GroupRingElement) -> "GroupRingMatrix":
+        """Multiply every entry on the right by ``factor``, a scalar or a
+        ring element."""
         return GroupRingMatrix(self.rows, self.cols, [
-            [e.scale(scalar) for e in row] for row in self._entries
+            [e * factor for e in row] for row in self._entries
         ])
 
     def __matmul__(self, other: "GroupRingMatrix") -> "GroupRingMatrix":
         if self.cols != other.rows:
             raise ShapeMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = GroupRingElement.zero()
-                for k in range(self.cols):
-                    left = self._entries[i][k]
-                    if left.is_zero():
-                        continue
-                    right = other._entries[k][j]
-                    if right.is_zero():
-                        continue
-                    acc = acc + left * right
-                row.append(acc)
-            out.append(row)
-        return GroupRingMatrix(self.rows, other.cols, out)
+        columns = [[row[j] for row in other._entries] for j in range(other.cols)]
+        return GroupRingMatrix(self.rows, other.cols, [
+            [sum((left * right for left, right in zip(row, column)
+                  if left._terms and right._terms), GroupRingElement.zero())
+             for column in columns]
+            for row in self._entries
+        ])
 
     def adjoint(self) -> "GroupRingMatrix":
         """Transpose combined with the entrywise involution."""

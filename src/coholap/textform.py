@@ -42,12 +42,11 @@ MAX_ELEMENT_LETTERS = 10**7
 NamesLike = Union[Presentation, Sequence[str], None]
 
 
-def _generator_names(source: NamesLike, needed: int = 0) -> list[str]:
-    if source is None:
-        return [f"g{i}" for i in range(1, needed + 1)]
+def _generator_names(source: NamesLike) -> Sequence[str] | None:
+    """The explicit name list, or None for the default names g1, g2, ..."""
     if isinstance(source, Presentation):
-        return list(source.generator_names)
-    return list(source)
+        return source.generator_names
+    return source
 
 
 def _rational(numeral: str, text: str) -> Fraction:
@@ -66,7 +65,8 @@ def parse_element(text: str, names: NamesLike) -> GroupRingElement:
     if _ELEMENT_RE.fullmatch(text) is None:
         raise MalformedInputError(
             f"{text!r} is not a sum of terms like '3/2*a*b^-1 - 1'")
-    index = {name: i for i, name in enumerate(_generator_names(names), 1)}
+    index = {name: i
+             for i, name in enumerate(_generator_names(names) or (), 1)}
     terms: dict[Word, Fraction] = {}
     letter_count = 0
     # stripped: findall would retry every position of trailing whitespace
@@ -108,16 +108,19 @@ def parse_word(text: str, names: NamesLike) -> Word:
 
 
 def format_word(word: Word, names: NamesLike) -> str:
-    resolved = _generator_names(names, word.max_generator())
     if len(word) == 0:
         return "1"
+    resolved = _generator_names(names)
     parts = []
     for letter in word:
         gen = abs(letter)
-        if gen > len(resolved):
+        if resolved is None:
+            name = f"g{gen}"
+        elif gen > len(resolved):
             raise UnknownGeneratorError(
                 f"word uses generator {gen} but only {len(resolved)} names given")
-        name = resolved[gen - 1]
+        else:
+            name = resolved[gen - 1]
         parts.append(name if letter > 0 else f"{name}^-1")
     return "*".join(parts)
 
@@ -127,16 +130,15 @@ def format_element(element: GroupRingElement, names: NamesLike) -> str:
     terms = list(element.terms())
     if not terms:
         return "0"
-    resolved = _generator_names(names, element.max_generator())
     pieces: list[str] = []
     for position, (word, coeff) in enumerate(terms):
         magnitude = abs(coeff)
         if len(word) == 0:
             body = str(magnitude)
         elif magnitude == 1:
-            body = format_word(word, resolved)
+            body = format_word(word, names)
         else:
-            body = f"{magnitude}*{format_word(word, resolved)}"
+            body = f"{magnitude}*{format_word(word, names)}"
         if position == 0:
             pieces.append(body if coeff > 0 else f"-{body}")
         else:

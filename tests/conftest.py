@@ -592,3 +592,83 @@ def slow_parse_element(text: str, names) -> GroupRingElement:
             raise UnknownGeneratorError(
                 f"element {text!r} uses a generator outside the presentation")
     return element
+
+
+# ---------------------------------------------------------------------------
+# Merge-and-drop-zeros loops: the oracle for group-ring arithmetic.  Each
+# takes and returns term dicts {Word: nonzero Fraction}, as
+# ``dict(x.terms())`` gives them.
+# ---------------------------------------------------------------------------
+
+
+def slow_terms(terms) -> dict:
+    """The terms of ``GroupRingElement(terms)``."""
+    clean: dict[Word, Fraction] = {}
+    for word, coeff in (terms or {}).items():
+        if not isinstance(word, Word):
+            word = Word(word)
+        total = clean.get(word, 0) + Fraction(coeff)
+        if total:
+            clean[word] = total
+        else:
+            clean.pop(word, None)
+    return clean
+
+
+def slow_add(left: dict, right: dict) -> dict:
+    merged = dict(left)
+    for word, coeff in right.items():
+        total = merged.get(word, Fraction(0)) + coeff
+        if total:
+            merged[word] = total
+        else:
+            merged.pop(word, None)
+    return merged
+
+
+def slow_neg(terms: dict) -> dict:
+    return {w: -c for w, c in terms.items()}
+
+
+def slow_scale(terms: dict, scalar) -> dict:
+    frac = Fraction(scalar)
+    if frac == 0:
+        return {}
+    return {w: c * frac for w, c in terms.items()}
+
+
+def slow_mul(left: dict, right: dict) -> dict:
+    product: dict[Word, Fraction] = {}
+    for u, cu in left.items():
+        for v, cv in right.items():
+            w = u * v
+            total = product.get(w, Fraction(0)) + cu * cv
+            if total:
+                product[w] = total
+            else:
+                product.pop(w, None)
+    return product
+
+
+def slow_star(terms: dict) -> dict:
+    return {w.inverse(): c for w, c in terms.items()}
+
+
+def slow_ring_matmul(a, b) -> list[list[dict]]:
+    """The product of two GroupRingMatrix values, as rows of term dicts."""
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc: dict[Word, Fraction] = {}
+            for k in range(a.cols):
+                left = dict(a.entry(i, k).terms())
+                if not left:
+                    continue
+                right = dict(b.entry(k, j).terms())
+                if not right:
+                    continue
+                acc = slow_add(acc, slow_mul(left, right))
+            row.append(acc)
+        out.append(row)
+    return out

@@ -658,6 +658,27 @@ class TestErrorHandling:
         assert not (out / "error.json").exists()
 
 
+class TestChainSeparationBlock:
+    # one stage leaves a^2 trivial, so the chain fails to separate
+    PAYLOAD = dict(TORUS, degree=1, degrees=[0, 1], chain=[["a^2", "b^2"]],
+                   beta_ref={"value": "0", "provenance": "user-cited"})
+
+    @pytest.mark.parametrize("command", ["betti", "euler", "ghost", "luck",
+                                         "obstruct", "project", "spectrum"])
+    def test_every_chain_report_has_the_block(self, tmp_path, capsys,
+                                              command):
+        with pytest.warns(SeparationWarning):
+            code, stdout, _ = run_cli(tmp_path, capsys, command, self.PAYLOAD,
+                                      "--ball-radius", "2")
+        assert code == 0
+        assert json.loads(stdout)["chain_separation"] == {
+            "radius": 2, "separated": False, "failure_count": 4}
+
+    def test_no_block_without_a_chain(self, tmp_path, capsys):
+        _, stdout, _ = run_cli(tmp_path, capsys, "spectrum", CYCLIC3)
+        assert "chain_separation" not in json.loads(stdout)
+
+
 class TestSeparationWarningSource:
     def test_warning_points_at_the_description(self, tmp_path, capsys):
         payload = dict(CYCLIC3, chain=[["a"]])

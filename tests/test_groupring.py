@@ -5,7 +5,17 @@ from random import Random
 
 import pytest
 
-from conftest import random_element, random_word
+from conftest import (
+    random_element,
+    random_word,
+    slow_add,
+    slow_mul,
+    slow_neg,
+    slow_ring_matmul,
+    slow_scale,
+    slow_star,
+    slow_terms,
+)
 
 from coholap import (
     GroupRingElement,
@@ -304,6 +314,91 @@ class TestGroupRingMatrix:
         ])
         # max row sum = max(3, 4) = 4; max column sum = max(2, 5) = 5
         assert m.l1_operator_bound() == 5
+
+
+def _terms(x: GroupRingElement) -> dict:
+    return dict(x.terms())
+
+
+def _grid(m: GroupRingMatrix) -> list[list[dict]]:
+    return [[_terms(m.entry(i, j)) for j in range(m.cols)]
+            for i in range(m.rows)]
+
+
+class TestAgainstLoopOracles:
+    """The shared accumulation rule gives the terms the hand-written
+    merge loops gave, zero sums dropped; short words over two generators
+    make products collide and cancel often."""
+
+    @staticmethod
+    def _element(rng: Random) -> GroupRingElement:
+        if rng.random() < 0.1:
+            return GroupRingElement.zero()
+        return random_element(rng, 2, terms=rng.randint(1, 5), max_length=2)
+
+    def _matrix(self, rng: Random, rows: int, cols: int) -> GroupRingMatrix:
+        return GroupRingMatrix(rows, cols, [
+            [self._element(rng) if rng.random() < 0.7
+             else GroupRingElement.zero() for _ in range(cols)]
+            for _ in range(rows)])
+
+    def test_constructor(self):
+        rng = Random(61)
+        for _ in range(300):
+            raw = {}
+            for _ in range(rng.randint(0, 6)):
+                # unreduced words too, and repeated ones that must merge
+                word = (tuple(random_word(rng, 2, 2))
+                        + (1, -1) * rng.randint(0, 1))
+                raw[word] = rng.choice((0, 1, -1, Fraction(1, 2), 3))
+            assert _terms(GroupRingElement(raw)) == slow_terms(raw)
+
+    def test_element_operations(self):
+        rng = Random(67)
+        for _ in range(400):
+            x, y = self._element(rng), self._element(rng)
+            tx, ty = _terms(x), _terms(y)
+            scalar = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            assert _terms(x + y) == slow_add(tx, ty)
+            assert _terms(x - y) == slow_add(tx, slow_neg(ty))
+            assert _terms(-x) == slow_neg(tx)
+            assert _terms(x * y) == slow_mul(tx, ty)
+            assert _terms(x.scale(scalar)) == slow_scale(tx, scalar)
+            assert _terms(x * scalar) == slow_scale(tx, scalar)
+            assert _terms(x.star()) == slow_star(tx)
+            # products and sums that cancel to zero
+            assert (x - x).is_zero() and _terms(x - x) == {}
+            assert _terms(x * GroupRingElement.zero()) == {}
+            assert _terms(x.scale(0)) == {}
+            assert _terms(x + (-x)) == slow_add(tx, slow_neg(tx)) == {}
+
+    def test_internal_cancellation(self):
+        a, b = GroupRingElement.generator(1), GroupRingElement.generator(2)
+        one = GroupRingElement.one()
+        x, y = one + a, one - a
+        assert _terms(x * y) == slow_mul(_terms(x), _terms(y))
+        assert _terms((a * b - b * a) * (a * b - b * a).star()) == slow_mul(
+            _terms(a * b - b * a), slow_star(_terms(a * b - b * a)))
+
+    def test_matrix_product_and_scale(self):
+        rng = Random(71)
+        shapes = [(1, 1, 1), (2, 3, 2), (3, 2, 3), (2, 2, 2), (0, 2, 3),
+                  (2, 0, 3), (3, 1, 0)]
+        for trial in range(60):
+            rows, inner, cols = shapes[trial % len(shapes)]
+            a = self._matrix(rng, rows, inner)
+            b = self._matrix(rng, inner, cols)
+            assert _grid(a @ b) == slow_ring_matmul(a, b)
+            assert _grid(a @ b.scale(0)) == [[{}] * cols] * rows
+            factor = self._element(rng)
+            scalar = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            assert _grid(a.scale(factor)) == [
+                [slow_mul(entry, _terms(factor)) for entry in row]
+                for row in _grid(a)]
+            assert _grid(a.scale(scalar)) == [
+                [slow_scale(entry, scalar) for entry in row]
+                for row in _grid(a)]
+            assert (a - a).is_zero()
 
 
 class TestPresentation:

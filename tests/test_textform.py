@@ -1,6 +1,11 @@
 """Text grammar for words and group-ring elements."""
 
+import os
 import re
+import resource
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from random import Random
 
@@ -8,6 +13,7 @@ import pytest
 
 from conftest import random_element, slow_parse_element
 
+import coholap
 from coholap import (
     GroupRingElement,
     MalformedInputError,
@@ -141,6 +147,35 @@ class TestFormatting:
         for _ in range(120):
             w = random_word(rng, 3)
             assert parse_word(format_word(w, NAMES), NAMES) == w
+
+    def test_default_names_cost_only_the_printed_letters(self):
+        # in a child process under a 1 GiB address-space limit, so code
+        # that lists g1..gN for N = 10**10 fails fast instead of filling
+        # the machine's memory
+        script = textwrap.dedent("""
+            import tracemalloc
+            from coholap import parse_element
+            x = parse_element("g10000000000", None)
+            tracemalloc.start()
+            text = repr(x)
+            peak = tracemalloc.get_traced_memory()[1]
+            assert text == "GroupRingElement('g10000000000')", text
+            assert peak < 64 * 1024, peak
+        """)
+        limit = 1 << 30
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.path.dirname(os.path.dirname(coholap.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=120, preexec_fn=lambda: resource.setrlimit(
+                resource.RLIMIT_AS, (limit, limit)))
+        assert done.returncode == 0, done.stderr
+
+    def test_short_name_list_refused(self):
+        with pytest.raises(UnknownGeneratorError, match="only 3 names"):
+            format_word(Word([4]), NAMES)
+        with pytest.raises(UnknownGeneratorError, match="only 3 names"):
+            format_element(parse_element("1 + g4", None), NAMES)
 
 
 class TestLetterLimit:

@@ -3,12 +3,13 @@
 Runs each of the 8 ``coholap`` commands on each experiment description in
 ``demos/specs`` at ``--ball-radius 3``, plus ``luck`` on
 ``genus2_chain.json`` at ``--ball-radius 5``, where the chain fails to
-separate, with the ``src/`` of the checkout this script lives in.  Prints
-one SHA-256 per exit code, stdout, stderr (the only place a
-``SeparationWarning`` and its first failing word reach the user) and
-written file (``run_meta.json`` holds timestamps and paths and is left
-out).  Every run happens in a scratch directory with relative paths, so
-the output depends only on the code.  To compare two commits::
+separate, and each ``demos/tour_*.py`` script, with the ``src/`` of the
+checkout this script lives in.  Prints one SHA-256 per exit code,
+stdout, stderr (the only place a ``SeparationWarning`` and its first
+failing word reach the user) and written file (``run_meta.json`` holds
+timestamps and paths and is left out).  Every run happens in a scratch
+directory with relative paths, so the output depends only on the code.
+To compare two commits::
 
     python3 tools/report_digests.py > a.txt     # in one checkout
     python3 tools/report_digests.py > b.txt     # in the other
@@ -35,12 +36,20 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _print_process(tag: str, done: subprocess.CompletedProcess) -> None:
+    print(f"{tag} exit {_digest(str(done.returncode).encode())}")
+    print(f"{tag} stdout {_digest(done.stdout)}")
+    print(f"{tag} stderr {_digest(done.stderr)}")
+
+
 def main() -> int:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     specs = sorted(p.name for p in (ROOT / "demos" / "specs").glob("*.json"))
     runs = [(spec, command, "3") for spec in specs for command in COMMANDS]
+    tours = sorted(p.name for p in (ROOT / "demos").glob("tour_*.py"))
     with tempfile.TemporaryDirectory() as scratch:
         shutil.copytree(ROOT / "demos" / "specs", Path(scratch, "specs"))
+        shutil.copytree(ROOT / "demos", Path(scratch, "demos"))
         for spec, command, radius in [*runs, *EXTRA_RUNS]:
             out = Path(scratch, "out")
             shutil.rmtree(out, ignore_errors=True)
@@ -49,13 +58,16 @@ def main() -> int:
                  f"specs/{spec}", "--ball-radius", radius, "--out-dir", "out"],
                 cwd=scratch, env=env, capture_output=True, check=False)
             tag = f"{spec} {command} r{radius}"
-            print(f"{tag} exit {_digest(str(done.returncode).encode())}")
-            print(f"{tag} stdout {_digest(done.stdout)}")
-            print(f"{tag} stderr {_digest(done.stderr)}")
+            _print_process(tag, done)
             written = sorted(out.iterdir()) if out.exists() else []
             for path in written:
                 if path.name != "run_meta.json":
                     print(f"{tag} {path.name} {_digest(path.read_bytes())}")
+        for tour in tours:
+            done = subprocess.run(
+                [sys.executable, f"demos/{tour}"],
+                cwd=scratch, env=env, capture_output=True, check=False)
+            _print_process(tour, done)
     return 0
 
 
