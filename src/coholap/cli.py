@@ -124,7 +124,7 @@ def _pick(obj, spec: str) -> dict:
 
 def _gap_json(report) -> dict:
     return _pick(report, "dimension kernel_dim gap resolved threshold scale "
-                         "lowest")
+                         "lowest backend")
 
 
 def _csv_text(columns: tuple[tuple[str, str], ...], records: list[dict]) -> str:
@@ -286,7 +286,7 @@ def _cmd_betti(run: _Run) -> dict:
             betti, gap_report = betti_report(run.complex, degree, rep, run.tol)
             yield {"degree": degree, "betti": betti,
                    "normalized": Fraction(betti, order),
-                   **_pick(gap_report, "gap resolved")}
+                   **_pick(gap_report, "gap resolved backend")}
     report = _per_stage(run, "records", records)
     block = run.payload.get("upper_bounds")
     if block is not None:

@@ -16,9 +16,12 @@ of the quotient.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import combinations
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -227,12 +230,70 @@ def _validate_table(table: CosetTable) -> None:
             raise InvariantError("a relator fails to act as the identity")
 
 
+def _diagonal_form(rows: list[list[int]], n: int
+                   ) -> tuple[list[int], list[list[int]]]:
+    """Orders d and a unimodular V with ``rows`` @ V row-equivalent to
+    diag(d): Z^n / (row span) is the sum of the Z/d_j, x -> (x V) mod d."""
+    a = [list(row) for row in rows]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+    for t in range(n):
+        while pivots := [(abs(x), i, j) for i in range(t, len(a))
+                         for j, x in enumerate(a[i][t:], t) if x]:
+            _, i, j = min(pivots)
+            a[t], a[i] = a[i], a[t]
+            for row in (*a, *v):
+                row[t], row[j] = row[j], row[t]
+            a[t + 1:] = [[x - row[t] // a[t][t] * y for x, y in zip(row, a[t])]
+                         for row in a[t + 1:]]
+            for j in range(t + 1, n):
+                q = a[t][j] // a[t][t]
+                for row in (*a, *v):
+                    row[j] -= q * row[t]
+            if not any(a[t][t + 1:]) and not any(row[t] for row in a[t + 1:]):
+                break
+    return [abs(a[t][t]) if t < len(a) else 0 for t in range(n)], v
+
+
+def _characters(table: CosetTable) -> tuple[tuple[int, ...], np.ndarray]:
+    """Orders with Q = sum of Z/orders[j], from the diagonal form of the
+    relators' exponent sums, and the flat index codes[x] of each coset's
+    coordinates phi(x), spread from coset 0.  Checked exactly: the orders
+    multiply to |Q|, phi(x * s_i) = phi(x) + a_i and phi is a bijection."""
+    n, size = table.presentation.generator_count, table.coset_count
+    exponents = [[sum((letter > 0) - (letter < 0) for letter in word
+                      if abs(letter) == i) for i in range(1, n + 1)]
+                 for word in (*table.presentation.relators,
+                              *table.extra_relators)]
+    orders, v = _diagonal_form(exponents, n)
+    if math.prod(orders) != size:
+        raise InvariantError(f"abelian invariants {orders} do not multiply "
+                             f"to the quotient order {size}")
+    modulus = np.array(orders, dtype=np.int64)
+    steps = [sign * np.array(row, dtype=np.int64) % modulus
+             for row in v for sign in (1, -1)]  # column order of the table
+    phi = np.zeros((size, n), dtype=np.int64)
+    seen = np.arange(size) == 0
+    while not seen.all():  # the action is transitive
+        for column, step in zip(table.columns, steps):
+            fresh = seen & ~seen[column]
+            phi[column[fresh]] = (phi[fresh] + step) % modulus
+            seen[column[fresh]] = True
+    codes = np.ravel_multi_index(tuple(phi.T), orders)
+    if not (all(np.array_equal((phi + step) % modulus, phi[column])
+                for column, step in zip(table.columns[::2], steps[::2]))
+            and np.array_equal(np.sort(codes), np.arange(size))):
+        raise InvariantError("abelian coordinates contradict the coset table")
+    codes.flags.writeable = False
+    return tuple(orders), codes
+
+
 class Representation:
     """A finite-dimensional orthogonal representation with exact entries.
 
     Generator images are either permutations (the standard pipeline) or
     explicit rational orthogonal matrices; inverses are transposes either
-    way, so every word image is exact.
+    way, so every word image is exact.  ``table`` is the coset table a
+    regular representation comes from, or None.
     """
 
     def __init__(self, dimension: int, *,
@@ -243,6 +304,7 @@ class Representation:
             raise ValueError("provide exactly one of perms= or matrices=")
         self.dimension = dimension
         self.label = label
+        self.table: CosetTable | None = None
         if perms is not None:
             # one row per generator; a row of the wrong length cannot reshape
             self.perms: np.ndarray | None = np.asarray(
@@ -279,8 +341,20 @@ class Representation:
         x * g^-1; composing left-to-right then matches word products, so
         the result is a homomorphism on words.
         """
-        return Representation(table.coset_count, perms=table.columns[1::2],
-                              label=label or f"regular[{table.coset_count}]")
+        rep = Representation(table.coset_count, perms=table.columns[1::2],
+                             label=label or f"regular[{table.coset_count}]")
+        rep.table = table
+        return rep
+
+    @cached_property
+    def characters(self) -> tuple[tuple[int, ...], np.ndarray] | None:
+        """``_characters`` of a quotient whose generators commute, computed
+        on first use; None for any other representation."""
+        if self.table is None or not all(
+                np.array_equal(p[q], q[p])
+                for p, q in combinations(self.perms, 2)):
+            return None
+        return _characters(self.table)
 
     def word_perm(self, word: Word) -> np.ndarray:
         """pi(word) as an index array: basis vector c goes to out[c]."""

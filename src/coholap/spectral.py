@@ -9,10 +9,15 @@ beside it only when the shadow is not exact: int64 entries strictly
 between -2**53 and 2**53 are held once, as floats.  The exact-to-float
 boundary sits immediately before eigenvalue computation.
 
-Every eigenvalue comes from one dense eigensolve of the shadow, so every
-operator must fit it: ``evaluate`` refuses, with ``SizeBudgetError`` and
-before any grid is allocated, a matrix whose larger side times the
-representation dimension exceeds ``DENSE_EIG_CUTOFF``.
+An integral matrix under the regular representation of a quotient whose
+generators commute (an abelian quotient) is held in character form: its
+eigenvalues are those of one k x k symbol per character and its checks
+read k x k coefficient arrays, so ``betti``, ``spectrum`` and ``luck``
+there meet no dense size budget.  Any other operator, and a character
+form's shadow when a dense consumer (projections, rank checks, exact
+products) first reads it, is a dense grid, refused with SizeBudgetError
+before allocation when wider than ``DENSE_EIG_CUTOFF``.
+``GapReport.backend`` names the eigenvalue path: "dense" or "characters".
 
 Spectral quantities follow one convention throughout:
 
@@ -58,23 +63,34 @@ class EvaluatedOperator:
     rows/cols times representation dimension).
     """
 
-    __slots__ = ("_exact", "shadow", "rows", "cols", "provenance",
-                 "_eigenvalues")
+    __slots__ = ("_exact", "_shadow", "_scatter", "rows", "cols",
+                 "provenance", "_eigenvalues")
+    backend = "dense"
 
     def __init__(self, exact_matrix: exact.Matrix, provenance: str = ""):
+        self.rows, self.cols = exact_matrix.array.shape
+        self.provenance = provenance
+        self._eigenvalues = self._scatter = None
+        self._hold(exact_matrix)
+
+    def _hold(self, exact_matrix: exact.Matrix) -> None:
         array = exact_matrix.array
-        self.rows, self.cols = array.shape
-        self.shadow = exact.to_float(exact_matrix)
+        self._shadow = exact.to_float(exact_matrix)
         shadow_is_exact = (array.dtype == np.int64 and exact.max_abs(array)
                            < exact.FLOAT_EXACT_LIMIT)
         self._exact = None if shadow_is_exact else exact_matrix
-        self.provenance = provenance
-        self._eigenvalues = None
+
+    @property
+    def shadow(self) -> np.ndarray:
+        if self._shadow is None:
+            self._hold(self._scatter())
+        return self._shadow
 
     @property
     def exact_matrix(self) -> exact.Matrix:
+        shadow = self.shadow
         if self._exact is None:
-            return exact.Matrix(self.shadow.astype(np.int64))
+            return exact.Matrix(shadow.astype(np.int64))
         return self._exact
 
     @property
@@ -109,6 +125,48 @@ class EvaluatedOperator:
                 f"provenance={self.provenance!r})")
 
 
+class CharacterOperator(EvaluatedOperator):
+    """An integral operator of an abelian quotient Q, held in character form.
+
+    Block (i, j) is the convolution x -> v_ij * x on Z[Q], v_ij being the
+    int64 array ``coefficients[i, j]`` of shape Q's orders: the checks,
+    norm and eigenvalues (those of the symbols fftn(v)(chi), one k x k
+    matrix per character chi) need no n x n array.  The dense shadow and
+    exact matrix are scattered on first access.
+    """
+
+    __slots__ = ("coefficients",)
+    backend = "characters"
+
+    def __init__(self, coefficients: np.ndarray, rows: int, cols: int,
+                 scatter, provenance: str):
+        self.coefficients, self.rows, self.cols = coefficients, rows, cols
+        self._scatter, self.provenance = scatter, provenance
+        self._eigenvalues = self._shadow = self._exact = None
+
+    def is_symmetric_exact(self) -> bool:
+        """v_ij[y] = v_ji[-y] for every y (arrays of two shapes differ)."""
+        v = self.coefficients
+        axes = tuple(range(2, v.ndim))
+        return np.array_equal(v, np.roll(np.flip(v, axes), 1, axes)
+                              .swapaxes(0, 1))
+
+    def is_zero_exact(self) -> bool:
+        return not np.count_nonzero(self.coefficients)
+
+    def eigenvalues(self) -> np.ndarray:
+        if self._eigenvalues is None:
+            v = self.coefficients
+            symbols = np.fft.fftn(v, axes=range(2, v.ndim))
+            symbols = symbols.reshape(*v.shape[:2], -1).transpose(2, 0, 1)
+            self._eigenvalues = np.sort(np.linalg.eigvalsh(symbols).ravel())
+        return self._eigenvalues
+
+    def one_norm(self) -> float:
+        v = np.abs(self.coefficients)
+        return _one_norm(v.sum(axis=tuple(range(2, v.ndim))))
+
+
 def _one_norm(array: np.ndarray) -> float:
     """Largest column sum of absolute values; 0.0 for an empty array."""
     return float(np.abs(array).sum(axis=0).max()) if array.size else 0.0
@@ -120,25 +178,50 @@ def evaluate(matrix: GroupRingMatrix, rep: Representation,
 
     A *-homomorphism: products, sums, and adjoints commute with
     evaluation, and self-adjoint inputs give exactly symmetric outputs.
-    Each group-ring term is one scatter into the grid.  An entry of a
-    permutation evaluation is a sum of coefficients, so with integer
-    coefficients of absolute sum below 2**62 the grid is int64.
-    Raises SizeBudgetError, before any work, when the grid's larger side
+    An entry of a permutation evaluation is a sum of coefficients, so
+    with integer coefficients of absolute sum below 2**62 it is int64.
+    Such an integral matrix under the regular representation of a
+    quotient whose generators commute is held in character form: each
+    term adds its coefficient to v_ij at the coset its word sends coset 0
+    to.  Otherwise each term is one scatter into the dense grid, which
+    raises SizeBudgetError, before allocating, when its larger side
     exceeds ``DENSE_EIG_CUTOFF``.
     """
-    dim = rep.dimension
     provenance = provenance or f"{matrix.rows}x{matrix.cols}@{rep.label or 'rep'}"
-    side = max(matrix.rows, matrix.cols) * dim
-    if side > DENSE_EIG_CUTOFF:
-        raise SizeBudgetError(
-            f"operator {provenance!r} has dimension {side}, above the dense "
-            f"size budget of {DENSE_EIG_CUTOFF}")
     terms = [(i, j, word, coeff)
              for i in range(matrix.rows) for j in range(matrix.cols)
              for word, coeff in matrix.entry(i, j).terms()]
     integral = (rep.perms is not None
                 and all(coeff.denominator == 1 for *_, coeff in terms)
                 and sum(abs(coeff) for *_, coeff in terms) < 2**62)
+    characters = rep.characters if integral else None
+    if characters is None:
+        result = EvaluatedOperator(
+            _scatter(matrix, rep, terms, integral, provenance), provenance)
+    else:
+        orders, codes = characters
+        v = np.zeros((matrix.rows, matrix.cols, rep.dimension), dtype=np.int64)
+        for i, j, word, coeff in terms:
+            v[i, j, codes[rep.word_perm(word)[0]]] += coeff.numerator
+        result = CharacterOperator(
+            v.reshape(matrix.rows, matrix.cols, *orders),
+            matrix.rows * rep.dimension, matrix.cols * rep.dimension,
+            lambda: _scatter(matrix, rep, terms, True, provenance), provenance)
+    if matrix.is_self_adjoint() and not result.is_symmetric_exact():
+        raise InvariantError(
+            "self-adjoint input evaluated to a non-symmetric matrix")
+    return result
+
+
+def _scatter(matrix: GroupRingMatrix, rep: Representation, terms: list,
+             integral: bool, provenance: str) -> exact.Matrix:
+    """The dense exact grid, int64 when ``integral``."""
+    dim = rep.dimension
+    side = max(matrix.rows, matrix.cols) * dim
+    if side > DENSE_EIG_CUTOFF:
+        raise SizeBudgetError(
+            f"operator {provenance!r} has dimension {side}, above the dense "
+            f"size budget of {DENSE_EIG_CUTOFF}")
     grid = np.zeros((matrix.rows * dim, matrix.cols * dim),
                     dtype=np.int64 if integral else object)
     columns = np.arange(dim)
@@ -150,12 +233,7 @@ def evaluate(matrix: GroupRingMatrix, rep: Representation,
         else:
             grid[row0:row0 + dim, col0:col0 + dim] += (
                 coeff * rep.word_matrix(word).array)
-    result = EvaluatedOperator(exact.Matrix(grid), provenance=provenance)
-    del grid  # an exact shadow is now the only copy
-    if matrix.is_self_adjoint() and not result.is_symmetric_exact():
-        raise InvariantError(
-            "self-adjoint input evaluated to a non-symmetric matrix")
-    return result
+    return exact.Matrix(grid)
 
 
 @dataclass(frozen=True)
@@ -171,6 +249,7 @@ class GapReport:
     scale: float
     lowest: tuple[float, ...]
     provenance: str
+    backend: str = "dense"
 
     def require_resolved(self) -> "GapReport":
         if not self.resolved:
@@ -251,7 +330,6 @@ def spectral_gap(op: EvaluatedOperator,
             f"operator {op.provenance!r} is not symmetric")
     scale = max(1.0, op.one_norm())
     threshold = zero_tolerance * scale
-    dimension = op.rows
     values = op.eigenvalues()
     if len(values) and values[0] < -threshold:
         raise NotPositiveSemidefiniteError(
@@ -259,13 +337,10 @@ def spectral_gap(op: EvaluatedOperator,
             f"below -threshold={-threshold:.3e}")
 
     kernel_dim = int(np.searchsorted(values, threshold, side="right"))
-    if kernel_dim < len(values):
-        gap = float(values[kernel_dim])
-    else:
-        gap = math.inf
+    gap = float(values[kernel_dim]) if kernel_dim < len(values) else math.inf
     resolved = gap >= GAP_RESOLUTION_FACTOR * threshold
     return GapReport(
-        dimension=dimension,
+        dimension=op.rows,
         kernel_dim=kernel_dim,
         gap=gap,
         resolved=resolved,
@@ -274,6 +349,7 @@ def spectral_gap(op: EvaluatedOperator,
         scale=scale,
         lowest=tuple(float(v) for v in values[:10]),
         provenance=op.provenance,
+        backend=op.backend,
     )
 
 

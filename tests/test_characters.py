@@ -1,0 +1,192 @@
+"""The character form of abelian quotients against the dense path.
+
+A regular representation rebuilt from the same permutations but without
+its coset table always takes the dense path, so every operator below is
+evaluated twice, once each way, and the two must agree: exactly on every
+integer and exact check, bit for bit on the lazily built shadow, and to
+1e-9 on the eigenvalue-derived floats.
+"""
+
+import numpy as np
+import pytest
+
+from coholap import (
+    GroupRingElement,
+    GroupRingMatrix,
+    InvariantError,
+    Presentation,
+    Representation,
+    Word,
+    build_complex,
+    build_laplacian,
+    evaluate,
+    free_group_complex,
+    spectral_gap,
+    surface_genus2_complex,
+    todd_coxeter,
+)
+from coholap import cosets
+from coholap.spectral import CharacterOperator, EvaluatedOperator
+
+TORUS = build_complex(Presentation(("a", "b"), (Word((1, 2, -1, -2)),)),
+                      aspherical=True)
+FREE2 = free_group_complex(2)
+GENUS2 = surface_genus2_complex()
+
+
+def abelian_words(names, m):
+    """m-th powers of the generators and all their commutators."""
+    return [f"{x}^{m}" for x in names] + [
+        f"{x}*{y}*{x}^-1*{y}^-1"
+        for i, x in enumerate(names) for y in names[i + 1:]]
+
+
+def quotient(spec, extra):
+    return Representation.from_coset_table(
+        todd_coxeter(spec.presentation, extra))
+
+
+def dense_twin(rep):
+    """The same permutations with no coset table: the dense path."""
+    return Representation(rep.dimension, perms=rep.perms, label=rep.label)
+
+
+CORPUS = [
+    *[(f"genus2-(Z/{m})^4", GENUS2, abelian_words("abcd", m))
+      for m in (2, 3, 4)],
+    *[(f"free2-(Z/{m})^2", FREE2, abelian_words("ab", m))
+      for m in range(2, 21)],
+    ("torus-(Z/2)^2", TORUS, ["a^2", "b^2"]),
+    ("torus-(Z/4)^2", TORUS, ["a^4", "b^4"]),
+    ("torus-Z/2xZ/6", TORUS, ["a^2", "b^6"]),
+    ("torus-Z/5xZ/5", TORUS, ["a^5", "b^5"]),
+    ("torus-trivial", TORUS, ["a", "b"]),
+]
+
+
+def convolution_grid(op, rep):
+    """The dense grid read off the coefficients: block (i, j) holds
+    v_ij[phi(y) - phi(x)] in row y, column x."""
+    orders, codes = rep.characters
+    phi = np.stack(np.unravel_index(codes, orders))  # one row per order
+    offsets = (phi[:, :, None] - phi[:, None, :]) % np.array(orders)[:, None,
+                                                                      None]
+    flat = np.ravel_multi_index(tuple(offsets), orders)
+    rows, cols = op.coefficients.shape[:2]
+    v = op.coefficients.reshape(rows, cols, -1)
+    return np.block([[v[i, j][flat] for j in range(cols)]
+                     for i in range(rows)])
+
+
+def operators(spec):
+    """Laplacians and their parts, differentials (rectangular) and the
+    chain-identity products d d, all of one complex."""
+    out = []
+    for degree in range(spec.top_degree + 1):
+        bundle = build_laplacian(spec, degree)
+        out += [bundle.laplacian, bundle.plus_part, bundle.minus_part]
+    ds = [spec.differential(n) for n in range(spec.top_degree)]
+    return out, ds + [b @ a for a, b in zip(ds, ds[1:])]
+
+
+@pytest.mark.parametrize("name, spec, extra", CORPUS,
+                         ids=[name for name, *_ in CORPUS])
+def test_character_form_matches_the_dense_path(name, spec, extra):
+    rep = quotient(spec, extra)
+    dense = dense_twin(rep)
+    assert rep.characters is not None
+    laplacians, others = operators(spec)
+    for matrix in laplacians:
+        fast, slow = evaluate(matrix, rep), evaluate(matrix, dense)
+        assert type(fast) is CharacterOperator
+        assert type(slow) is EvaluatedOperator
+        a, b = spectral_gap(fast), spectral_gap(slow)
+        assert (a.backend, b.backend) == ("characters", "dense")
+        for field in ("kernel_dim", "dimension", "scale", "threshold",
+                      "resolved"):
+            assert getattr(a, field) == getattr(b, field), field
+        assert abs(a.gap - b.gap) <= 1e-9 or a.gap == b.gap
+        assert len(a.lowest) == len(b.lowest)
+        assert all(abs(x - y) <= 1e-9 for x, y in zip(a.lowest, b.lowest))
+    for matrix in laplacians + others:
+        fast, slow = evaluate(matrix, rep), evaluate(matrix, dense)
+        assert (fast.rows, fast.cols) == (slow.rows, slow.cols)
+        assert fast.one_norm() == slow.one_norm()
+        assert fast.is_symmetric_exact() == slow.is_symmetric_exact()
+        assert fast.is_zero_exact() == slow.is_zero_exact()
+        assert fast.shadow.dtype == slow.shadow.dtype
+        assert fast.shadow.tobytes() == slow.shadow.tobytes()
+        assert np.array_equal(convolution_grid(fast, rep), slow.shadow)
+        assert fast.exact_matrix == slow.exact_matrix
+
+
+def test_checks_see_asymmetric_and_nonzero_operators():
+    rep = quotient(TORUS, ["a^3", "b^4"])
+    dense = dense_twin(rep)
+    a, b = GroupRingElement.generator(1), GroupRingElement.generator(2)
+    for element in (a, a - b, 2 * a * b - a.star()):
+        matrix = GroupRingMatrix.from_element(element)
+        fast, slow = evaluate(matrix, rep), evaluate(matrix, dense)
+        assert not fast.is_symmetric_exact()
+        assert not slow.is_symmetric_exact()
+        assert not fast.is_zero_exact() and not slow.is_zero_exact()
+        assert fast.one_norm() == slow.one_norm()
+    d = evaluate(TORUS.differential(0), rep)  # rectangular
+    assert d.rows != d.cols and not d.is_symmetric_exact()
+
+
+@pytest.mark.parametrize("relators", [
+    ["a^2", "b^3", "a*b*a*b*a*b*a*b"],                      # S4
+    ["a^2", "b^3", "a*b*a*b*a*b*a*b*a*b*a*b*a*b",
+     "a*b*a^-1*b^-1*a*b*a^-1*b^-1*a*b*a^-1*b^-1*a*b*a^-1*b^-1"],  # PSL(2,7)
+], ids=["S4", "PSL(2,7)"])
+def test_non_abelian_stages_take_the_dense_path(relators):
+    presentation = Presentation(("a", "b"), ())
+    rep = Representation.from_coset_table(
+        todd_coxeter(presentation, relators))
+    assert rep.dimension in (24, 168)
+    assert rep.characters is None
+    laplacian = build_laplacian(FREE2, 1).laplacian
+    op = evaluate(laplacian, rep)
+    assert type(op) is EvaluatedOperator
+    assert spectral_gap(op).backend == "dense"
+
+
+def test_characters_are_computed_once():
+    rep = quotient(FREE2, abelian_words("ab", 4))
+    assert rep.characters is rep.characters
+    orders, codes = rep.characters
+    assert orders == (4, 4)
+    assert sorted(codes.tolist()) == list(range(16))
+
+
+class TestCorruptedCoordinates:
+    """Every fault in the coordinates raises before an operator exists."""
+
+    RELATORS = ["a^2", "b^4", "a*b*a^-1*b^-1"]  # Z/2 x Z/4, |Q| = 8
+
+    def evaluate_with(self, monkeypatch, orders, v, match):
+        monkeypatch.setattr(cosets, "_diagonal_form",
+                            lambda rows, n: (orders, v))
+        rep = quotient(FREE2, self.RELATORS)
+        with pytest.raises(InvariantError, match=match):
+            evaluate(build_laplacian(FREE2, 0).laplacian, rep)
+
+    def test_true_form(self):
+        orders, v = cosets._diagonal_form([[2, 0], [0, 4], [0, 0]], 2)
+        assert orders == [2, 4] and v == [[1, 0], [0, 1]]
+
+    def test_orders_that_miss_the_quotient_order(self, monkeypatch):
+        self.evaluate_with(monkeypatch, [2, 2], [[1, 0], [0, 1]],
+                           "do not multiply to the quotient order 8")
+
+    def test_images_that_break_a_relator(self, monkeypatch):
+        # a (order 2) goes to (1, 1), of order 4: spread from coset 0,
+        # phi is still a bijection, but phi(x * a) = phi(x) + (1, 1) fails
+        self.evaluate_with(monkeypatch, [2, 4], [[1, 1], [0, 1]],
+                           "contradict the coset table")
+
+    def test_coordinates_that_are_not_a_bijection(self, monkeypatch):
+        # b goes to 2 in Z/4: consistent with every relator, not onto
+        self.evaluate_with(monkeypatch, [2, 4], [[1, 0], [0, 2]],
+                           "contradict the coset table")

@@ -7,6 +7,7 @@ files in the output directory, and the frozen CSV column layout.
 
 import csv
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,19 @@ ROTATION_CERT = {
     "witnesses": [{"left": [["4*a^-1 - 4*a^-2"]], "relator": 0,
                    "right": [["1"]]}],
 }
+
+
+def genus2_abelian_payload(ms):
+    """Genus 2 in degree 1 along the chain of (Z/m)^4 quotients."""
+    commutators = [f"{x}*{y}*{x}^-1*{y}^-1"
+                   for i, x in enumerate("abcd") for y in "abcd"[i + 1:]]
+    return {
+        "presentation": {"generators": list("abcd"),
+                         "relators": ["a*b*a^-1*b^-1*c*d*c^-1*d^-1"]},
+        "aspherical": True,
+        "degree": 1,
+        "chain": [[f"{x}^{m}" for x in "abcd"] + commutators for m in ms],
+    }
 
 
 def run_cli(tmp_path, capsys, command, payload, *extra, out_name="out"):
@@ -177,25 +191,36 @@ class TestBetti:
         assert not (out / "betti.json").exists()
 
     def test_stage_above_the_dense_budget_is_refused(self, tmp_path, capsys):
-        # genus 2 over (Z/6)^4 in degree 1 is 4 * 1296 = 5184 wide: no
-        # eigensolve backs a kernel dimension there, so none is reported
-        commutators = [f"{x}*{y}*{x}^-1*{y}^-1"
-                       for i, x in enumerate("abcd") for y in "abcd"[i + 1:]]
-        payload = {
-            "presentation": {"generators": list("abcd"),
-                             "relators": ["a*b*a^-1*b^-1*c*d*c^-1*d^-1"]},
-            "aspherical": True,
-            "degree": 1,
-            "chain": [[f"{x}^6" for x in "abcd"] + commutators],
-        }
-        code, stdout, out = run_cli(tmp_path, capsys, "betti", payload,
+        # genus 2 over (Z/6)^4 in degree 1 is 4 * 1296 = 5184 wide.  Its
+        # Betti number comes from the character basis (see below), but a
+        # projection needs the dense grid, which is refused unbuilt
+        payload = genus2_abelian_payload([6])
+        code, stdout, out = run_cli(tmp_path, capsys, "project", payload,
                                     "--ball-radius", "2")
         assert code == 1
         error = json.loads(stdout)["error"]
         assert error["type"] == "SizeBudgetError"
         assert "5184" in error["message"]
         assert json.loads((out / "error.json").read_text()) == {"error": error}
-        assert not (out / "betti.json").exists()
+        assert not (out / "project.json").exists()
+
+    @pytest.mark.parametrize("m, betti, gap", [(6, 2594, 1.0),
+                                               (8, 8194, 0.585786)])
+    def test_abelian_stage_above_the_dense_budget(self, tmp_path, capsys,
+                                                  m, betti, gap):
+        # 4 * m^4 = 5184 and 16384 wide: one 4 x 4 symbol per character
+        start = time.perf_counter()
+        code, stdout, _ = run_cli(tmp_path, capsys, "betti",
+                                  genus2_abelian_payload([m]),
+                                  "--ball-radius", "2")
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        (record,) = json.loads(stdout)["records"]
+        assert record["betti"] == betti
+        assert abs(record["gap"] - gap) < 1e-6
+        assert record["resolved"] is True
+        assert record["backend"] == "characters"
+        assert elapsed < 10
 
     def test_gap_hint_must_be_a_number(self, tmp_path, capsys):
         payload = dict(FREE2, degree=1,
@@ -267,6 +292,22 @@ class TestLuck:
                           "gap"]
         assert [r[:4] for r in rows] == [["0", "4", "5", "5/4"],
                                          ["1", "9", "10", "10/9"]]
+
+    def test_abelian_stages_above_the_dense_budget(self, tmp_path, capsys):
+        # genus 2 over (Z/6)^4 and (Z/8)^4: 5184 and 16384 wide, both in
+        # the character basis
+        start = time.perf_counter()
+        code, stdout, _ = run_cli(tmp_path, capsys, "luck",
+                                  genus2_abelian_payload([6, 8]),
+                                  "--ball-radius", "2")
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        records = json.loads(stdout)["records"]
+        assert [r["betti"] for r in records] == [2594, 8194]
+        assert [r["ratio"] for r in records] == ["1297/648", "4097/2048"]
+        assert abs(records[0]["gap"] - 1.0) < 1e-6
+        assert abs(records[1]["gap"] - 0.585786) < 1e-6
+        assert elapsed < 10
 
     def test_chain_is_required(self, tmp_path, capsys):
         code, stdout, _ = run_cli(tmp_path, capsys, "luck",

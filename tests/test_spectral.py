@@ -173,7 +173,9 @@ class TestEigenvalueOracles:
         assert report.resolved
 
     def test_eigenvalues_computed_once_per_operator(self, monkeypatch):
-        rep = regular_rep(F2, ["a^3", "b^3", "a*b*a^-1*b^-1"])
+        # a 9-cycle and a transposition do not commute: a dense operator
+        cycle, swap = [*range(1, 9), 0], [1, 0, *range(2, 9)]
+        rep = Representation(9, perms=[cycle, swap], label="S9")
         op = laplacian_operator(F2, rep)
         calls = []
         eigvalsh = np.linalg.eigvalsh
@@ -196,14 +198,16 @@ class TestLanczos:
 
 class TestSizeBudget:
     def test_refused_before_the_grid_exists(self, monkeypatch):
-        # F2 over (Z/20)^2 in degree 0: n = 400, beta_0 = 1
+        # F2 over (Z/20)^2 in degree 0: n = 400, beta_0 = 1.  The quotient
+        # is abelian, so the grid is first built when the shadow is read
         rep = regular_rep(F2, ["a^20", "b^20", "a*b*a^-1*b^-1"])
         matrix = GroupRingMatrix.from_element(F2.degree_zero_laplacian())
         monkeypatch.setattr(spectral, "DENSE_EIG_CUTOFF", 399)
         tracemalloc.start()
         try:
+            op = evaluate(matrix, rep)
             with pytest.raises(SizeBudgetError, match="400"):
-                evaluate(matrix, rep)
+                _ = op.shadow
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -212,6 +216,7 @@ class TestSizeBudget:
         report = spectral_gap(evaluate(matrix, rep))
         assert report.kernel_dim == 1
         assert report.resolved
+        assert evaluate(matrix, rep).shadow.shape == (400, 400)
 
 
 class TestGapPolicy:

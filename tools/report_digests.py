@@ -9,7 +9,12 @@ stdout, stderr (the only place a ``SeparationWarning`` and its first
 failing word reach the user) and written file (``run_meta.json`` holds
 timestamps and paths and is left out).  Every run happens in a scratch
 directory with relative paths, so the output depends only on the code.
-To compare two commits::
+
+A JSON stdout or file also gets a ``~9`` digest, taken after rounding
+every float to 9 significant digits and every float below 1e-9 in
+magnitude, which is below every zero-cluster threshold, to 0.  A change
+that only moves float low bits then changes the raw digest but not the
+rounded one.  To compare two commits::
 
     python3 tools/report_digests.py > a.txt     # in one checkout
     python3 tools/report_digests.py > b.txt     # in the other
@@ -19,6 +24,7 @@ To compare two commits::
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import shutil
 import subprocess
@@ -36,9 +42,29 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _rounded(value):
+    if isinstance(value, float):
+        return 0.0 if abs(value) < 1e-9 else float(f"{value:.9g}")
+    if isinstance(value, dict):
+        return {key: _rounded(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_rounded(item) for item in value]
+    return value
+
+
+def _print_digests(tag: str, data: bytes) -> None:
+    print(f"{tag} {_digest(data)}")
+    try:
+        parsed = json.loads(data)
+    except ValueError:
+        return
+    rounded = json.dumps(_rounded(parsed), sort_keys=True)
+    print(f"{tag}~9 {_digest(rounded.encode())}")
+
+
 def _print_process(tag: str, done: subprocess.CompletedProcess) -> None:
     print(f"{tag} exit {_digest(str(done.returncode).encode())}")
-    print(f"{tag} stdout {_digest(done.stdout)}")
+    _print_digests(f"{tag} stdout", done.stdout)
     print(f"{tag} stderr {_digest(done.stderr)}")
 
 
@@ -62,7 +88,7 @@ def main() -> int:
             written = sorted(out.iterdir()) if out.exists() else []
             for path in written:
                 if path.name != "run_meta.json":
-                    print(f"{tag} {path.name} {_digest(path.read_bytes())}")
+                    _print_digests(f"{tag} {path.name}", path.read_bytes())
         for tour in tours:
             done = subprocess.run(
                 [sys.executable, f"demos/{tour}"],
