@@ -330,6 +330,7 @@ def _cmd_project(run: _Run) -> dict:
         return [{
             "label": rep.label,
             "method": method,
+            "backend": proj.projection.backend,
             "trace": trace,
             "trace_plus": trace_plus,
             "trace_minus": trace_minus,
@@ -395,7 +396,8 @@ def _cmd_ghost(run: _Run) -> dict:
     return {
         "method": method,
         "ghost_like": ghost.ghost_like,
-        "records": [_pick(r, "position quotient_order max_abs_entry trace")
+        "records": [_pick(r, "position quotient_order max_abs_entry trace "
+                             "backend")
                     for r in ghost.records],
     }
 

@@ -39,6 +39,7 @@ from .spectral import (
     evaluate,
     heat_projection,
     kernel_projection,
+    product_defect,
     spectral_gap,
 )
 
@@ -90,23 +91,20 @@ class KazhdanProjections:
         return (self.projection.trace(), self.plus.trace(), self.minus.trace())
 
 
-def _rank_of(op: EvaluatedOperator, threshold: float) -> int:
-    if op.rows == 0 or op.cols == 0:
-        return 0
-    return int(np.linalg.matrix_rank(op.shadow, tol=math.sqrt(threshold)))
-
-
 def higher_kazhdan_projection(spec: CochainComplexSpec, degree: int,
                               rep: Representation,
                               zero_tolerance: float = DEFAULT_ZERO_TOLERANCE,
                               method: str = "eigen") -> KazhdanProjections:
     """Projections p_n, p_n^+, p_n^- for one representation.
 
-    All three gaps must resolve.  Kernel identifications
-    ker Delta_n^+ = ker d_n and ker Delta_n^- = ker d_{n-1}* are verified
-    through numerical rank checks, and the factorization p = p^+ p^-
-    (exact in the limit because Delta^+ Delta^- = 0) is recorded as a
-    defect norm.
+    All three gaps must resolve.  Delta^+ Delta^- = 0 is checked exactly
+    by the operators.  Kernel identifications ker Delta_n^+ = ker d_n and
+    ker Delta_n^- = ker d_{n-1}* are verified against the numerical
+    ``rank`` of the evaluated differentials, and the factorization
+    p = p^+ p^- (exact in the limit because Delta^+ Delta^- = 0) is
+    recorded as a defect norm.  Every step runs on the operators' symbols:
+    one k x k block per character on an abelian stage, the n x n shadow
+    otherwise.
     """
     if method not in ("eigen", "heat"):
         raise MalformedInputError(f"unknown projection method {method!r}")
@@ -121,8 +119,7 @@ def higher_kazhdan_projection(spec: CochainComplexSpec, degree: int,
             for key, op in ops.items()}
 
     # The evaluated parts must annihilate each other exactly.
-    if not exact.is_zero(exact.matmul(ops["+"].exact_matrix,
-                                      ops["-"].exact_matrix)):
+    if not ops["+"].product_is_zero_exact(ops["-"]):
         raise InvariantError(
             f"Delta^+ Delta^- is nonzero under {tag!r}; the chain identity "
             "must have failed upstream")
@@ -133,8 +130,7 @@ def higher_kazhdan_projection(spec: CochainComplexSpec, degree: int,
         d = spec.differential(n)
         rank = 0
         if d is not None:
-            rank = _rank_of(evaluate(d, rep, f"d_{n}@{tag}"),
-                            gaps[key].threshold)
+            rank = evaluate(d, rep, f"d_{n}@{tag}").rank(gaps[key].threshold)
         if gaps[key].kernel_dim != dim - rank:
             raise InvariantError(
                 f"ker Delta^{key} ({gaps[key].kernel_dim}) differs from "
@@ -146,12 +142,10 @@ def higher_kazhdan_projection(spec: CochainComplexSpec, degree: int,
         return kernel_projection(ops[key], zero_tolerance)
 
     p, p_plus, p_minus = project(""), project("+"), project("-")
-    defect = float(np.linalg.norm(
-        p.matrix - p_plus.matrix @ p_minus.matrix, 2)) if dim else 0.0
     return KazhdanProjections(
         degree=degree, projection=p, plus=p_plus, minus=p_minus,
         gap=gaps[""], gap_plus=gaps["+"], gap_minus=gaps["-"],
-        product_defect=defect)
+        product_defect=product_defect(p, p_plus, p_minus))
 
 
 # ---------------------------------------------------------------------------
@@ -625,6 +619,7 @@ class GhostRecord:
     quotient_order: int
     max_abs_entry: float
     trace: float
+    backend: str
 
 
 @dataclass(frozen=True)
@@ -651,7 +646,8 @@ def ghost_diagnostic(spec: CochainComplexSpec, degree: int,
         records.append(GhostRecord(
             position=position, quotient_order=order,
             max_abs_entry=projections.projection.max_abs_entry(),
-            trace=projections.projection.trace()))
+            trace=projections.projection.trace(),
+            backend=projections.projection.backend))
     maxima = [r.max_abs_entry for r in records]
     ghost_like = (len(maxima) >= 2
                   and all(later <= earlier * (1 - 1e-9)

@@ -10,14 +10,18 @@ between -2**53 and 2**53 are held once, as floats.  The exact-to-float
 boundary sits immediately before eigenvalue computation.
 
 An integral matrix under the regular representation of a quotient whose
-generators commute (an abelian quotient) is held in character form: its
-eigenvalues are those of one k x k symbol per character and its checks
-read k x k coefficient arrays, so ``betti``, ``spectrum`` and ``luck``
-there meet no dense size budget.  Any other operator, and a character
-form's shadow when a dense consumer (projections, rank checks, exact
-products) first reads it, is a dense grid, refused with SizeBudgetError
-before allocation when wider than ``DENSE_EIG_CUTOFF``.
-``GapReport.backend`` names the eigenvalue path: "dense" or "characters".
+generators commute (an abelian quotient) is held in character form: one
+k x k symbol per character.  Its eigenvalues, kernel and heat
+projections, rank checks and the exact Delta^+ Delta^- = 0 check run on
+those symbols and on the k x k arrays of group-ring coefficients, so
+``betti``, ``spectrum``, ``luck``, ``project`` and ``ghost`` there meet no
+dense size budget.  Every routine below reads an operator as a stack of
+symbols: a dense operator has one, its n x n shadow.  Only a non-abelian
+or orthogonal stage, and the ``shadow``, ``exact_matrix`` or projection
+``matrix`` of a character form when read, build the dense grid, refused
+with SizeBudgetError before allocation when wider than
+``DENSE_EIG_CUTOFF``.  ``GapReport.backend`` and
+``ProjectionMatrix.backend`` name the path: "dense" or "characters".
 
 Spectral quantities follow one convention throughout:
 
@@ -63,14 +67,15 @@ class EvaluatedOperator:
     rows/cols times representation dimension).
     """
 
-    __slots__ = ("_exact", "_shadow", "_scatter", "rows", "cols",
-                 "provenance", "_eigenvalues")
+    __slots__ = ("_exact", "_shadow", "rows", "cols", "provenance",
+                 "_eigenvalues")
     backend = "dense"
+    characters = None  # the (orders, codes) pair of a character form
 
     def __init__(self, exact_matrix: exact.Matrix, provenance: str = ""):
         self.rows, self.cols = exact_matrix.array.shape
         self.provenance = provenance
-        self._eigenvalues = self._scatter = None
+        self._eigenvalues = None
         self._hold(exact_matrix)
 
     def _hold(self, exact_matrix: exact.Matrix) -> None:
@@ -83,7 +88,7 @@ class EvaluatedOperator:
     @property
     def shadow(self) -> np.ndarray:
         if self._shadow is None:
-            self._hold(self._scatter())
+            self._hold(self._grid())
         return self._shadow
 
     @property
@@ -99,6 +104,11 @@ class EvaluatedOperator:
             raise ShapeMismatchError("dimension is defined for square operators")
         return self.rows
 
+    def symbols(self) -> np.ndarray:
+        """The operator as a stack of blocks it is the direct sum of; a
+        dense operator is one block, its shadow."""
+        return self.shadow[None]
+
     # an exact shadow holds integer-valued floats: float equality is exact
     def is_symmetric_exact(self) -> bool:
         if self._exact is None:
@@ -111,6 +121,11 @@ class EvaluatedOperator:
             return not np.count_nonzero(self.shadow)
         return exact.is_zero(self._exact)
 
+    def product_is_zero_exact(self, right: "EvaluatedOperator") -> bool:
+        """Whether this operator times ``right`` is exactly zero."""
+        return exact.is_zero(exact.matmul(self.exact_matrix,
+                                          right.exact_matrix))
+
     def eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues of the symmetric shadow, computed once."""
         if self._eigenvalues is None:
@@ -119,6 +134,12 @@ class EvaluatedOperator:
 
     def one_norm(self) -> float:
         return _one_norm(self.shadow)
+
+    def rank(self, threshold: float) -> int:
+        """Numerical rank: singular values above sqrt(threshold), summed
+        over the symbols."""
+        return int(np.linalg.matrix_rank(self.symbols(),
+                                         tol=math.sqrt(threshold)).sum())
 
     def __repr__(self) -> str:
         return (f"EvaluatedOperator({self.rows}x{self.cols}, "
@@ -129,20 +150,32 @@ class CharacterOperator(EvaluatedOperator):
     """An integral operator of an abelian quotient Q, held in character form.
 
     Block (i, j) is the convolution x -> v_ij * x on Z[Q], v_ij being the
-    int64 array ``coefficients[i, j]`` of shape Q's orders: the checks,
-    norm and eigenvalues (those of the symbols fftn(v)(chi), one k x k
-    matrix per character chi) need no n x n array.  The dense shadow and
-    exact matrix are scattered on first access.
+    int64 array ``coefficients[i, j]`` of shape Q's orders, and
+    ``characters`` is the quotient's (orders, codes) pair.  Its symbols
+    are fftn(v)(chi), one k x k matrix per character chi, so the checks,
+    norm, eigenvalues, projections and rank need no n x n array.  The
+    dense shadow and exact matrix are built on first access.
     """
 
-    __slots__ = ("coefficients",)
+    __slots__ = ("coefficients", "characters")
     backend = "characters"
 
-    def __init__(self, coefficients: np.ndarray, rows: int, cols: int,
-                 scatter, provenance: str):
-        self.coefficients, self.rows, self.cols = coefficients, rows, cols
-        self._scatter, self.provenance = scatter, provenance
+    def __init__(self, coefficients: np.ndarray, characters, provenance: str):
+        self.coefficients, self.characters = coefficients, characters
+        size = characters[1].size
+        self.rows = coefficients.shape[0] * size
+        self.cols = coefficients.shape[1] * size
+        self.provenance = provenance
         self._eigenvalues = self._shadow = self._exact = None
+
+    def _grid(self) -> exact.Matrix:
+        return exact.Matrix(_circulant(self.coefficients, self.characters[1],
+                                       self.provenance))
+
+    def symbols(self) -> np.ndarray:
+        v = self.coefficients
+        symbols = np.fft.fftn(v, axes=range(2, v.ndim))
+        return symbols.reshape(*v.shape[:2], -1).transpose(2, 0, 1)
 
     def is_symmetric_exact(self) -> bool:
         """v_ij[y] = v_ji[-y] for every y (arrays of two shapes differ)."""
@@ -154,12 +187,28 @@ class CharacterOperator(EvaluatedOperator):
     def is_zero_exact(self) -> bool:
         return not np.count_nonzero(self.coefficients)
 
+    def product_is_zero_exact(self, right: EvaluatedOperator) -> bool:
+        """Checked on the product's coset-0 columns, which fix an operator
+        that commutes with translation: (a * b)_il = sum over the pairs
+        (j, y) with a_ij[y] != 0 of a_ij[y] roll(b_jl, y), one exact
+        product of a k x S matrix with an S x k|Q| matrix."""
+        if not isinstance(right, CharacterOperator):
+            return super().product_is_zero_exact(right)
+        a, b = self.coefficients, right.coefficients
+        orders, axes = a.shape[2:], tuple(range(1, b.ndim - 1))
+        flat = a.reshape(*a.shape[:2], -1)
+        js, ys = np.nonzero(flat.any(axis=0))
+        shifted = np.array(
+            [np.roll(b[j], np.unravel_index(y, orders), axes).ravel()
+             for j, y in zip(js, ys)], dtype=np.int64).reshape(len(js),
+                                                               right.cols)
+        return exact.is_zero(exact.matmul(exact.Matrix(flat[:, js, ys]),
+                                          exact.Matrix(shifted)))
+
     def eigenvalues(self) -> np.ndarray:
         if self._eigenvalues is None:
-            v = self.coefficients
-            symbols = np.fft.fftn(v, axes=range(2, v.ndim))
-            symbols = symbols.reshape(*v.shape[:2], -1).transpose(2, 0, 1)
-            self._eigenvalues = np.sort(np.linalg.eigvalsh(symbols).ravel())
+            self._eigenvalues = np.sort(
+                np.linalg.eigvalsh(self.symbols()).ravel())
         return self._eigenvalues
 
     def one_norm(self) -> float:
@@ -170,6 +219,13 @@ class CharacterOperator(EvaluatedOperator):
 def _one_norm(array: np.ndarray) -> float:
     """Largest column sum of absolute values; 0.0 for an empty array."""
     return float(np.abs(array).sum(axis=0).max()) if array.size else 0.0
+
+
+def _check_budget(side: int, provenance: str) -> None:
+    if side > DENSE_EIG_CUTOFF:
+        raise SizeBudgetError(
+            f"operator {provenance!r} has dimension {side}, above the dense "
+            f"size budget of {DENSE_EIG_CUTOFF}")
 
 
 def evaluate(matrix: GroupRingMatrix, rep: Representation,
@@ -204,9 +260,8 @@ def evaluate(matrix: GroupRingMatrix, rep: Representation,
         for i, j, word, coeff in terms:
             v[i, j, codes[rep.word_perm(word)[0]]] += coeff.numerator
         result = CharacterOperator(
-            v.reshape(matrix.rows, matrix.cols, *orders),
-            matrix.rows * rep.dimension, matrix.cols * rep.dimension,
-            lambda: _scatter(matrix, rep, terms, True, provenance), provenance)
+            v.reshape(matrix.rows, matrix.cols, *orders), characters,
+            provenance)
     if matrix.is_self_adjoint() and not result.is_symmetric_exact():
         raise InvariantError(
             "self-adjoint input evaluated to a non-symmetric matrix")
@@ -217,11 +272,7 @@ def _scatter(matrix: GroupRingMatrix, rep: Representation, terms: list,
              integral: bool, provenance: str) -> exact.Matrix:
     """The dense exact grid, int64 when ``integral``."""
     dim = rep.dimension
-    side = max(matrix.rows, matrix.cols) * dim
-    if side > DENSE_EIG_CUTOFF:
-        raise SizeBudgetError(
-            f"operator {provenance!r} has dimension {side}, above the dense "
-            f"size budget of {DENSE_EIG_CUTOFF}")
+    _check_budget(max(matrix.rows, matrix.cols) * dim, provenance)
     grid = np.zeros((matrix.rows * dim, matrix.cols * dim),
                     dtype=np.int64 if integral else object)
     columns = np.arange(dim)
@@ -234,6 +285,25 @@ def _scatter(matrix: GroupRingMatrix, rep: Representation, terms: list,
             grid[row0:row0 + dim, col0:col0 + dim] += (
                 coeff * rep.word_matrix(word).array)
     return exact.Matrix(grid)
+
+
+def _circulant(v: np.ndarray, codes: np.ndarray,
+               provenance: str) -> np.ndarray:
+    """The dense grid of the convolutions v_ij on cosets numbered by
+    ``codes``: block (i, j) holds v_ij[phi(y) - phi(x)] in row y, column x."""
+    rows, cols, *orders = v.shape
+    size = codes.size
+    _check_budget(max(rows, cols) * size, provenance)
+    phi = np.unravel_index(codes, orders)
+    offsets = np.ravel_multi_index(
+        tuple((p[:, None] - p[None, :]) % m for p, m in zip(phi, orders)),
+        orders)
+    grid = np.empty((rows * size, cols * size), dtype=v.dtype)
+    for i in range(rows):
+        for j in range(cols):
+            grid[i * size:(i + 1) * size, j * size:(j + 1) * size] = (
+                v[i, j].ravel()[offsets])
+    return grid
 
 
 @dataclass(frozen=True)
@@ -355,51 +425,101 @@ def spectral_gap(op: EvaluatedOperator,
 
 @dataclass(frozen=True)
 class ProjectionMatrix:
-    """A numerical spectral projection with its invariant defects."""
+    """A numerical spectral projection with its invariant defects.
 
-    matrix: np.ndarray
+    ``symbols`` is the projection as a stack of blocks, one per symbol of
+    the operator it projects for; ``characters`` is the (orders, codes)
+    pair of a character form and None for a dense one.  Each defect is
+    the 2-norm of the block-diagonal operator: the largest over the
+    stack.
+    """
+
+    symbols: np.ndarray
     method: str
     idempotency_defect: float
     selfadjoint_defect: float
     provenance: str
+    characters: tuple | None = None
+
+    @property
+    def backend(self) -> str:
+        return "dense" if self.characters is None else "characters"
 
     @property
     def dimension(self) -> int:
-        return self.matrix.shape[0]
+        return self.symbols.shape[0] * self.symbols.shape[1]
 
     def trace(self) -> float:
-        return float(np.trace(self.matrix))
+        return float(np.trace(self.symbols, axis1=1, axis2=2).real.sum())
+
+    def _kernels(self) -> np.ndarray:
+        """Block (i, j) as the real convolution kernel p_ij on Q."""
+        k = self.symbols.shape[1]
+        stacked = self.symbols.transpose(1, 2, 0).reshape(
+            k, k, *self.characters[0])
+        return np.fft.ifftn(stacked, axes=range(2, stacked.ndim)).real
 
     def max_abs_entry(self) -> float:
-        return float(np.abs(self.matrix).max()) if self.matrix.size else 0.0
+        entries = self.symbols if self.characters is None else self._kernels()
+        return float(np.abs(entries).max(initial=0.0))
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense n x n projection; built on each read for a character
+        form, and refused above ``DENSE_EIG_CUTOFF``."""
+        if self.characters is None:
+            return self.symbols[0]
+        return _circulant(self._kernels(), self.characters[1],
+                          self.provenance)
 
 
-def _projection_from_array(matrix: np.ndarray, method: str,
-                           provenance: str) -> ProjectionMatrix:
-    idem = float(np.linalg.norm(matrix @ matrix - matrix, 2)) if matrix.size else 0.0
-    # an exactly symmetric matrix has defect 0.0 without an SVD
-    sym = (0.0 if np.array_equal(matrix, matrix.T)
-           else float(np.linalg.norm(matrix - matrix.T, 2)))
+def _adjoint(stack: np.ndarray) -> np.ndarray:
+    # conj() of a real array is the array itself, not a copy
+    return stack.swapaxes(-1, -2).conj()
+
+
+def _stack_norm(stack: np.ndarray) -> float:
+    """2-norm of the block-diagonal operator with these blocks."""
+    return float(np.linalg.norm(stack, 2, axis=(1, 2)).max())
+
+
+def _projection_from_array(symbols: np.ndarray, method: str,
+                           provenance: str,
+                           characters: tuple | None = None) -> ProjectionMatrix:
+    idem = _stack_norm(symbols @ symbols - symbols)
+    adjoint = _adjoint(symbols)
+    # an exactly self-adjoint stack has defect 0.0 without an SVD
+    sym = (0.0 if np.array_equal(symbols, adjoint)
+           else _stack_norm(symbols - adjoint))
     return ProjectionMatrix(
-        matrix=matrix, method=method,
+        symbols=symbols, method=method,
         idempotency_defect=idem, selfadjoint_defect=sym,
-        provenance=provenance)
+        provenance=provenance, characters=characters)
 
 
 def kernel_projection(op: EvaluatedOperator,
                       zero_tolerance: float = DEFAULT_ZERO_TOLERANCE) -> ProjectionMatrix:
     """Orthogonal projection onto the zero cluster via eigenvectors.
 
-    Requires the gap to be resolved; raises UnresolvedGapError otherwise.
+    Each symbol keeps the eigenvectors whose eigenvalue is at most the
+    cluster threshold, and together they must number the reported kernel
+    dimension.  Requires the gap to be resolved; raises
+    UnresolvedGapError otherwise.
     """
     report = spectral_gap(op, zero_tolerance).require_resolved()
     # spectral_gap has rejected operators that are not square and exactly
-    # symmetric, so the float shadow goes straight to the eigensolver
-    vectors = np.linalg.eigh(op.shadow)[1] if op.rows else np.empty((0, 0))
-    basis = vectors[:, :report.kernel_dim]
-    matrix = basis @ basis.T
-    return _projection_from_array(
-        matrix, "eigen", f"ker[{op.provenance}]")
+    # symmetric, so the symbols go straight to the eigensolver
+    values, vectors = np.linalg.eigh(op.symbols())
+    # eigenvalues ascend, so each symbol keeps a leading block of columns
+    kept = np.count_nonzero(values <= report.threshold, axis=1)
+    if kept.sum() != report.kernel_dim:
+        raise InvariantError(
+            f"{kept.sum()} eigenvectors of {op.provenance!r} lie in the zero "
+            f"cluster, which has {report.kernel_dim} eigenvalues")
+    width = kept.max()
+    basis = vectors[..., :width] * (np.arange(width) < kept[:, None, None])
+    return _projection_from_array(basis @ _adjoint(basis), "eigen",
+                                  f"ker[{op.provenance}]", op.characters)
 
 
 def heat_projection(op: EvaluatedOperator, gap_hint: float,
@@ -410,26 +530,30 @@ def heat_projection(op: EvaluatedOperator, gap_hint: float,
     [0, 1 - gap/s] above it.  Squaring it until successive iterates differ
     by less than the tolerance and the a-priori bound
     (1 - gap_hint/s)^(2^k) <= tolerance certifies that the iterate is
-    within tolerance of the exact projection.
+    within tolerance of the exact projection.  Each symbol is squared on
+    its own and made self-adjoint at every step.
     """
     if op.rows != op.cols:
         raise ShapeMismatchError("heat projection requires a square operator")
+    symbols, provenance = op.symbols(), f"heat[{op.provenance}]"
+    identity = np.eye(symbols.shape[1])
     if not (gap_hint > 0) or not math.isfinite(gap_hint):
         if gap_hint == math.inf:
             # Zero operator: the heat semigroup is constant at the identity.
             return _projection_from_array(
-                np.eye(op.rows), "heat", f"heat[{op.provenance}]")
+                np.broadcast_to(identity, symbols.shape), "heat", provenance,
+                op.characters)
         raise UnresolvedGapError(
             f"heat projection needs a positive resolved gap hint, "
             f"got {gap_hint!r}")
     scale = max(1.0, op.one_norm())
-    current = np.eye(op.rows) - op.shadow / scale
+    current = identity - symbols / scale
     bound = max(0.0, 1.0 - gap_hint / scale)  # bounds |eigenvalues| off the kernel
     for _ in range(HEAT_MAX_DOUBLINGS):
         squared = current @ current
-        squared = 0.5 * (squared + squared.T)
+        squared = 0.5 * (squared + _adjoint(squared))
         bound *= bound
-        diff = float(np.linalg.norm(squared - current, 2)) if current.size else 0.0
+        diff = _stack_norm(squared - current)
         current = squared
         if diff <= tolerance / 2 and bound <= tolerance / 2:
             break
@@ -437,4 +561,10 @@ def heat_projection(op: EvaluatedOperator, gap_hint: float,
         raise UnresolvedGapError(
             f"heat iteration failed to converge for {op.provenance!r}; "
             f"the gap hint {gap_hint} may be wrong")
-    return _projection_from_array(current, "heat", f"heat[{op.provenance}]")
+    return _projection_from_array(current, "heat", provenance, op.characters)
+
+
+def product_defect(p: ProjectionMatrix, plus: ProjectionMatrix,
+                   minus: ProjectionMatrix) -> float:
+    """||p - p^+ p^-||_2, symbol by symbol."""
+    return _stack_norm(p.symbols - plus.symbols @ minus.symbols)

@@ -16,16 +16,18 @@ from coholap import (
     InvariantError,
     Presentation,
     Representation,
+    SizeBudgetError,
     Word,
     build_complex,
     build_laplacian,
     evaluate,
     free_group_complex,
+    higher_kazhdan_projection,
     spectral_gap,
     surface_genus2_complex,
     todd_coxeter,
 )
-from coholap import cosets
+from coholap import cosets, exact
 from coholap.spectral import CharacterOperator, EvaluatedOperator
 
 TORUS = build_complex(Presentation(("a", "b"), (Word((1, 2, -1, -2)),)),
@@ -190,3 +192,72 @@ class TestCorruptedCoordinates:
         # b goes to 2 in Z/4: consistent with every relator, not onto
         self.evaluate_with(monkeypatch, [2, 4], [[1, 0], [0, 2]],
                            "contradict the coset table")
+
+
+def differential_ranks(spec, rep, threshold):
+    return [evaluate(spec.differential(n), rep).rank(threshold)
+            for n in range(spec.top_degree)]
+
+
+@pytest.mark.parametrize("method", ["eigen", "heat"])
+@pytest.mark.parametrize("name, spec, extra", CORPUS,
+                         ids=[name for name, *_ in CORPUS])
+def test_projections_match_the_dense_path(name, spec, extra, method):
+    rep = quotient(spec, extra)
+    dense = dense_twin(rep)
+    for degree in range(spec.top_degree + 1):
+        fast = higher_kazhdan_projection(spec, degree, rep, method=method)
+        slow = higher_kazhdan_projection(spec, degree, dense, method=method)
+        for part in ("gap", "gap_plus", "gap_minus"):
+            a, b = getattr(fast, part), getattr(slow, part)
+            assert a.kernel_dim == b.kernel_dim
+            assert (a.backend, b.backend) == ("characters", "dense")
+        threshold = fast.gap.threshold
+        assert (differential_ranks(spec, rep, threshold)
+                == differential_ranks(spec, dense, threshold))
+        assert fast.product_defect <= 1e-12
+        assert slow.product_defect <= 1e-12
+        for a, b in ((fast.projection, slow.projection),
+                     (fast.plus, slow.plus), (fast.minus, slow.minus)):
+            assert (a.backend, b.backend) == ("characters", "dense")
+            assert a.method == b.method == method
+            assert a.dimension == b.dimension
+            assert abs(a.trace() - b.trace()) <= 1e-9
+            assert abs(a.max_abs_entry() - b.max_abs_entry()) <= 1e-9
+            assert np.linalg.norm(a.matrix - b.matrix, 2) <= 1e-9
+            for p in (a, b):
+                assert p.idempotency_defect <= 1e-12
+                assert p.selfadjoint_defect <= 1e-12
+
+
+@pytest.mark.parametrize("name, spec, extra", CORPUS,
+                         ids=[name for name, *_ in CORPUS])
+def test_exact_product_check_matches_the_dense_product(name, spec, extra):
+    rep = quotient(spec, extra)
+    dense = dense_twin(rep)
+    for degree in range(spec.top_degree + 1):
+        bundle = build_laplacian(spec, degree)
+        plus, minus = bundle.plus_part, bundle.minus_part
+        for left, right in ((plus, minus), (plus, plus),
+                            (minus, bundle.laplacian)):
+            oracle = exact.is_zero(exact.matmul(
+                evaluate(left, dense).exact_matrix,
+                evaluate(right, dense).exact_matrix))
+            for backend in (rep, dense):
+                product_is_zero = evaluate(left, backend).product_is_zero_exact(
+                    evaluate(right, backend))
+                assert product_is_zero == oracle
+        assert evaluate(plus, rep).product_is_zero_exact(evaluate(minus, rep))
+        # Delta^+ is self-adjoint: its square vanishes only when it does
+        assert (evaluate(plus, rep).product_is_zero_exact(evaluate(plus, rep))
+                == evaluate(plus, rep).is_zero_exact())
+
+
+def test_a_projection_wider_than_the_budget_refuses_its_matrix():
+    # genus 2 over (Z/6)^4 in degree 1: 5184 wide, projected on characters
+    rep = quotient(GENUS2, abelian_words("abcd", 6))
+    projection = higher_kazhdan_projection(GENUS2, 1, rep).projection
+    assert projection.backend == "characters"
+    assert abs(projection.trace() - 2594) < 1e-6
+    with pytest.raises(SizeBudgetError, match="5184"):
+        _ = projection.matrix

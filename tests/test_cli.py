@@ -50,6 +50,11 @@ def genus2_abelian_payload(ms):
     }
 
 
+# PSL(2,13) = <x, y | x^13, y^2, (xy)^3, (x^4 y x^7 y)^2>, with c = b, d = a
+PSL2_13_STAGE = ["a^13", "b^2", "a*b*a*b*a*b", "a^4*b*a^7*b*a^4*b*a^7*b",
+                 "c*b^-1", "d*a^-1"]
+
+
 def run_cli(tmp_path, capsys, command, payload, *extra, out_name="out"):
     """Run one command; a str payload is written as raw JSON text."""
     spec = tmp_path / f"exp-{command}-{out_name}.json"
@@ -191,16 +196,16 @@ class TestBetti:
         assert not (out / "betti.json").exists()
 
     def test_stage_above_the_dense_budget_is_refused(self, tmp_path, capsys):
-        # genus 2 over (Z/6)^4 in degree 1 is 4 * 1296 = 5184 wide.  Its
-        # Betti number comes from the character basis (see below), but a
+        # genus 2 onto PSL(2,13) (a, b -> x, y and c, d -> y, x) in degree
+        # 1 is 4 * 1092 = 4368 wide.  The quotient is not abelian, so the
         # projection needs the dense grid, which is refused unbuilt
-        payload = genus2_abelian_payload([6])
+        payload = dict(genus2_abelian_payload([]), chain=[PSL2_13_STAGE])
         code, stdout, out = run_cli(tmp_path, capsys, "project", payload,
-                                    "--ball-radius", "2")
+                                    "--ball-radius", "0")
         assert code == 1
         error = json.loads(stdout)["error"]
         assert error["type"] == "SizeBudgetError"
-        assert "5184" in error["message"]
+        assert "4368" in error["message"]
         assert json.loads((out / "error.json").read_text()) == {"error": error}
         assert not (out / "project.json").exists()
 
@@ -364,6 +369,31 @@ class TestProject:
                              dict(CYCLIC3, method="cayley"))
         assert code == 2
 
+    @pytest.mark.parametrize("method", ["eigen", "heat"])
+    def test_abelian_stage_above_the_dense_budget(self, tmp_path, capsys,
+                                                  method):
+        # genus 2 over (Z/6)^4 in degree 1, 5184 wide: one 4 x 4 symbol
+        # per character, so no n x n array is built
+        start = time.perf_counter()
+        code, stdout, out = run_cli(
+            tmp_path, capsys, "project",
+            dict(genus2_abelian_payload([6]), method=method),
+            "--ball-radius", "2")
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        (stage,) = json.loads(stdout)["stages"]
+        traces = (stage["trace"], stage["trace_plus"], stage["trace_minus"])
+        assert all(abs(t - r) < 1e-6 for t, r in zip(traces,
+                                                      (2594, 3889, 3889)))
+        assert abs(stage["max_abs_entry"] - 2594 / 5184) < 1e-9
+        assert stage["backend"] == "characters"
+        for key in ("product_defect", "idempotency_defect",
+                    "selfadjoint_defect"):
+            assert stage[key] <= 1e-12
+        header, _rows = read_csv(out, "project")
+        assert "backend" not in header
+        assert elapsed < 10
+
 
 class TestObstruct:
     def test_persistent_discrepancy(self, tmp_path, capsys):
@@ -466,6 +496,20 @@ class TestGhost:
         assert header == ["position", "quotient_order", "max_abs_entry",
                           "trace"]
         assert len(rows) == 2
+        assert [r["backend"] for r in report["records"]] == ["characters"] * 2
+
+    def test_abelian_stage_above_the_dense_budget(self, tmp_path, capsys):
+        start = time.perf_counter()
+        code, stdout, _ = run_cli(tmp_path, capsys, "ghost",
+                                  genus2_abelian_payload([6]),
+                                  "--ball-radius", "2")
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        (record,) = json.loads(stdout)["records"]
+        assert abs(record["trace"] - 2594) < 1e-6
+        assert abs(record["max_abs_entry"] - 2594 / 5184) < 1e-9
+        assert record["backend"] == "characters"
+        assert elapsed < 10
 
 
 class TestVerifyCert:

@@ -259,11 +259,12 @@ class TestProjections:
         assert abs(proj.trace() - 1.0) < 1e-9
 
     def test_selfadjoint_defect(self):
+        # one dense symbol each
         sym = _projection_from_array(
-            np.array([[1.0, 0.5], [0.5, 0.0]]), "eigen", "")
+            np.array([[[1.0, 0.5], [0.5, 0.0]]]), "eigen", "")
         assert sym.selfadjoint_defect == 0.0
         skew = _projection_from_array(
-            np.array([[1.0, 0.5], [0.25, 0.0]]), "eigen", "")
+            np.array([[[1.0, 0.5], [0.25, 0.0]]]), "eigen", "")
         assert skew.selfadjoint_defect == pytest.approx(0.25)
 
     def test_heat_agrees_with_eigen(self):
