@@ -102,7 +102,9 @@ def higher_kazhdan_projection(spec: CochainComplexSpec, degree: int,
     ker Delta_n^- = ker d_{n-1}* are verified against the numerical
     ``rank`` of the evaluated differentials, and the factorization
     p = p^+ p^- (exact in the limit because Delta^+ Delta^- = 0) is
-    recorded as a defect norm.  Every step runs on the operators' symbols:
+    recorded as a defect norm.  ``method`` "eigen" or "heat" picks
+    ``kernel_projection`` or ``heat_projection``; each reads its gap from
+    ``spectral_gap``.  Every step runs on the operators' symbols:
     one k x k block per character on an abelian stage, the n x n shadow
     otherwise.
     """
@@ -136,12 +138,8 @@ def higher_kazhdan_projection(spec: CochainComplexSpec, degree: int,
                 f"ker Delta^{key} ({gaps[key].kernel_dim}) differs from "
                 f"{kernel} ({dim - rank}) under {tag!r}")
 
-    def project(key: str) -> ProjectionMatrix:
-        if method == "heat":
-            return heat_projection(ops[key], gaps[key].gap, zero_tolerance)
-        return kernel_projection(ops[key], zero_tolerance)
-
-    p, p_plus, p_minus = project(""), project("+"), project("-")
+    project = heat_projection if method == "heat" else kernel_projection
+    p, p_plus, p_minus = (project(op, zero_tolerance) for op in ops.values())
     return KazhdanProjections(
         degree=degree, projection=p, plus=p_plus, minus=p_minus,
         gap=gaps[""], gap_plus=gaps["+"], gap_minus=gaps["-"],

@@ -32,7 +32,8 @@ Spectral quantities follow one convention throughout:
 
 Kernel projections come from two independent routes, eigenvector outer
 products and repeated squaring of I - M/s with s = max(1, ||M||_1) (a
-discrete heat semigroup), which the tests require to agree.
+discrete heat semigroup), which the tests require to agree.  Both take
+``(op, zero_tolerance)`` and read the gap from ``spectral_gap``.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exact
-from .cosets import Representation
+from .cosets import CosetTable, Representation
 from .errors import (
     InvariantError,
     NotPositiveSemidefiniteError,
@@ -238,10 +239,10 @@ def evaluate(matrix: GroupRingMatrix, rep: Representation,
     with integer coefficients of absolute sum below 2**62 it is int64.
     Such an integral matrix under the regular representation of a
     quotient whose generators commute is held in character form: each
-    term adds its coefficient to v_ij at the coset its word sends coset 0
-    to.  Otherwise each term is one scatter into the dense grid, which
-    raises SizeBudgetError, before allocating, when its larger side
-    exceeds ``DENSE_EIG_CUTOFF``.
+    term adds its coefficient to v_ij at coset 0 * word^-1, walked letter
+    by letter through the coset table.  Otherwise each term is one
+    scatter into the dense grid, which raises SizeBudgetError, before
+    allocating, when its larger side exceeds ``DENSE_EIG_CUTOFF``.
     """
     provenance = provenance or f"{matrix.rows}x{matrix.cols}@{rep.label or 'rep'}"
     terms = [(i, j, word, coeff)
@@ -258,7 +259,10 @@ def evaluate(matrix: GroupRingMatrix, rep: Representation,
         orders, codes = characters
         v = np.zeros((matrix.rows, matrix.cols, rep.dimension), dtype=np.int64)
         for i, j, word, coeff in terms:
-            v[i, j, codes[rep.word_perm(word)[0]]] += coeff.numerator
+            coset = 0
+            for letter in reversed(word):
+                coset = rep.table.columns[CosetTable._column(-letter), coset]
+            v[i, j, codes[coset]] += coeff.numerator
         result = CharacterOperator(
             v.reshape(matrix.rows, matrix.cols, *orders), characters,
             provenance)
@@ -522,45 +526,40 @@ def kernel_projection(op: EvaluatedOperator,
                                   f"ker[{op.provenance}]", op.characters)
 
 
-def heat_projection(op: EvaluatedOperator, gap_hint: float,
-                    tolerance: float = DEFAULT_ZERO_TOLERANCE) -> ProjectionMatrix:
+def heat_projection(op: EvaluatedOperator,
+                    zero_tolerance: float = DEFAULT_ZERO_TOLERANCE) -> ProjectionMatrix:
     """Kernel projection as the limit of (I - M/s)^(2^k), s = max(1, ||M||_1).
 
     I - M/s has eigenvalue 1 on the kernel and eigenvalues in
-    [0, 1 - gap/s] above it.  Squaring it until successive iterates differ
-    by less than the tolerance and the a-priori bound
-    (1 - gap_hint/s)^(2^k) <= tolerance certifies that the iterate is
-    within tolerance of the exact projection.  Each symbol is squared on
-    its own and made self-adjoint at every step.
+    [0, 1 - gap/s] above it, gap and s as ``spectral_gap`` reports them.
+    Squaring it until the a-priori bound (1 - gap/s)^(2^k), and only then
+    the difference of successive iterates, is at most half the tolerance
+    certifies that the iterate is within tolerance of the exact
+    projection.  Each symbol is squared on its own and made self-adjoint
+    at every step.  Raises UnresolvedGapError for an unresolved gap.
     """
-    if op.rows != op.cols:
-        raise ShapeMismatchError("heat projection requires a square operator")
+    report = spectral_gap(op, zero_tolerance).require_resolved()
     symbols, provenance = op.symbols(), f"heat[{op.provenance}]"
     identity = np.eye(symbols.shape[1])
-    if not (gap_hint > 0) or not math.isfinite(gap_hint):
-        if gap_hint == math.inf:
-            # Zero operator: the heat semigroup is constant at the identity.
-            return _projection_from_array(
-                np.broadcast_to(identity, symbols.shape), "heat", provenance,
-                op.characters)
-        raise UnresolvedGapError(
-            f"heat projection needs a positive resolved gap hint, "
-            f"got {gap_hint!r}")
-    scale = max(1.0, op.one_norm())
-    current = identity - symbols / scale
-    bound = max(0.0, 1.0 - gap_hint / scale)  # bounds |eigenvalues| off the kernel
+    if report.gap == math.inf:
+        # every eigenvalue is in the zero cluster: the projection is I
+        return _projection_from_array(
+            np.broadcast_to(identity, symbols.shape), "heat", provenance,
+            op.characters)
+    current = identity - symbols / report.scale
+    bound = max(0.0, 1.0 - report.gap / report.scale)
+    half = zero_tolerance / 2
     for _ in range(HEAT_MAX_DOUBLINGS):
         squared = current @ current
         squared = 0.5 * (squared + _adjoint(squared))
         bound *= bound
-        diff = _stack_norm(squared - current)
+        converged = bound <= half and _stack_norm(squared - current) <= half
         current = squared
-        if diff <= tolerance / 2 and bound <= tolerance / 2:
+        if converged:
             break
     else:
         raise UnresolvedGapError(
-            f"heat iteration failed to converge for {op.provenance!r}; "
-            f"the gap hint {gap_hint} may be wrong")
+            f"heat iteration failed to converge for {op.provenance!r}")
     return _projection_from_array(current, "heat", provenance, op.characters)
 
 

@@ -122,6 +122,27 @@ def test_character_form_matches_the_dense_path(name, spec, extra):
         assert fast.exact_matrix == slow.exact_matrix
 
 
+@pytest.mark.parametrize("name, spec, extra", CORPUS,
+                         ids=[name for name, *_ in CORPUS])
+def test_coefficients_match_the_word_perm_route(name, spec, extra):
+    """The coset-0 walk of ``evaluate`` against reading coset 0's image
+    off the whole permutation pi(word)."""
+    rep = quotient(spec, extra)
+    orders, codes = rep.characters
+    laplacians, others = operators(spec)
+    for matrix in laplacians + others:
+        v = np.zeros((matrix.rows, matrix.cols, rep.dimension),
+                     dtype=np.int64)
+        for i in range(matrix.rows):
+            for j in range(matrix.cols):
+                for word, coeff in matrix.entry(i, j).terms():
+                    v[i, j, codes[rep.word_perm(word)[0]]] += coeff.numerator
+        op = evaluate(matrix, rep)
+        assert type(op) is CharacterOperator
+        assert np.array_equal(
+            op.coefficients, v.reshape(matrix.rows, matrix.cols, *orders))
+
+
 def test_checks_see_asymmetric_and_nonzero_operators():
     rep = quotient(TORUS, ["a^3", "b^4"])
     dense = dense_twin(rep)

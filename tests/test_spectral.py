@@ -270,9 +270,8 @@ class TestProjections:
     def test_heat_agrees_with_eigen(self):
         rep = regular_rep(F2, ["a^3", "b^3", "a*b*a^-1*b^-1"])
         op = laplacian_operator(F2, rep)
-        gap = spectral_gap(op).require_resolved().gap
         eigen = kernel_projection(op)
-        heat = heat_projection(op, gap_hint=gap, tolerance=1e-10)
+        heat = heat_projection(op, zero_tolerance=1e-10)
         assert projection_distance(eigen, heat) < 1e-6
         assert heat.method == "heat"
         assert eigen.method == "eigen"
@@ -280,22 +279,43 @@ class TestProjections:
     def test_heat_on_zero_operator_is_identity(self):
         rep = regular_rep(F1, ["a^3"])
         op = evaluate(GroupRingMatrix.zero(1, 1), rep)
-        proj = heat_projection(op, gap_hint=math.inf)
+        proj = heat_projection(op)
         assert np.array_equal(proj.matrix, np.eye(3))
 
-    def test_heat_rejects_bad_hint(self):
-        rep = regular_rep(F1, ["a^3"])
-        op = laplacian_operator(F1, rep)
-        with pytest.raises(UnresolvedGapError):
-            heat_projection(op, gap_hint=0.0)
-        with pytest.raises(UnresolvedGapError):
-            heat_projection(op, gap_hint=-2.0)
+    @pytest.mark.parametrize("dense", [False, True],
+                             ids=["characters", "dense"])
+    def test_heat_takes_no_norm_before_its_bound_can_stop_it(
+            self, monkeypatch, dense):
+        rep = regular_rep(F2, ["a^8", "b^8", "a*b*a^-1*b^-1"])
+        if dense:
+            rep = Representation(rep.dimension, perms=rep.perms)
+        op = laplacian_operator(F2, rep)
+        report = spectral_gap(op)
+        # doubling k symmetrizes its square, one _adjoint call, before it
+        # may take the norm of its difference
+        adjoints, norms = [], []
+        adjoint, stack_norm = spectral._adjoint, spectral._stack_norm
+        monkeypatch.setattr(spectral, "_adjoint", lambda stack: (
+            adjoints.append(1) or adjoint(stack)))
+        monkeypatch.setattr(spectral, "_stack_norm", lambda stack: (
+            norms.append(len(adjoints)) or stack_norm(stack)))
+        heat_projection(op)
+        bounds = [max(0.0, 1.0 - report.gap / report.scale)]
+        while len(bounds) <= max(norms):
+            bounds.append(bounds[-1] * bounds[-1])
+        half = report.zero_tolerance / 2
+        first = next(k for k, bound in enumerate(bounds) if bound <= half)
+        assert first > 1
+        assert norms[0] == first
+        assert all(bounds[k] <= half for k in norms)
 
-    def test_unresolved_gap_blocks_projection(self):
+    @pytest.mark.parametrize("project", [kernel_projection, heat_projection],
+                             ids=["eigen", "heat"])
+    def test_unresolved_gap_blocks_projection(self, project):
         rep = regular_rep(F1, ["a^3"])
         op = laplacian_operator(F1, rep)
         with pytest.raises(UnresolvedGapError):
-            kernel_projection(op, zero_tolerance=0.2)
+            project(op, zero_tolerance=0.2)
 
     def test_projection_annihilates_operator_range(self):
         rep = regular_rep(F2, ["a^2", "b^4", "a*b*a^-1*b^-1"])

@@ -4,7 +4,9 @@ Runs each of the 8 ``coholap`` commands on each experiment description in
 ``demos/specs`` at ``--ball-radius 3``, plus ``luck`` on
 ``genus2_chain.json`` at ``--ball-radius 5``, where the chain fails to
 separate, and each ``demos/tour_*.py`` script, with the ``src/`` of the
-checkout this script lives in.  Prints one SHA-256 per exit code,
+checkout this script lives in.  ``project`` and ``ghost`` also run on a
+copy of each description with ``"method": "heat"`` in ``specs/heat/``,
+its lines tagged with that directory.  Prints one SHA-256 per exit code,
 stdout, stderr (the only place a ``SeparationWarning`` and its first
 failing word reach the user) and written file (``run_meta.json`` holds
 timestamps and paths and is left out).  Every run happens in a scratch
@@ -36,6 +38,7 @@ ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = ("betti", "euler", "ghost", "luck", "obstruct", "project",
             "spectrum", "verify-cert")
 EXTRA_RUNS = (("genus2_chain.json", "luck", "5"),)
+HEAT_COMMANDS = ("ghost", "project")
 
 
 def _digest(data: bytes) -> str:
@@ -72,11 +75,18 @@ def main() -> int:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     specs = sorted(p.name for p in (ROOT / "demos" / "specs").glob("*.json"))
     runs = [(spec, command, "3") for spec in specs for command in COMMANDS]
+    heat_runs = [(f"heat/{spec}", command, "3")
+                 for spec in specs for command in HEAT_COMMANDS]
     tours = sorted(p.name for p in (ROOT / "demos").glob("tour_*.py"))
     with tempfile.TemporaryDirectory() as scratch:
         shutil.copytree(ROOT / "demos" / "specs", Path(scratch, "specs"))
         shutil.copytree(ROOT / "demos", Path(scratch, "demos"))
-        for spec, command, radius in [*runs, *EXTRA_RUNS]:
+        Path(scratch, "specs", "heat").mkdir()
+        for spec in specs:
+            payload = json.loads(Path(scratch, "specs", spec).read_text())
+            Path(scratch, "specs", "heat", spec).write_text(
+                json.dumps({**payload, "method": "heat"}))
+        for spec, command, radius in [*runs, *EXTRA_RUNS, *heat_runs]:
             out = Path(scratch, "out")
             shutil.rmtree(out, ignore_errors=True)
             done = subprocess.run(
