@@ -13,7 +13,6 @@ a lifted reference value along the chain.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -258,28 +257,29 @@ def _times_base(power, base, radix: int):
                 for digits, coeff in base[m][j]:
                     codes.append(_right_multiply(left_codes, digits, radix))
                     coeffs.append(left_coeffs * coeff)
-            merged, where = np.unique(np.concatenate(codes),
-                                      return_inverse=True)
-            summed = np.zeros(merged.size, dtype=coeffs[0].dtype)
-            np.add.at(summed, where, np.concatenate(coeffs))
+            codes, coeffs = np.concatenate(codes), np.concatenate(coeffs)
+            order = np.argsort(codes, kind="stable")
+            codes, coeffs = codes[order], coeffs[order]
+            starts = np.flatnonzero(np.diff(codes, prepend=-1))
+            merged, summed = codes[starts], np.add.reduceat(coeffs, starts)
             keep = summed != 0
             row.append((merged[keep], summed[keep]))
         out.append(row)
     return out
 
 
-def _paired_trace(a, b) -> int:
+def _paired_trace(a, b, dtype) -> int:
     """tau(A B) = sum_{i,j} <A[i][j], B[i][j]> for self-adjoint B, since
-    B[j][i](w^-1) = B[i][j](w)."""
+    B[j][i](w^-1) = B[i][j](w); B codes searched in A's, summed in dtype."""
     total = 0
     for row_a, row_b in zip(a, b):
         for (codes_a, coeffs_a), (codes_b, coeffs_b) in zip(row_a, row_b):
-            _, left, right = np.intersect1d(codes_a, codes_b,
-                                            assume_unique=True,
-                                            return_indices=True)
-            # summed as Python ints: a product can pass 2**63
-            total += sum(map(operator.mul, coeffs_a[left].tolist(),
-                             coeffs_b[right].tolist()))
+            if not codes_a.size:
+                continue
+            where = np.searchsorted(codes_a, codes_b).clip(0, codes_a.size - 1)
+            hit = codes_a[where] == codes_b
+            total += int(coeffs_a[where[hit]].astype(dtype)
+                         @ coeffs_b[hit].astype(dtype))
     return total
 
 
@@ -370,8 +370,8 @@ def _free_power_traces(matrix: GroupRingMatrix, m_max: int, term_budget: int
     least significant digit (s_i is 2i - 1, s_i^-1 is 2i); an entry of
     M^j is a sorted array of codes with an array of coefficients.  Both
     are int64 when every code and every partial sum provably fits, else
-    Python ints.  tau(M^j) is evaluated as tau(M^a M^b) with
-    a = ceil(j/2), so only powers up to ceil(m_max/2) are multiplied out.
+    Python ints; so is the pairing tau(M^j) = tau(M^a M^b), a = ceil(j/2),
+    by l1^j < 2**63.  Only powers up to ceil(m_max/2) are multiplied out.
     """
     if not matrix.is_self_adjoint():
         raise InvariantError("free-ring power traces need a self-adjoint "
@@ -396,17 +396,17 @@ def _free_power_traces(matrix: GroupRingMatrix, m_max: int, term_budget: int
                   np.ones(int(i == j), dtype=coeff_type))
                  for j in range(k)] for i in range(k)]
     powers = [identity, _times_base(identity, base, radix)]  # M^0, M^1
-    cutoff = False
     while len(powers) <= top:
         nxt = _times_base(powers[-1], base, radix)
         if sum(codes.size for row in nxt for codes, _ in row) > term_budget:
-            cutoff = True
             break
         powers.append(nxt)
     # tau(M^j) = tau(M^ceil(j/2) M^floor(j/2)) needs M^ceil(j/2)
     last = min(m_max, 2 * len(powers) - 2)
-    return [Fraction(_paired_trace(powers[(j + 1) // 2], powers[j // 2]),
-                     clear ** j) for j in range(1, last + 1)], cutoff
+    traces = [Fraction(_paired_trace(powers[(j + 1) // 2], powers[j // 2],
+                                     np.int64 if l1 ** j < 2**63 else object),
+                       clear ** j) for j in range(1, last + 1)]
+    return traces, len(powers) <= top
 
 
 def _regular_power_traces(matrix: GroupRingMatrix, m_max: int,
@@ -415,21 +415,20 @@ def _regular_power_traces(matrix: GroupRingMatrix, m_max: int,
     presented group being finite with regular coset table ``table``.
 
     With c clearing the denominators of M, A = pi(cM) is an integer
-    matrix and tau(M^j) = tr(A^j) / (c^j |G|).
+    matrix; every diagonal entry of a regular block is the coefficient at
+    the identity, so c^j tau(M^j) sums the k diagonal entries of A^j at
+    coset 0 (cell i at index i |G|).  Only those k columns are carried.
     """
     rep = Representation.from_coset_table(table, label="full-regular")
-    clear = _denominator_lcm(matrix)
+    clear, size = _denominator_lcm(matrix), table.coset_count
     base = evaluate(matrix.scale(clear), rep,
                     provenance="cX@full-regular").exact_matrix
-    traces = []
-    power = base
-    for j in range(1, m_max + 1):
-        # summed as Python ints: an int64 trace could overflow
-        traces.append(Fraction(sum(power.array.diagonal().tolist()),
-                               clear ** j * table.coset_count))
-        if j < m_max:
-            power = exact.matmul(power, base)
-    return traces
+    columns = [exact.Matrix(base.array[:, ::size])]
+    while len(columns) < m_max:
+        columns.append(exact.matmul(base, columns[-1]))
+    # summed as Python ints: an int64 trace could overflow
+    return [Fraction(sum(c.array[::size].diagonal().tolist()), clear ** j)
+            for j, c in enumerate(columns, start=1)]
 
 
 # ---------------------------------------------------------------------------

@@ -483,8 +483,8 @@ def _adjoint(stack: np.ndarray) -> np.ndarray:
 
 
 def _stack_norm(stack: np.ndarray) -> float:
-    """2-norm of the block-diagonal operator with these blocks."""
-    return float(np.linalg.norm(stack, 2, axis=(1, 2)).max())
+    """2-norm of a stack of Hermitian blocks: the largest |eigenvalue|."""
+    return float(np.abs(np.linalg.eigvalsh(stack)).max())
 
 
 def _projection_from_array(symbols: np.ndarray, method: str,
@@ -494,7 +494,7 @@ def _projection_from_array(symbols: np.ndarray, method: str,
     adjoint = _adjoint(symbols)
     # an exactly self-adjoint stack has defect 0.0 without an SVD
     sym = (0.0 if np.array_equal(symbols, adjoint)
-           else _stack_norm(symbols - adjoint))
+           else float(np.linalg.norm(symbols - adjoint, 2, (1, 2)).max()))
     return ProjectionMatrix(
         symbols=symbols, method=method,
         idempotency_defect=idem, selfadjoint_defect=sym,
@@ -565,5 +565,6 @@ def heat_projection(op: EvaluatedOperator,
 
 def product_defect(p: ProjectionMatrix, plus: ProjectionMatrix,
                    minus: ProjectionMatrix) -> float:
-    """||p - p^+ p^-||_2, symbol by symbol."""
-    return _stack_norm(p.symbols - plus.symbols @ minus.symbols)
+    """||p - p^+ p^-||_2, symbol by symbol, by SVD: it is not Hermitian."""
+    return float(np.linalg.norm(p.symbols - plus.symbols @ minus.symbols, 2,
+                                (1, 2)).max())

@@ -6,6 +6,7 @@ corpus, on orthogonal representations, on rational coefficients and on
 integers too large for int64.
 """
 
+import math
 from fractions import Fraction
 from random import Random
 
@@ -14,6 +15,7 @@ import pytest
 
 from conftest import random_element, slow_evaluate, slow_matmul
 from test_acceptance import CORPUS, S3
+from test_pipeline import s4_complex
 
 from coholap import (
     GroupRingElement,
@@ -33,10 +35,28 @@ from coholap import (
 from coholap import exact
 
 F2 = Presentation(("a", "b"), ())
+# PSL(2, 7) = <a, b | a^7, b^2, (ab)^3, (a^4 b a^4 b)^2>, of order 168
+PSL27 = build_complex(Presentation(
+    ("a", "b"), (Word((1,) * 7), Word((2, 2)), Word((1, 2) * 3),
+                 Word((1, 1, 1, 1, 2) * 4))))
 
 
 def int_matrix(rows):
     return exact.Matrix(np.array(rows, dtype=np.int64))
+
+
+def spy_matmul(monkeypatch):
+    """Record (left shape, right shape, result dtype) of every exact
+    product."""
+    products, matmul = [], exact.matmul
+
+    def spy(a, b):
+        out = matmul(a, b)
+        products.append((a.array.shape, b.array.shape, out.array.dtype))
+        return out
+
+    monkeypatch.setattr(exact, "matmul", spy)
+    return products
 
 
 class TestMatrix:
@@ -248,17 +268,27 @@ class TestEvaluateOracle:
 
 
 def slow_finite_upper_bounds(spec, degree, r_bound, m_max):
+    """u_M = tr(T^M) / |G| from whole powers of the regular matrix
+    T = I - Delta/R.  T = B / s for the integer matrix B = sT, and each
+    power of B is multiplied by B entry by entry, over the nonzeros of
+    B's columns."""
     table = todd_coxeter(spec.presentation)
     rep = Representation.from_coset_table(table)
     delta = slow_evaluate(build_laplacian(spec, degree).laplacian, rep)
     n = len(delta)
-    t = tuple(tuple(Fraction(int(i == j)) - delta[i][j] / r_bound
-                    for j in range(n)) for i in range(n))
-    values, power = [], t
-    for _ in range(m_max):
-        values.append(sum((power[i][i] for i in range(n)), Fraction(0))
-                      / table.coset_count)
-        power = slow_matmul(power, t)
+    t = [[Fraction(int(i == j)) - delta[i][j] / r_bound for j in range(n)]
+         for i in range(n)]
+    scale = math.lcm(*(entry.denominator for row in t for entry in row))
+    base = [[int(entry * scale) for entry in row] for row in t]
+    columns = [[(l, row[j]) for l, row in enumerate(base) if row[j]]
+               for j in range(n)]
+    values, power = [], base
+    for m in range(1, m_max + 1):
+        values.append(Fraction(sum(power[i][i] for i in range(n)),
+                               scale ** m * table.coset_count))
+        if m < m_max:
+            power = [[sum(row[l] * entry for l, entry in column)
+                      for column in columns] for row in power]
     return values
 
 
@@ -267,6 +297,9 @@ class TestFiniteUpperBoundsOracle:
         (cyclic_group_complex(5), 0, None, 16),
         (cyclic_group_complex(3), 1, Fraction(100, 3), 6),
         (S3, 1, None, 8),
+        pytest.param(s4_complex(), 1, None, 16, id="S4-1-16"),
+        pytest.param(s4_complex(), 2, None, 16, id="S4-2-16"),
+        pytest.param(PSL27, 1, None, 3, id="PSL27-1-3"),
     ])
     def test_matches_fraction_powers(self, spec, degree, norm_bound, m_max):
         report = l2_betti_upper_bounds(spec, degree, m_max=m_max,
@@ -286,3 +319,13 @@ class TestFiniteUpperBoundsOracle:
         assert report.backend == "finite-regular"
         assert list(report.values) == slow_finite_upper_bounds(
             spec, 2, report.norm_bound, 6)
+
+    def test_only_identity_columns_are_multiplied(self, monkeypatch):
+        products = spy_matmul(monkeypatch)
+        l2_betti_upper_bounds(s4_complex(), 1, m_max=16)
+        # one product per term after the first, each by the k = 2 columns
+        # of the 48 x 48 regular matrix at coset 0; the late columns pass
+        # 2**63 and are multiplied as Python ints
+        assert [(left, right) for left, right, _ in products] == (
+            [((48, 48), (48, 2))] * 15)
+        assert products[-1][2] == object

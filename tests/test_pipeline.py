@@ -485,6 +485,47 @@ class TestFreePowerTracesOracle:
         assert (traces, cutoff) == slow_free_power_traces(matrix, 8, 10**6)
         assert traces[-1] > 2**63
 
+    @staticmethod
+    def pairing_bound_crossed(matrix, m_max):
+        """int64 coefficients (l1^top < 2**62) whose pairing leaves int64
+        partway: l1^m_max >= 2**63."""
+        l1 = sum(abs(coeff) for i in range(matrix.rows)
+                 for j in range(matrix.cols)
+                 for _w, coeff in matrix.entry(i, j).terms())
+        top = (m_max + 1) // 2
+        return l1 ** top < 2**62 <= 2**63 <= l1 ** m_max
+
+    def test_pairing_crosses_the_int64_bound(self):
+        # 1000 (2 + a + a^-1): l1 = 4000, and tau(M^8) = 1000^8 C(16, 8)
+        matrix = element_matrix({Word((1,)): 1000, Word((-1,)): 1000,
+                                 Word(): 2000})
+        assert self.pairing_bound_crossed(matrix, 8)
+        traces, cutoff = _free_power_traces(matrix, 8, 10**6)
+        assert (traces, cutoff) == slow_free_power_traces(matrix, 8, 10**6)
+        assert traces[-1] == 1000**8 * math.comb(16, 8) > 2**63
+
+    def test_pairing_crosses_the_int64_bound_on_the_tree(self):
+        m_max = 22
+        matrix = down_square(free_group_complex(2), 1)
+        assert self.pairing_bound_crossed(matrix, m_max)
+        traces, cutoff = _free_power_traces(matrix, m_max, 2_000_000)
+        # d0* d0 = 4 - A with A the adjacency element of the 4-regular tree
+        walks = tree_walk_counts(4, m_max)
+        assert not cutoff and traces == [
+            sum(math.comb(j, i) * 4 ** (j - i) * (-1) ** i * walks[i]
+                for i in range(j + 1)) for j in range(1, m_max + 1)]
+
+    def test_empty_entries(self):
+        # [[0, x], [x*, 0]]: odd powers have an empty diagonal, even ones
+        # empty off-diagonal entries, so every odd pairing meets an empty
+        # entry on one side and every even one on both
+        x = GroupRingElement({Word(): 1, Word((1,)): 1, Word((2,)): 2})
+        zero = GroupRingElement.zero()
+        matrix = GroupRingMatrix(2, 2, [[zero, x], [x.star(), zero]])
+        traces, cutoff = _free_power_traces(matrix, 7, 10**6)
+        assert (traces, cutoff) == slow_free_power_traces(matrix, 7, 10**6)
+        assert traces[::2] == [0] * 4 and all(traces[1::2])
+
     @pytest.mark.parametrize("matrix", [
         element_matrix({Word((1,)): 1, Word(): 2}),
         GroupRingMatrix(2, 2, [

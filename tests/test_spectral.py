@@ -184,7 +184,9 @@ class TestEigenvalueOracles:
         first = spectral_gap(op)
         kernel_projection(op)
         assert spectral_gap(op) == first
-        assert calls == [(9, 9)]
+        # the operator's eigenvalues once; the projection's one-block
+        # stack P^2 - P once, for its idempotency defect
+        assert calls == [(9, 9), (1, 9, 9)]
 
 
 class TestLanczos:
