@@ -493,6 +493,9 @@ def _write_outputs(args, report_text: str, csv_text: str) -> None:
         "package_version": VERSION,
         "python_version": platform.python_version(),
         "numpy_version": np.__version__,
+        # a dense eigensolve's low bits depend on the BLAS thread count
+        "blas_threads": {name: os.environ.get(name) for name in (
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
         "timestamp_utc": datetime.datetime.now(
             datetime.timezone.utc).isoformat(),
     }

@@ -4,9 +4,11 @@ Quotients G/N of a finitely presented group G are specified by extra
 relators whose normal closure is N.  Enumeration of the trivial subgroup
 in <generators | relators + extra relators> (HLT scan-and-fill with
 Holt's eager coincidence routine) yields the regular action of the
-finite quotient.  Tables are renumbered by breadth-first search from the
-identity coset in generator order, so identical inputs produce identical
-tables.
+finite quotient; when the relators include every generator commutator,
+the action is built as translations of the sum of cyclic groups that the
+diagonal form of the exponent sums gives.  Tables are renumbered by
+breadth-first search from the identity coset in generator order, so
+identical inputs produce identical tables.
 
 Chains of such quotients, with strictly increasing order, feed the
 spectral pipeline: each stage carries the exact permutation
@@ -95,21 +97,89 @@ def todd_coxeter(presentation: Presentation,
                  max_cosets: int = DEFAULT_MAX_COSETS) -> CosetTable:
     """Enumerate the regular action of <gens | relators + extra_relators>.
 
-    Raises :class:`EnumerationOverflowError` once more than ``max_cosets``
-    cosets have been defined (the quotient is too large for the budget,
-    or infinite).
+    If the relators include every commutator [s_i, s_j], Q is abelian and
+    built from the diagonal form, ``max_cosets`` bounding |Q|; otherwise
+    scan-and-fill enumerates it, ``max_cosets`` bounding the cosets it
+    defines.  Raises :class:`EnumerationOverflowError` past the budget or
+    on an infinite quotient.
     """
     extras = _coerce_words(presentation, extra_relators)
+    relators = (*presentation.relators, *extras)
+    n = presentation.generator_count
+    if _commuting(relators, n):
+        orders, v = _diagonal_form(_exponent_sums(relators, n), n)
+        if not 0 < (size := math.prod(orders)) <= max_cosets:
+            raise EnumerationOverflowError(
+                f"the abelian quotient has order {size or 'infinity'}, "
+                f"over max_cosets={max_cosets}")
+        columns = _translations(orders, v)[0]
+    else:
+        columns = _scan_and_fill(n, relators, max_cosets)
+    result = CosetTable(presentation, extras, columns)
+    _validate_table(result)
+    return result
+
+
+def _commuting(relators: Sequence[Word], n: int) -> bool:
+    """Whether some relator (a, b, a^-1, b^-1), |a| != |b|, is [s_i, s_j]
+    or a rotation or inverse of it, for every pair i < j."""
+    pairs = {frozenset((abs(w[0]), abs(w[1]))) for w in relators
+             if len(w) == 4 and w[2] == -w[0] and w[3] == -w[1]
+             and abs(w[0]) != abs(w[1])}
+    return len(pairs) == n * (n - 1) // 2
+
+
+def _translations(orders: Sequence[int], v: Sequence[Sequence[int]]
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical columns of Q = sum of Z/orders[j], where s_i adds row i
+    of ``v`` to the mixed-radix coordinates, and each coset's flat
+    coordinate.  Raises InvariantError unless the translations reach
+    every coset."""
+    size = math.prod(orders)
+    digits = np.unravel_index(np.arange(size), orders)
+    columns = np.array([np.ravel_multi_index(
+        [(x + sign * a % d) % d for x, a, d in zip(digits, row, orders)],
+        orders) for row in v for sign in (1, -1)])
+    order, columns = _breadth_first(columns)
+    if order.size != size:
+        raise InvariantError("abelian coordinates contradict the coset "
+                             f"table: they reach {order.size} of {size} cosets")
+    return columns, order
+
+
+def _breadth_first(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cosets reached from coset 0 in canonical order, breadth-first
+    one level at a time, a level keeping each new coset's first occurrence
+    in (parent, column) order; and the columns renumbered in that order."""
+    size = columns.shape[1]
+    unseen = columns.size  # above every position in a level
+    first = np.full(size, unseen)  # position in its level, once reached
+    first[0] = -1
+    levels = [np.zeros(1, dtype=np.int64)]
+    while levels[-1].size:
+        candidates = columns[:, levels[-1]].T.ravel()
+        candidates = candidates[first[candidates] == unseen]
+        position = np.arange(candidates.size)
+        np.minimum.at(first, candidates, position)
+        levels.append(candidates[first[candidates] == position])
+    order = np.concatenate(levels)
+    label = np.full(size, -1)
+    label[order] = np.arange(order.size)
+    return order, label[columns[:, order]]
+
+
+def _scan_and_fill(n: int, words: Sequence[Word],
+                   max_cosets: int) -> np.ndarray:
+    """Canonical columns of <n generators | words>, by scan-and-fill."""
     column_of = CosetTable._column
     # table[column][x] = x * letter(column), or -1; x is live if rep[x] == x.
     # Outside coincidence(), live rows point only at live cosets: no find().
-    table: list[list[int]] = [
-        [] for _ in range(2 * presentation.generator_count)]
+    table: list[list[int]] = [[] for _ in range(2 * n)]
     inverses = [table[column ^ 1] for column in range(len(table))]
     rep: list[int] = []
     relators = [([table[column_of(letter)] for letter in word],
                  [table[column_of(-letter)] for letter in word])
-                for word in (*presentation.relators, *extras)]
+                for word in words]
 
     def new_coset() -> int:
         if len(rep) >= max_cosets:
@@ -193,24 +263,10 @@ def todd_coxeter(presentation: Presentation,
                     column[alpha], inverse[y] = y, alpha
         alpha += 1
 
-    # Canonical renumbering: breadth-first from the identity coset,
-    # exploring columns in generator order.
-    relabel = [-1] * len(rep)
-    relabel[0] = 0
-    order = [0]
-    for x in order:  # grows while it is read
-        for column in table:
-            y = column[x]
-            if relabel[y] < 0:
-                relabel[y] = len(order)
-                order.append(y)
-    if len(order) != sum(x == r for x, r in enumerate(rep)):
+    order, columns = _breadth_first(np.array(table, dtype=np.int64))
+    if order.size != sum(x == r for x, r in enumerate(rep)):
         raise InvariantError("coset table is not transitive after enumeration")
-
-    columns = np.array(relabel, dtype=np.int64)[np.array(table)[:, order]]
-    result = CosetTable(presentation, extras, columns)
-    _validate_table(result)
-    return result
+    return columns
 
 
 def _validate_table(table: CosetTable) -> None:
@@ -228,6 +284,13 @@ def _validate_table(table: CosetTable) -> None:
             x = columns[CosetTable._column(letter)][x]
         if not np.array_equal(x, identity):
             raise InvariantError("a relator fails to act as the identity")
+
+
+def _exponent_sums(relators: Sequence[Word], n: int) -> list[list[int]]:
+    """Row r, column i - 1: the exponent sum of s_i in relator r."""
+    return [[sum((letter > 0) - (letter < 0) for letter in word
+                 if abs(letter) == i) for i in range(1, n + 1)]
+            for word in relators]
 
 
 def _diagonal_form(rows: list[list[int]], n: int
@@ -257,31 +320,16 @@ def _diagonal_form(rows: list[list[int]], n: int
 def _characters(table: CosetTable) -> tuple[tuple[int, ...], np.ndarray]:
     """Orders with Q = sum of Z/orders[j], from the diagonal form of the
     relators' exponent sums, and the flat index codes[x] of each coset's
-    coordinates phi(x), spread from coset 0.  Checked exactly: the orders
-    multiply to |Q|, phi(x * s_i) = phi(x) + a_i and phi is a bijection."""
+    coordinates.  Checked exactly: the orders multiply to |Q| and the
+    table is the one ``_translations`` builds on them."""
     n, size = table.presentation.generator_count, table.coset_count
-    exponents = [[sum((letter > 0) - (letter < 0) for letter in word
-                      if abs(letter) == i) for i in range(1, n + 1)]
-                 for word in (*table.presentation.relators,
-                              *table.extra_relators)]
-    orders, v = _diagonal_form(exponents, n)
+    orders, v = _diagonal_form(_exponent_sums(
+        (*table.presentation.relators, *table.extra_relators), n), n)
     if math.prod(orders) != size:
         raise InvariantError(f"abelian invariants {orders} do not multiply "
                              f"to the quotient order {size}")
-    modulus = np.array(orders, dtype=np.int64)
-    steps = [sign * np.array(row, dtype=np.int64) % modulus
-             for row in v for sign in (1, -1)]  # column order of the table
-    phi = np.zeros((size, n), dtype=np.int64)
-    seen = np.arange(size) == 0
-    while not seen.all():  # the action is transitive
-        for column, step in zip(table.columns, steps):
-            fresh = seen & ~seen[column]
-            phi[column[fresh]] = (phi[fresh] + step) % modulus
-            seen[column[fresh]] = True
-    codes = np.ravel_multi_index(tuple(phi.T), orders)
-    if not (all(np.array_equal((phi + step) % modulus, phi[column])
-                for column, step in zip(table.columns[::2], steps[::2]))
-            and np.array_equal(np.sort(codes), np.arange(size))):
+    columns, codes = _translations(orders, v)
+    if not np.array_equal(columns, table.columns):
         raise InvariantError("abelian coordinates contradict the coset table")
     codes.flags.writeable = False
     return tuple(orders), codes

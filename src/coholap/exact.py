@@ -87,7 +87,8 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
                           .astype(np.int64))
         if bound < INT64_LIMIT:
             return Matrix(x @ y)
-    return Matrix(x.astype(object) @ y.astype(object))
+    return Matrix(x.astype(object, copy=False)
+                  @ y.astype(object, copy=False))
 
 
 def is_zero(m: Matrix) -> bool:

@@ -425,6 +425,8 @@ def _regular_power_traces(matrix: GroupRingMatrix, m_max: int,
                     provenance="cX@full-regular").exact_matrix
     columns = [exact.Matrix(base.array[:, ::size])]
     while len(columns) < m_max:
+        if columns[-1].array.dtype == object:  # cast the base once
+            base = exact.Matrix(base.array.astype(object, copy=False))
         columns.append(exact.matmul(base, columns[-1]))
     # summed as Python ints: an int64 trace could overflow
     return [Fraction(sum(c.array[::size].diagonal().tolist()), clear ** j)

@@ -189,9 +189,10 @@ class TestCorruptedCoordinates:
     RELATORS = ["a^2", "b^4", "a*b*a^-1*b^-1"]  # Z/2 x Z/4, |Q| = 8
 
     def evaluate_with(self, monkeypatch, orders, v, match):
+        # built before the patch, which only _characters may then read
+        rep = quotient(FREE2, self.RELATORS)
         monkeypatch.setattr(cosets, "_diagonal_form",
                             lambda rows, n: (orders, v))
-        rep = quotient(FREE2, self.RELATORS)
         with pytest.raises(InvariantError, match=match):
             evaluate(build_laplacian(FREE2, 0).laplacian, rep)
 

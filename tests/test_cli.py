@@ -116,6 +116,18 @@ class TestSpectrum:
         assert "timestamp_utc" in meta
         assert "python_version" in meta
 
+    def test_run_meta_records_blas_threads(self, tmp_path, capsys,
+                                           monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "4")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        _, stdout, out = run_cli(tmp_path, capsys, "spectrum", CYCLIC3)
+        assert "blas_threads" not in stdout
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert meta["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1",
+                                        "OMP_NUM_THREADS": "4",
+                                        "MKL_NUM_THREADS": None}
+
     def test_tolerance_override_can_unresolve(self, tmp_path, capsys):
         code, stdout, _ = run_cli(tmp_path, capsys, "spectrum", CYCLIC3,
                                   "--tol", "0.2")

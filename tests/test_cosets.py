@@ -1,5 +1,7 @@
 """Coset enumeration, representations, and quotient chains."""
 
+import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 from random import Random
@@ -80,6 +82,9 @@ class TestKnownOrders:
         # gcd(6, 4) = 2: the second relator collapses most cosets
         p = presentation("a", ["a^6", "a^4"])
         assert todd_coxeter(p).coset_count == 2
+        # one generator always takes the abelian front door; scan-and-fill
+        # collapses the same way
+        assert cosets._scan_and_fill(1, p.relators, 10**6).shape == (2, 2)
 
     def test_trivial_quotient(self):
         table = todd_coxeter(F2, words(F2, ["a", "b"]))
@@ -291,6 +296,15 @@ def _respelled(p, extras, rng):
             respell(extras))
 
 
+def _inverted(p, extras):
+    """The same group with every commutator [x, y] written as [y, x]."""
+    def invert(relators):
+        return [w.inverse() if len(w) == 4 and w[2] == -w[0]
+                and w[3] == -w[1] else w for w in relators]
+    return (Presentation(p.generator_names, tuple(invert(p.relators))),
+            invert(extras))
+
+
 def _enumeration_corpus():
     """(name, presentation, extra relators, quotient order)."""
     genus2 = surface_genus2_complex().presentation
@@ -317,17 +331,89 @@ class TestEnumerationOracle:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_identical_columns(self, seed):
+        """The front door (abelian cases), scan-and-fill and the oracle
+        agree on every spelling, commutators inverted or not."""
         rng = Random(seed)
         for name, p, extras, order in _enumeration_corpus():
             table = todd_coxeter(p, extras)
             assert table.coset_count == order, name
             columns = table.columns.tolist()
-            assert columns == list(map(list, slow_todd_coxeter(p, extras))), \
-                name
-            p2, extras2 = _respelled(p, extras, rng)
-            assert todd_coxeter(p2, extras2).columns.tolist() == columns, name
-            assert list(map(list, slow_todd_coxeter(p2, extras2))) == columns, \
-                name
+            spellings = [(p, extras), _respelled(p, extras, rng)]
+            spellings += [_inverted(*spelling) for spelling in spellings]
+            for q, spelled in spellings:
+                assert todd_coxeter(q, spelled).columns.tolist() == columns, \
+                    name
+                assert list(map(list, slow_todd_coxeter(q, spelled))) \
+                    == columns, name
+                assert cosets._scan_and_fill(
+                    q.generator_count, (*q.relators, *spelled), 10**6
+                ).tolist() == columns, name
+
+    def test_front_door_takes_exactly_the_commuting_stages(self):
+        for name, p, extras, order in _enumeration_corpus():
+            for q, spelled in ((p, extras), _inverted(p, extras)):
+                assert cosets._commuting((*q.relators, *spelled),
+                                         q.generator_count) == (
+                    name not in ("S4", "S4-coxeter", "PSL(2,7)", "D7")), name
+
+    def test_a_missing_commutator_still_enumerates(self):
+        genus2 = surface_genus2_complex().presentation
+        extras = _abelian_stages(genus2, (3,))[0]
+        columns = todd_coxeter(genus2, extras).columns
+        # [a, b] and [c, d] follow from the rest and [a, b][c, d] = 1
+        for k in (4, len(extras) - 1):
+            partial = extras[:k] + extras[k + 1:]
+            assert not cosets._commuting((*genus2.relators, *partial), 4)
+            assert np.array_equal(todd_coxeter(genus2, partial).columns,
+                                  columns)
+            assert np.array_equal(slow_todd_coxeter(genus2, partial),
+                                  columns)
+
+    def test_infinite_abelian_quotients_overflow(self):
+        torus = presentation("ab", ["a*b*a^-1*b^-1"])
+        for p, extras in ((torus, []), (F2, words(F2, ["b*a*b^-1*a^-1"])),
+                          (presentation("a", []), []),
+                          (torus, words(torus, ["a^3"]))):
+            with pytest.raises(EnumerationOverflowError, match="infinity"):
+                todd_coxeter(p, extras)
+
+    def test_budget_bounds_the_abelian_order(self):
+        genus2 = surface_genus2_complex().presentation
+        extras = _abelian_stages(genus2, (6,))[0]
+        assert todd_coxeter(genus2, extras, max_cosets=1296).coset_count \
+            == 1296
+        with pytest.raises(EnumerationOverflowError, match="1296"):
+            todd_coxeter(genus2, extras, max_cosets=1295)
+
+    def test_huge_abelian_quotient_refused_before_allocating(self):
+        genus2 = surface_genus2_complex().presentation
+        extras = _abelian_stages(genus2, (1000,))[0]
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationOverflowError):
+                todd_coxeter(genus2, extras)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # |Q| = 10^12 cosets would need 64 TB
+
+    @pytest.mark.parametrize("orders, v, match", [
+        # b translates by 2 in Z/4: the level walk stops at 4 of 8 cosets
+        ([2, 4], [[1, 0], [0, 2]], "reach 4 of 8"),
+        # a goes to (1, 1), of order 4, so a^2 fails to act trivially
+        ([2, 4], [[1, 1], [0, 1]], "relator"),
+        # both translations are zero: one level, one coset reached
+        ([2, 4], [[0, 0], [0, 0]], "reach 1 of 8"),
+    ])
+    def test_a_corrupted_form_raises_promptly(self, monkeypatch, orders, v,
+                                              match):
+        monkeypatch.setattr(cosets, "_diagonal_form",
+                            lambda rows, n: (orders, v))
+        extras = words(F2, ["a^2", "b^4", "a*b*a^-1*b^-1"])
+        start = time.perf_counter()
+        with pytest.raises(InvariantError, match=match):
+            todd_coxeter(F2, extras)
+        assert time.perf_counter() - start < 1.0
 
     def test_columns_are_one_read_only_int64_array(self):
         for name, p, extras, order in _enumeration_corpus():

@@ -10,7 +10,8 @@ its lines tagged with that directory.  Prints one SHA-256 per exit code,
 stdout, stderr (the only place a ``SeparationWarning`` and its first
 failing word reach the user) and written file (``run_meta.json`` holds
 timestamps and paths and is left out).  Every run happens in a scratch
-directory with relative paths, so the output depends only on the code.
+directory with relative paths and one BLAS thread, so the output
+depends only on the code, not on the machine's core count.
 
 A JSON stdout or file also gets a ``~9`` digest, taken after rounding
 every float to 9 significant digits and every float below 1e-9 in
@@ -72,7 +73,10 @@ def _print_process(tag: str, done: subprocess.CompletedProcess) -> None:
 
 
 def main() -> int:
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    # one BLAS thread: a dense gap's low bits depend on the thread count
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
     specs = sorted(p.name for p in (ROOT / "demos" / "specs").glob("*.json"))
     runs = [(spec, command, "3") for spec in specs for command in COMMANDS]
     heat_runs = [(f"heat/{spec}", command, "3")
