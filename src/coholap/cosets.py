@@ -6,9 +6,9 @@ in <generators | relators + extra relators> (HLT scan-and-fill with
 Holt's eager coincidence routine) yields the regular action of the
 finite quotient; when the relators include every generator commutator,
 the action is built as translations of the sum of cyclic groups that the
-diagonal form of the exponent sums gives.  Tables are renumbered by
-breadth-first search from the identity coset in generator order, so
-identical inputs produce identical tables.
+diagonal form of the exponent sums gives; every abelian table carries
+those coordinates.  Tables are renumbered breadth-first from the identity
+coset in generator order, so identical inputs produce identical tables.
 
 Chains of such quotients, with strictly increasing order, feed the
 spectral pipeline: each stage carries the exact permutation
@@ -22,7 +22,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence, Union
 
@@ -74,18 +73,23 @@ class CosetTable:
     permutation of generator ``s_i`` acting on the right
     (coset -> coset * s_i) and row ``2*(i-1)+1`` its inverse.  Coset 0 is
     the identity coset and numbering is canonical (breadth-first from 0
-    in generator order).
+    in generator order).  ``characters`` is None, or (orders, codes) when
+    Q is abelian: Q is the sum of the Z/orders[j] and codes[x], read-only,
+    is the flat index of coset x's coordinates.  Set by ``todd_coxeter``.
     """
 
-    __slots__ = ("presentation", "extra_relators", "coset_count", "columns")
+    __slots__ = ("presentation", "extra_relators", "coset_count", "columns",
+                 "characters")
 
     def __init__(self, presentation: Presentation,
-                 extra_relators: tuple[Word, ...], columns: np.ndarray):
+                 extra_relators: tuple[Word, ...], columns: np.ndarray,
+                 characters: tuple[tuple[int, ...], np.ndarray] | None = None):
         self.presentation = presentation
         self.extra_relators = extra_relators
         self.columns = columns
         self.columns.flags.writeable = False
         self.coset_count = columns.shape[1]
+        self.characters = characters
 
     @staticmethod
     def _column(letter: int) -> int:
@@ -100,23 +104,40 @@ def todd_coxeter(presentation: Presentation,
     If the relators include every commutator [s_i, s_j], Q is abelian and
     built from the diagonal form, ``max_cosets`` bounding |Q|; otherwise
     scan-and-fill enumerates it, ``max_cosets`` bounding the cosets it
-    defines.  Raises :class:`EnumerationOverflowError` past the budget or
-    on an infinite quotient.
+    defines, and commuting columns must equal the diagonal form's.  An
+    abelian table carries the form's ``characters``, certified exactly:
+    U R V = diag(orders) over zero rows, R the exponent sums.  As the
+    relators act trivially and the translations reach every coset, the
+    table is then Q's own.  Raises :class:`EnumerationOverflowError` past
+    the budget or on an infinite quotient.
     """
     extras = _coerce_words(presentation, extra_relators)
     relators = (*presentation.relators, *extras)
     n = presentation.generator_count
-    if _commuting(relators, n):
-        orders, v = _diagonal_form(_exponent_sums(relators, n), n)
+    columns = characters = None
+    if not _commuting(relators, n):
+        columns = _scan_and_fill(n, relators, max_cosets)
+    if columns is None or all(np.array_equal(p[q], q[p]) for p, q
+                              in combinations(columns[::2], 2)):
+        rows = _exponent_sums(relators, n)
+        orders, u, v = _diagonal_form(rows, n)
         if not 0 < (size := math.prod(orders)) <= max_cosets:
             raise EnumerationOverflowError(
                 f"the abelian quotient has order {size or 'infinity'}, "
                 f"over max_cosets={max_cosets}")
-        columns = _translations(orders, v)[0]
-    else:
-        columns = _scan_and_fill(n, relators, max_cosets)
-    result = CosetTable(presentation, extras, columns)
+        built, codes = _translations(orders, v)
+        if columns is not None and not np.array_equal(built, columns):
+            raise InvariantError(
+                "abelian coordinates contradict the coset table")
+        codes.flags.writeable = False
+        columns, characters = built, (tuple(orders), codes)
+    result = CosetTable(presentation, extras, columns, characters)
     _validate_table(result)
+    if characters is not None and not np.array_equal(
+            abs(np.array(u, dtype=object) @ rows @ np.array(v, dtype=object)),
+            np.eye(len(rows), n, dtype=int) * orders):
+        raise InvariantError(f"the relators do not certify the abelian "
+                             f"invariants {orders}: U R V != diag(orders)")
     return result
 
 
@@ -294,14 +315,16 @@ def _exponent_sums(relators: Sequence[Word], n: int) -> list[list[int]]:
 
 
 def _diagonal_form(rows: list[list[int]], n: int
-                   ) -> tuple[list[int], list[list[int]]]:
-    """Orders d and a unimodular V with ``rows`` @ V row-equivalent to
-    diag(d): Z^n / (row span) is the sum of the Z/d_j, x -> (x V) mod d."""
-    a = [list(row) for row in rows]
+                   ) -> tuple[list[int], list[list[int]], list[list[int]]]:
+    """Orders d and unimodular U, V with U @ ``rows`` @ V = diag(+-d) over
+    zero rows: Z^n / (row span) is the sum of the Z/d_j, x -> (x V) mod d.
+    Rows carry U past column n, where column operations never reach."""
+    a = [[*row, *(int(i == k) for k in range(len(rows)))]
+         for i, row in enumerate(rows)]
     v = [[int(i == j) for j in range(n)] for i in range(n)]
     for t in range(n):
         while pivots := [(abs(x), i, j) for i in range(t, len(a))
-                         for j, x in enumerate(a[i][t:], t) if x]:
+                         for j, x in enumerate(a[i][t:n], t) if x]:
             _, i, j = min(pivots)
             a[t], a[i] = a[i], a[t]
             for row in (*a, *v):
@@ -312,27 +335,10 @@ def _diagonal_form(rows: list[list[int]], n: int
                 q = a[t][j] // a[t][t]
                 for row in (*a, *v):
                     row[j] -= q * row[t]
-            if not any(a[t][t + 1:]) and not any(row[t] for row in a[t + 1:]):
+            if not any(a[t][t + 1:n]) and not any(row[t] for row in a[t + 1:]):
                 break
-    return [abs(a[t][t]) if t < len(a) else 0 for t in range(n)], v
-
-
-def _characters(table: CosetTable) -> tuple[tuple[int, ...], np.ndarray]:
-    """Orders with Q = sum of Z/orders[j], from the diagonal form of the
-    relators' exponent sums, and the flat index codes[x] of each coset's
-    coordinates.  Checked exactly: the orders multiply to |Q| and the
-    table is the one ``_translations`` builds on them."""
-    n, size = table.presentation.generator_count, table.coset_count
-    orders, v = _diagonal_form(_exponent_sums(
-        (*table.presentation.relators, *table.extra_relators), n), n)
-    if math.prod(orders) != size:
-        raise InvariantError(f"abelian invariants {orders} do not multiply "
-                             f"to the quotient order {size}")
-    columns, codes = _translations(orders, v)
-    if not np.array_equal(columns, table.columns):
-        raise InvariantError("abelian coordinates contradict the coset table")
-    codes.flags.writeable = False
-    return tuple(orders), codes
+    return ([abs(a[t][t]) if t < len(a) else 0 for t in range(n)],
+            [row[n:] for row in a], v)
 
 
 class Representation:
@@ -393,16 +399,6 @@ class Representation:
                              label=label or f"regular[{table.coset_count}]")
         rep.table = table
         return rep
-
-    @cached_property
-    def characters(self) -> tuple[tuple[int, ...], np.ndarray] | None:
-        """``_characters`` of a quotient whose generators commute, computed
-        on first use; None for any other representation."""
-        if self.table is None or not all(
-                np.array_equal(p[q], q[p])
-                for p, q in combinations(self.perms, 2)):
-            return None
-        return _characters(self.table)
 
     def word_perm(self, word: Word) -> np.ndarray:
         """pi(word) as an index array: basis vector c goes to out[c]."""

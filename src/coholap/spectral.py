@@ -9,9 +9,9 @@ beside it only when the shadow is not exact: int64 entries strictly
 between -2**53 and 2**53 are held once, as floats.  The exact-to-float
 boundary sits immediately before eigenvalue computation.
 
-An integral matrix under the regular representation of a quotient whose
-generators commute (an abelian quotient) is held in character form: one
-k x k symbol per character.  Its eigenvalues, kernel and heat
+An integral matrix under the regular representation of an abelian
+quotient, whose coset table carries its characters, is held in character
+form: one k x k symbol per character.  Its eigenvalues, kernel and heat
 projections, rank checks and the exact Delta^+ Delta^- = 0 check run on
 those symbols and on the k x k arrays of group-ring coefficients, so
 ``betti``, ``spectrum``, ``luck``, ``project`` and ``ghost`` there meet no
@@ -237,10 +237,10 @@ def evaluate(matrix: GroupRingMatrix, rep: Representation,
     evaluation, and self-adjoint inputs give exactly symmetric outputs.
     An entry of a permutation evaluation is a sum of coefficients, so
     with integer coefficients of absolute sum below 2**62 it is int64.
-    Such an integral matrix under the regular representation of a
-    quotient whose generators commute is held in character form: each
-    term adds its coefficient to v_ij at coset 0 * word^-1, walked letter
-    by letter through the coset table.  Otherwise each term is one
+    Such an integral matrix under a representation whose coset table
+    carries characters is held in character form: each term adds its
+    coefficient to v_ij at coset 0 * word^-1, walked letter by letter
+    through the table.  Otherwise (no table included) each term is one
     scatter into the dense grid, which raises SizeBudgetError, before
     allocating, when its larger side exceeds ``DENSE_EIG_CUTOFF``.
     """
@@ -251,7 +251,7 @@ def evaluate(matrix: GroupRingMatrix, rep: Representation,
     integral = (rep.perms is not None
                 and all(coeff.denominator == 1 for *_, coeff in terms)
                 and sum(abs(coeff) for *_, coeff in terms) < 2**62)
-    characters = rep.characters if integral else None
+    characters = rep.table.characters if integral and rep.table else None
     if characters is None:
         result = EvaluatedOperator(
             _scatter(matrix, rep, terms, integral, provenance), provenance)

@@ -7,8 +7,10 @@ Fourier analysis gives circulant spectra.  Tests compare package output
 against these.
 """
 
+import math
 import re
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 
 import numpy as np
@@ -149,6 +151,31 @@ def slow_matmul(a, b):
         tuple(sum((x * y for x, y in zip(row, col) if x and y), Fraction(0))
               for col in bt)
         for row in a)
+
+
+def fraction_determinant(matrix) -> Fraction:
+    """Determinant of a square row-sequence matrix by Fraction elimination."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    det = Fraction(1)
+    for c in range(len(rows)):
+        pivot = next((r for r in range(c, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for r in range(c + 1, len(rows)):
+            factor = rows[r][c] / rows[c][c]
+            rows[r] = [x - factor * y for x, y in zip(rows[r], rows[c])]
+    return det
+
+
+def lattice_index(rows, n: int) -> int:
+    """|Z^n / row span of ``rows``| as the gcd of the n x n minors, 0 when
+    the rows have rank below n."""
+    return math.gcd(*(int(fraction_determinant([rows[i] for i in chosen]))
+                      for chosen in combinations(range(len(rows)), n)))
 
 
 def slow_word_matrix(rep, word):

@@ -63,13 +63,16 @@ CORPUS = [
     ("torus-Z/2xZ/6", TORUS, ["a^2", "b^6"]),
     ("torus-Z/5xZ/5", TORUS, ["a^5", "b^5"]),
     ("torus-trivial", TORUS, ["a", "b"]),
+    # abelian, but no relator is a commutator: enumerated by scan-and-fill
+    ("free2-klein-enumerated", FREE2, ["a^2", "b^2", "a*b*a*b"]),
+    ("free2-Z/2xZ/6-enumerated", FREE2, ["a^2", "b^6", "a*b*a*b^-1"]),
 ]
 
 
 def convolution_grid(op, rep):
     """The dense grid read off the coefficients: block (i, j) holds
     v_ij[phi(y) - phi(x)] in row y, column x."""
-    orders, codes = rep.characters
+    orders, codes = rep.table.characters
     phi = np.stack(np.unravel_index(codes, orders))  # one row per order
     offsets = (phi[:, :, None] - phi[:, None, :]) % np.array(orders)[:, None,
                                                                       None]
@@ -96,7 +99,7 @@ def operators(spec):
 def test_character_form_matches_the_dense_path(name, spec, extra):
     rep = quotient(spec, extra)
     dense = dense_twin(rep)
-    assert rep.characters is not None
+    assert rep.table.characters is not None
     laplacians, others = operators(spec)
     for matrix in laplacians:
         fast, slow = evaluate(matrix, rep), evaluate(matrix, dense)
@@ -128,7 +131,7 @@ def test_coefficients_match_the_word_perm_route(name, spec, extra):
     """The coset-0 walk of ``evaluate`` against reading coset 0's image
     off the whole permutation pi(word)."""
     rep = quotient(spec, extra)
-    orders, codes = rep.characters
+    orders, codes = rep.table.characters
     laplacians, others = operators(spec)
     for matrix in laplacians + others:
         v = np.zeros((matrix.rows, matrix.cols, rep.dimension),
@@ -168,52 +171,56 @@ def test_non_abelian_stages_take_the_dense_path(relators):
     rep = Representation.from_coset_table(
         todd_coxeter(presentation, relators))
     assert rep.dimension in (24, 168)
-    assert rep.characters is None
+    assert rep.table.characters is None
     laplacian = build_laplacian(FREE2, 1).laplacian
     op = evaluate(laplacian, rep)
     assert type(op) is EvaluatedOperator
     assert spectral_gap(op).backend == "dense"
 
 
-def test_characters_are_computed_once():
-    rep = quotient(FREE2, abelian_words("ab", 4))
-    assert rep.characters is rep.characters
-    orders, codes = rep.characters
+def test_the_table_carries_read_only_codes():
+    table = todd_coxeter(FREE2.presentation, abelian_words("ab", 4))
+    orders, codes = table.characters
     assert orders == (4, 4)
     assert sorted(codes.tolist()) == list(range(16))
+    assert not codes.flags.writeable
+    with pytest.raises(ValueError):
+        codes[0] = codes[1]
+    rep = Representation.from_coset_table(table)
+    laplacian = build_laplacian(FREE2, 0).laplacian
+    assert type(evaluate(laplacian, rep)) is CharacterOperator
+    assert type(evaluate(laplacian, dense_twin(rep))) is EvaluatedOperator
 
 
 class TestCorruptedCoordinates:
-    """Every fault in the coordinates raises before an operator exists."""
+    """Every fault in the coordinates raises before a table exists."""
 
     RELATORS = ["a^2", "b^4", "a*b*a^-1*b^-1"]  # Z/2 x Z/4, |Q| = 8
+    U = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
-    def evaluate_with(self, monkeypatch, orders, v, match):
-        # built before the patch, which only _characters may then read
-        rep = quotient(FREE2, self.RELATORS)
+    def build_with(self, monkeypatch, orders, v, match):
         monkeypatch.setattr(cosets, "_diagonal_form",
-                            lambda rows, n: (orders, v))
+                            lambda rows, n: (orders, self.U, v))
         with pytest.raises(InvariantError, match=match):
-            evaluate(build_laplacian(FREE2, 0).laplacian, rep)
+            todd_coxeter(FREE2.presentation, self.RELATORS)
 
     def test_true_form(self):
-        orders, v = cosets._diagonal_form([[2, 0], [0, 4], [0, 0]], 2)
-        assert orders == [2, 4] and v == [[1, 0], [0, 1]]
+        orders, u, v = cosets._diagonal_form([[2, 0], [0, 4], [0, 0]], 2)
+        assert orders == [2, 4] and u == self.U and v == [[1, 0], [0, 1]]
 
     def test_orders_that_miss_the_quotient_order(self, monkeypatch):
-        self.evaluate_with(monkeypatch, [2, 2], [[1, 0], [0, 1]],
-                           "do not multiply to the quotient order 8")
+        # Z/2 x Z/2 satisfies every relator: only the certificate sees it
+        self.build_with(monkeypatch, [2, 2], [[1, 0], [0, 1]],
+                        "do not certify the abelian invariants")
 
     def test_images_that_break_a_relator(self, monkeypatch):
         # a (order 2) goes to (1, 1), of order 4: spread from coset 0,
         # phi is still a bijection, but phi(x * a) = phi(x) + (1, 1) fails
-        self.evaluate_with(monkeypatch, [2, 4], [[1, 1], [0, 1]],
-                           "contradict the coset table")
+        self.build_with(monkeypatch, [2, 4], [[1, 1], [0, 1]], "relator")
 
     def test_coordinates_that_are_not_a_bijection(self, monkeypatch):
         # b goes to 2 in Z/4: consistent with every relator, not onto
-        self.evaluate_with(monkeypatch, [2, 4], [[1, 0], [0, 2]],
-                           "contradict the coset table")
+        self.build_with(monkeypatch, [2, 4], [[1, 0], [0, 2]], "reach")
 
 
 def differential_ranks(spec, rep, threshold):

@@ -1,5 +1,6 @@
 """Coset enumeration, representations, and quotient chains."""
 
+import math
 import time
 import tracemalloc
 import warnings
@@ -13,7 +14,10 @@ from conftest import (
     all_coset_separation,
     closure_order,
     coset_act,
+    fraction_determinant,
+    lattice_index,
     random_word,
+    slow_matmul,
     slow_todd_coxeter,
 )
 
@@ -321,9 +325,21 @@ def _enumeration_corpus():
                             "*".join(["a*b*a^-1*b^-1"] * 4)], 168),
         ("D7", "ab", ["a^7", "b^2", "a*b*a*b"], 14),
         ("Z/5xZ/5", "ab", ["a^5", "b^5", "a*b*a^-1*b^-1"], 25),
+        ("Z/2xZ/4-inverse-powers", "ab",
+         ["a^-2", "b^-4", "a*b*a^-1*b^-1"], 8),
+        ("Z/3xZ/3xZ/6-inverse-powers", "abc",
+         ["a^-3", "b^-3", "c^-6", "a*b*a^-1*b^-1", "a*c*a^-1*c^-1",
+          "b*c*b^-1*c^-1"], 54),
+        # abelian, but no relator is a commutator: scan-and-fill
+        ("klein-enumerated", "ab", ["a^2", "b^2", "a*b*a*b"], 4),
+        ("Z/2xZ/6-enumerated", "ab", ["a^2", "b^6", "a*b*a*b^-1"], 12),
     ]:
         cases.append((name, presentation(gens, relators), [], order))
     return cases
+
+
+NON_ABELIAN = ("S4", "S4-coxeter", "PSL(2,7)", "D7")
+ENUMERATED_ABELIAN = ("klein-enumerated", "Z/2xZ/6-enumerated")
 
 
 class TestEnumerationOracle:
@@ -354,7 +370,50 @@ class TestEnumerationOracle:
             for q, spelled in ((p, extras), _inverted(p, extras)):
                 assert cosets._commuting((*q.relators, *spelled),
                                          q.generator_count) == (
-                    name not in ("S4", "S4-coxeter", "PSL(2,7)", "D7")), name
+                    name not in NON_ABELIAN + ENUMERATED_ABELIAN), name
+            characters = todd_coxeter(p, extras).characters
+            assert (characters is None) == (name in NON_ABELIAN), name
+
+    def test_enumerated_abelian_stages_carry_characters(self):
+        """Stages that miss the front door carry certified characters and
+        the columns of the same group spelled with its commutator."""
+        for name, p, extras, order in _enumeration_corpus():
+            if name not in ENUMERATED_ABELIAN:
+                continue
+            table = todd_coxeter(p, extras)
+            orders, codes = table.characters
+            assert math.prod(orders) == order, name
+            assert sorted(codes.tolist()) == list(range(order)), name
+            spelled = todd_coxeter(p, [*extras, *words(p, ABELIAN)])
+            assert spelled.characters is not None, name
+            assert np.array_equal(table.columns, spelled.columns), name
+
+    def test_inverse_powers_give_positive_orders(self):
+        table = todd_coxeter(F2, words(F2, ["a^-2", "b^-4",
+                                            "a*b*a^-1*b^-1"]))
+        assert table.coset_count == 8
+        assert table.characters[0] == (2, 4)
+
+    def test_diagonal_form_against_the_minor_oracle(self):
+        """Orders multiply to the gcd of the n x n minors, and U, V are
+        unimodular with U R V = diag(+-orders) over zero rows."""
+        rng = Random(0)
+        checked = 0
+        while checked < 200:
+            n = rng.randint(1, 3)
+            rows = [[rng.randint(-6, 6) for _ in range(n)]
+                    for _ in range(rng.randint(n, 5))]
+            if not (index := lattice_index(rows, n)):
+                continue  # rank below n
+            orders, u, v = cosets._diagonal_form(rows, n)
+            assert math.prod(orders) == index, rows
+            assert abs(fraction_determinant(u)) == 1, rows
+            assert abs(fraction_determinant(v)) == 1, rows
+            product = slow_matmul(slow_matmul(u, rows), v)
+            assert [[abs(x) for x in row] for row in product] == [
+                [orders[i] if i == j else 0 for j in range(n)]
+                for i in range(len(rows))], rows
+            checked += 1
 
     def test_a_missing_commutator_still_enumerates(self):
         genus2 = surface_genus2_complex().presentation
@@ -364,8 +423,9 @@ class TestEnumerationOracle:
         for k in (4, len(extras) - 1):
             partial = extras[:k] + extras[k + 1:]
             assert not cosets._commuting((*genus2.relators, *partial), 4)
-            assert np.array_equal(todd_coxeter(genus2, partial).columns,
-                                  columns)
+            table = todd_coxeter(genus2, partial)
+            assert np.array_equal(table.columns, columns)
+            assert table.characters is not None
             assert np.array_equal(slow_todd_coxeter(genus2, partial),
                                   columns)
 
@@ -404,16 +464,33 @@ class TestEnumerationOracle:
         ([2, 4], [[1, 1], [0, 1]], "relator"),
         # both translations are zero: one level, one coset reached
         ([2, 4], [[0, 0], [0, 0]], "reach 1 of 8"),
+        # Z/2 x Z/2 satisfies every relator; only U R V = diag sees it
+        ([2, 2], [[1, 0], [0, 1]], "do not certify"),
     ])
     def test_a_corrupted_form_raises_promptly(self, monkeypatch, orders, v,
                                               match):
+        identity = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
         monkeypatch.setattr(cosets, "_diagonal_form",
-                            lambda rows, n: (orders, v))
+                            lambda rows, n: (orders, identity, v))
         extras = words(F2, ["a^2", "b^4", "a*b*a^-1*b^-1"])
         start = time.perf_counter()
         with pytest.raises(InvariantError, match=match):
             todd_coxeter(F2, extras)
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("orders, v", [
+        ([2, 6], [[1, 1], [0, 1]]),  # a of order 6: the columns differ
+        ([2, 6], [[1, 0], [0, 2]]),  # reaches 6 of 12 cosets
+        ([2, 2], [[1, 0], [0, 1]]),  # 4 cosets, not 12
+    ])
+    def test_a_corrupted_form_contradicts_an_enumerated_table(
+            self, monkeypatch, orders, v):
+        identity = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        monkeypatch.setattr(cosets, "_diagonal_form",
+                            lambda rows, n: (orders, identity, v))
+        with pytest.raises(InvariantError,
+                           match="contradict the coset table"):
+            todd_coxeter(F2, words(F2, ["a^2", "b^6", "a*b*a*b^-1"]))
 
     def test_columns_are_one_read_only_int64_array(self):
         for name, p, extras, order in _enumeration_corpus():
