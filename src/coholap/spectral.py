@@ -1,27 +1,27 @@
 """Spectral analysis of group-ring matrices under exact representations.
 
-``evaluate`` turns a k x k matrix over the group ring into an exact
-(k * dim) x (k * dim) block matrix, block (i, j) being
-``sum_w coeff * pi(w)``, held in one :class:`exact.Matrix` (int64 for
-integer coefficients under permutations, Python rationals otherwise).
-An evaluated operator keeps its float64 shadow, and the exact matrix
-beside it only when the shadow is not exact: int64 entries strictly
-between -2**53 and 2**53 are held once, as floats.  The exact-to-float
-boundary sits immediately before eigenvalue computation.
-
+``evaluate`` turns a k x k matrix over the group ring into an
+:class:`EvaluatedOperator`: a k x k matrix of exact convolution kernels
+on a finite abelian quotient Q, with one k x k symbol per character of Q.
 An integral matrix under the regular representation of an abelian
-quotient, whose coset table carries its characters, is held in character
-form: one k x k symbol per character.  Its eigenvalues, kernel and heat
-projections, rank checks and the exact Delta^+ Delta^- = 0 check run on
-those symbols and on the k x k arrays of group-ring coefficients, so
-``betti``, ``spectrum``, ``luck``, ``project`` and ``ghost`` there meet no
-dense size budget.  Every routine below reads an operator as a stack of
-symbols: a dense operator has one, its n x n shadow.  Only a non-abelian
-or orthogonal stage, and the ``shadow``, ``exact_matrix`` or projection
-``matrix`` of a character form when read, build the dense grid, refused
-with SizeBudgetError before allocation when wider than
+quotient, whose coset table carries its characters, is held over that
+quotient.  Every other matrix is dense: it is held over the trivial
+quotient Q = 1, whose one symbol is the whole (k * dim) x (k * dim) block
+matrix, block (i, j) being ``sum_w coeff * pi(w)`` (int64 for integer
+coefficients under permutations, Python rationals otherwise; int64
+entries strictly between -2**53 and 2**53 held once, as floats).  The
+exact-to-float boundary sits immediately before eigenvalue computation.
+
+Eigenvalues, kernel and heat projections, rank checks and the exact
+Delta^+ Delta^- = 0 check run on the symbols and on the arrays of
+convolution kernels, so ``betti``, ``spectrum``, ``luck``, ``project``
+and ``ghost`` on an abelian stage meet no dense size budget.  Only a
+non-abelian or orthogonal stage, and the ``shadow``, ``exact_matrix`` or
+projection ``matrix`` of a character form when read, build the dense
+grid, refused with SizeBudgetError before allocation when wider than
 ``DENSE_EIG_CUTOFF``.  ``GapReport.backend`` and
-``ProjectionMatrix.backend`` name the path: "dense" or "characters".
+``ProjectionMatrix.backend`` name the path: "dense" over Q = 1, else
+"characters".
 
 Spectral quantities follow one convention throughout:
 
@@ -60,44 +60,61 @@ GAP_RESOLUTION_FACTOR = 10.0
 HEAT_MAX_DOUBLINGS = 64
 
 
-class EvaluatedOperator:
-    """A group-ring matrix pushed through a representation.
+# The trivial quotient Q = 1: no orders, one coset, numbered 0.
+TRIVIAL = ((), np.zeros(1, dtype=np.int64))
+TRIVIAL[1].flags.writeable = False
 
-    Carries a float64 shadow and, when the shadow is not exact, the exact
-    matrix beside it.  ``rows`` and ``cols`` are total dimensions (ring
-    rows/cols times representation dimension).
+
+class EvaluatedOperator:
+    """A group-ring matrix pushed through a representation, held over a
+    finite abelian quotient Q.
+
+    ``characters`` is Q's (orders, codes) pair, and block (i, j) is the
+    convolution x -> v_ij * x on C[Q], v_ij being the exact array
+    ``coefficients[i, j]`` of shape Q's orders.  Its symbols are
+    fftn(v)(chi), one k x k matrix per character chi, so the checks,
+    norm, eigenvalues, projections and rank need no n x n array.  A dense
+    operator lives over the trivial quotient ``TRIVIAL``: no orders, one
+    character, and its one symbol is the whole matrix.  Its int64 entries
+    strictly between -2**53 and 2**53 are held once, as float64, both
+    coefficients and shadow.  Any other shadow, and the exact matrix, are
+    built when read.  ``rows`` and ``cols`` are total dimensions (ring
+    rows/cols times |Q|).
     """
 
-    __slots__ = ("_exact", "_shadow", "rows", "cols", "provenance",
-                 "_eigenvalues")
-    backend = "dense"
-    characters = None  # the (orders, codes) pair of a character form
+    __slots__ = ("coefficients", "characters", "rows", "cols", "provenance",
+                 "_shadow", "_eigenvalues", "_gap")
 
-    def __init__(self, exact_matrix: exact.Matrix, provenance: str = ""):
-        self.rows, self.cols = exact_matrix.array.shape
+    def __init__(self, coefficients: np.ndarray, characters: tuple = TRIVIAL,
+                 provenance: str = ""):
+        if (not characters[0] and coefficients.dtype == np.int64
+                and exact.max_abs(coefficients) < exact.FLOAT_EXACT_LIMIT):
+            coefficients = exact.to_float(exact.Matrix(coefficients))
+        self.coefficients, self.characters = coefficients, characters
+        self.rows, self.cols = (side * characters[1].size
+                                for side in coefficients.shape[:2])
         self.provenance = provenance
-        self._eigenvalues = None
-        self._hold(exact_matrix)
+        self._shadow = coefficients if coefficients.dtype == np.float64 else None
+        self._eigenvalues = self._gap = None
 
-    def _hold(self, exact_matrix: exact.Matrix) -> None:
-        array = exact_matrix.array
-        self._shadow = exact.to_float(exact_matrix)
-        shadow_is_exact = (array.dtype == np.int64 and exact.max_abs(array)
-                           < exact.FLOAT_EXACT_LIMIT)
-        self._exact = None if shadow_is_exact else exact_matrix
+    @property
+    def backend(self) -> str:
+        return "characters" if self.characters[0] else "dense"
+
+    def _numeric_coefficients(self) -> np.ndarray:
+        """A character form's int64 kernels, a dense operator's shadow."""
+        return self.coefficients if self.characters[0] else self.shadow
 
     @property
     def shadow(self) -> np.ndarray:
         if self._shadow is None:
-            self._hold(self._grid())
+            self._shadow = exact.to_float(self.exact_matrix)
         return self._shadow
 
     @property
     def exact_matrix(self) -> exact.Matrix:
-        shadow = self.shadow
-        if self._exact is None:
-            return exact.Matrix(shadow.astype(np.int64))
-        return self._exact
+        return exact.Matrix(_exact(_circulant(
+            self.coefficients, self.characters[1], self.provenance)))
 
     @property
     def dimension(self) -> int:
@@ -106,35 +123,61 @@ class EvaluatedOperator:
         return self.rows
 
     def symbols(self) -> np.ndarray:
-        """The operator as a stack of blocks it is the direct sum of; a
-        dense operator is one block, its shadow."""
-        return self.shadow[None]
+        """The stack of k x k symbols the operator is the direct sum of."""
+        v = self._numeric_coefficients()
+        symbols = np.fft.fftn(v, axes=range(2, v.ndim))
+        return symbols.reshape(*v.shape[:2], -1).transpose(2, 0, 1)
 
-    # an exact shadow holds integer-valued floats: float equality is exact
     def is_symmetric_exact(self) -> bool:
-        if self._exact is None:
-            return (self.rows == self.cols
-                    and np.array_equal(self.shadow, self.shadow.T))
-        return exact.is_symmetric(self._exact)
+        """v_ij[y] = v_ji[-y] for every y (arrays of two shapes differ)."""
+        v = self.coefficients
+        axes = tuple(range(2, v.ndim))
+        return np.array_equal(v, _roll(np.flip(v, axes), 1, axes)
+                              .swapaxes(0, 1))
 
     def is_zero_exact(self) -> bool:
-        if self._exact is None:
-            return not np.count_nonzero(self.shadow)
-        return exact.is_zero(self._exact)
+        return not np.count_nonzero(self.coefficients)
 
     def product_is_zero_exact(self, right: "EvaluatedOperator") -> bool:
-        """Whether this operator times ``right`` is exactly zero."""
-        return exact.is_zero(exact.matmul(self.exact_matrix,
-                                          right.exact_matrix))
+        """Whether this operator times ``right`` is exactly zero.
+
+        Checked on the product's coset-0 columns, which fix an operator
+        that commutes with translation: (a * b)_il = sum over the pairs
+        (j, y) with a_ij[y] != 0 of a_ij[y] roll(b_jl, y), one exact
+        product of a k x S matrix with an S x k|Q| matrix.  Operators over
+        two different quotients multiply as dense exact matrices.
+        """
+        if self.cols != right.rows:
+            raise ShapeMismatchError(f"cannot multiply {self.rows}x{self.cols}"
+                                     f" by {right.rows}x{right.cols}")
+        if right.characters is not self.characters:
+            return exact.is_zero(exact.matmul(self.exact_matrix,
+                                              right.exact_matrix))
+        a, b = self.coefficients, right.coefficients
+        orders, axes = a.shape[2:], tuple(range(2, b.ndim))
+        size = self.characters[1].size
+        flat = a.reshape(a.shape[0], -1)  # column j |Q| + y holds a_ij[y]
+        ys, js = np.nonzero(flat.any(axis=0).reshape(-1, size).T)  # y-major
+        # one roll per shift y; b[:0] gives the shape when a is zero
+        shifted = np.concatenate([_exact(b[:0]), *(
+            _exact(_roll(b[js[ys == y]], np.unravel_index(y, orders), axes))
+            for y in sorted(set(ys.tolist())))])
+        return exact.is_zero(exact.matmul(
+            exact.Matrix(_exact(np.take(flat, js * size + ys, axis=1))),
+            exact.Matrix(shifted.reshape(len(js), right.cols))))
 
     def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues of the symmetric shadow, computed once."""
+        """Ascending eigenvalues of the symbols, computed once."""
         if self._eigenvalues is None:
-            self._eigenvalues = np.linalg.eigvalsh(self.shadow)
+            self._eigenvalues = np.sort(
+                np.linalg.eigvalsh(self.symbols()).ravel())
         return self._eigenvalues
 
     def one_norm(self) -> float:
-        return _one_norm(self.shadow)
+        """Largest column sum of absolute values; 0.0 when empty."""
+        v = self._numeric_coefficients()
+        columns = np.abs(v).sum(axis=(0, *range(2, v.ndim)))
+        return float(columns.max()) if v.size else 0.0
 
     def rank(self, threshold: float) -> int:
         """Numerical rank: singular values above sqrt(threshold), summed
@@ -144,82 +187,17 @@ class EvaluatedOperator:
 
     def __repr__(self) -> str:
         return (f"EvaluatedOperator({self.rows}x{self.cols}, "
-                f"provenance={self.provenance!r})")
+                f"backend={self.backend!r}, provenance={self.provenance!r})")
 
 
-class CharacterOperator(EvaluatedOperator):
-    """An integral operator of an abelian quotient Q, held in character form.
-
-    Block (i, j) is the convolution x -> v_ij * x on Z[Q], v_ij being the
-    int64 array ``coefficients[i, j]`` of shape Q's orders, and
-    ``characters`` is the quotient's (orders, codes) pair.  Its symbols
-    are fftn(v)(chi), one k x k matrix per character chi, so the checks,
-    norm, eigenvalues, projections and rank need no n x n array.  The
-    dense shadow and exact matrix are built on first access.
-    """
-
-    __slots__ = ("coefficients", "characters")
-    backend = "characters"
-
-    def __init__(self, coefficients: np.ndarray, characters, provenance: str):
-        self.coefficients, self.characters = coefficients, characters
-        size = characters[1].size
-        self.rows = coefficients.shape[0] * size
-        self.cols = coefficients.shape[1] * size
-        self.provenance = provenance
-        self._eigenvalues = self._shadow = self._exact = None
-
-    def _grid(self) -> exact.Matrix:
-        return exact.Matrix(_circulant(self.coefficients, self.characters[1],
-                                       self.provenance))
-
-    def symbols(self) -> np.ndarray:
-        v = self.coefficients
-        symbols = np.fft.fftn(v, axes=range(2, v.ndim))
-        return symbols.reshape(*v.shape[:2], -1).transpose(2, 0, 1)
-
-    def is_symmetric_exact(self) -> bool:
-        """v_ij[y] = v_ji[-y] for every y (arrays of two shapes differ)."""
-        v = self.coefficients
-        axes = tuple(range(2, v.ndim))
-        return np.array_equal(v, np.roll(np.flip(v, axes), 1, axes)
-                              .swapaxes(0, 1))
-
-    def is_zero_exact(self) -> bool:
-        return not np.count_nonzero(self.coefficients)
-
-    def product_is_zero_exact(self, right: EvaluatedOperator) -> bool:
-        """Checked on the product's coset-0 columns, which fix an operator
-        that commutes with translation: (a * b)_il = sum over the pairs
-        (j, y) with a_ij[y] != 0 of a_ij[y] roll(b_jl, y), one exact
-        product of a k x S matrix with an S x k|Q| matrix."""
-        if not isinstance(right, CharacterOperator):
-            return super().product_is_zero_exact(right)
-        a, b = self.coefficients, right.coefficients
-        orders, axes = a.shape[2:], tuple(range(1, b.ndim - 1))
-        flat = a.reshape(*a.shape[:2], -1)
-        js, ys = np.nonzero(flat.any(axis=0))
-        shifted = np.array(
-            [np.roll(b[j], np.unravel_index(y, orders), axes).ravel()
-             for j, y in zip(js, ys)], dtype=np.int64).reshape(len(js),
-                                                               right.cols)
-        return exact.is_zero(exact.matmul(exact.Matrix(flat[:, js, ys]),
-                                          exact.Matrix(shifted)))
-
-    def eigenvalues(self) -> np.ndarray:
-        if self._eigenvalues is None:
-            self._eigenvalues = np.sort(
-                np.linalg.eigvalsh(self.symbols()).ravel())
-        return self._eigenvalues
-
-    def one_norm(self) -> float:
-        v = np.abs(self.coefficients)
-        return _one_norm(v.sum(axis=tuple(range(2, v.ndim))))
+def _roll(v: np.ndarray, shift, axes: tuple) -> np.ndarray:
+    """np.roll, without its copy over the trivial quotient's no axes."""
+    return np.roll(v, shift, axes) if axes else v
 
 
-def _one_norm(array: np.ndarray) -> float:
-    """Largest column sum of absolute values; 0.0 for an empty array."""
-    return float(np.abs(array).sum(axis=0).max()) if array.size else 0.0
+def _exact(v: np.ndarray) -> np.ndarray:
+    """Exact entries of coefficients: float64 ones are held integers."""
+    return v.astype(np.int64) if v.dtype == np.float64 else v
 
 
 def _check_budget(side: int, provenance: str) -> None:
@@ -240,9 +218,10 @@ def evaluate(matrix: GroupRingMatrix, rep: Representation,
     Such an integral matrix under a representation whose coset table
     carries characters is held in character form: each term adds its
     coefficient to v_ij at coset 0 * word^-1, walked letter by letter
-    through the table.  Otherwise (no table included) each term is one
-    scatter into the dense grid, which raises SizeBudgetError, before
-    allocating, when its larger side exceeds ``DENSE_EIG_CUTOFF``.
+    through the table.  Otherwise (no table included) it is dense, over
+    the trivial quotient: each term is one scatter into the grid, which
+    raises SizeBudgetError, before allocating, when its larger side
+    exceeds ``DENSE_EIG_CUTOFF``.
     """
     provenance = provenance or f"{matrix.rows}x{matrix.cols}@{rep.label or 'rep'}"
     terms = [(i, j, word, coeff)
@@ -251,10 +230,10 @@ def evaluate(matrix: GroupRingMatrix, rep: Representation,
     integral = (rep.perms is not None
                 and all(coeff.denominator == 1 for *_, coeff in terms)
                 and sum(abs(coeff) for *_, coeff in terms) < 2**62)
-    characters = rep.table.characters if integral and rep.table else None
-    if characters is None:
-        result = EvaluatedOperator(
-            _scatter(matrix, rep, terms, integral, provenance), provenance)
+    characters = (rep.table.characters if integral and rep.table
+                  else None) or TRIVIAL
+    if characters is TRIVIAL:
+        v = _scatter(matrix, rep, terms, integral, provenance)
     else:
         orders, codes = characters
         v = np.zeros((matrix.rows, matrix.cols, rep.dimension), dtype=np.int64)
@@ -263,9 +242,8 @@ def evaluate(matrix: GroupRingMatrix, rep: Representation,
             for letter in reversed(word):
                 coset = rep.table.columns[CosetTable._column(-letter), coset]
             v[i, j, codes[coset]] += coeff.numerator
-        result = CharacterOperator(
-            v.reshape(matrix.rows, matrix.cols, *orders), characters,
-            provenance)
+        v = v.reshape(matrix.rows, matrix.cols, *orders)
+    result = EvaluatedOperator(v, characters, provenance)
     if matrix.is_self_adjoint() and not result.is_symmetric_exact():
         raise InvariantError(
             "self-adjoint input evaluated to a non-symmetric matrix")
@@ -273,7 +251,7 @@ def evaluate(matrix: GroupRingMatrix, rep: Representation,
 
 
 def _scatter(matrix: GroupRingMatrix, rep: Representation, terms: list,
-             integral: bool, provenance: str) -> exact.Matrix:
+             integral: bool, provenance: str) -> np.ndarray:
     """The dense exact grid, int64 when ``integral``."""
     dim = rep.dimension
     _check_budget(max(matrix.rows, matrix.cols) * dim, provenance)
@@ -288,14 +266,17 @@ def _scatter(matrix: GroupRingMatrix, rep: Representation, terms: list,
         else:
             grid[row0:row0 + dim, col0:col0 + dim] += (
                 coeff * rep.word_matrix(word).array)
-    return exact.Matrix(grid)
+    return grid
 
 
 def _circulant(v: np.ndarray, codes: np.ndarray,
                provenance: str) -> np.ndarray:
     """The dense grid of the convolutions v_ij on cosets numbered by
-    ``codes``: block (i, j) holds v_ij[phi(y) - phi(x)] in row y, column x."""
+    ``codes``: block (i, j) holds v_ij[phi(y) - phi(x)] in row y, column x.
+    Over the trivial quotient, no orders, that is ``v`` itself."""
     rows, cols, *orders = v.shape
+    if not orders:
+        return v
     size = codes.size
     _check_budget(max(rows, cols) * size, provenance)
     phi = np.unravel_index(codes, orders)
@@ -354,7 +335,7 @@ def lanczos_lowest(shadow: np.ndarray, count: int,
     count = min(count, n)
     if count <= 0:
         return np.array([])
-    scale = _one_norm(shadow) + 1.0
+    scale = float(np.abs(shadow).sum(axis=0).max()) + 1.0
     block = min(n, max(count, 2))
     if iterations is None:
         target = min(n, max(8 * block, 256))
@@ -395,8 +376,11 @@ def spectral_gap(op: EvaluatedOperator,
 
     The cluster threshold is ``zero_tolerance * max(1, ||M||_1)``; the
     report is marked resolved only when the first eigenvalue above the
-    cluster exceeds ten times that threshold.
+    cluster exceeds ten times that threshold.  The report is kept on the
+    operator and returned again for the same tolerance.
     """
+    if op._gap is not None and op._gap.zero_tolerance == zero_tolerance:
+        return op._gap
     if op.rows != op.cols:
         raise ShapeMismatchError("spectral gap requires a square operator")
     if not op.is_symmetric_exact():
@@ -413,7 +397,7 @@ def spectral_gap(op: EvaluatedOperator,
     kernel_dim = int(np.searchsorted(values, threshold, side="right"))
     gap = float(values[kernel_dim]) if kernel_dim < len(values) else math.inf
     resolved = gap >= GAP_RESOLUTION_FACTOR * threshold
-    return GapReport(
+    op._gap = GapReport(
         dimension=op.rows,
         kernel_dim=kernel_dim,
         gap=gap,
@@ -425,6 +409,7 @@ def spectral_gap(op: EvaluatedOperator,
         provenance=op.provenance,
         backend=op.backend,
     )
+    return op._gap
 
 
 @dataclass(frozen=True)
@@ -432,10 +417,10 @@ class ProjectionMatrix:
     """A numerical spectral projection with its invariant defects.
 
     ``symbols`` is the projection as a stack of blocks, one per symbol of
-    the operator it projects for; ``characters`` is the (orders, codes)
-    pair of a character form and None for a dense one.  Each defect is
-    the 2-norm of the block-diagonal operator: the largest over the
-    stack.
+    the operator it projects for, and ``characters`` is that operator's
+    quotient: ``TRIVIAL`` for a dense one, whose one block is the matrix.
+    Each defect is the 2-norm of the block-diagonal operator: the largest
+    over the stack.
     """
 
     symbols: np.ndarray
@@ -443,11 +428,11 @@ class ProjectionMatrix:
     idempotency_defect: float
     selfadjoint_defect: float
     provenance: str
-    characters: tuple | None = None
+    characters: tuple = TRIVIAL
 
     @property
     def backend(self) -> str:
-        return "dense" if self.characters is None else "characters"
+        return "characters" if self.characters[0] else "dense"
 
     @property
     def dimension(self) -> int:
@@ -464,15 +449,12 @@ class ProjectionMatrix:
         return np.fft.ifftn(stacked, axes=range(2, stacked.ndim)).real
 
     def max_abs_entry(self) -> float:
-        entries = self.symbols if self.characters is None else self._kernels()
-        return float(np.abs(entries).max(initial=0.0))
+        return float(np.abs(self._kernels()).max(initial=0.0))
 
     @property
     def matrix(self) -> np.ndarray:
         """The dense n x n projection; built on each read for a character
         form, and refused above ``DENSE_EIG_CUTOFF``."""
-        if self.characters is None:
-            return self.symbols[0]
         return _circulant(self._kernels(), self.characters[1],
                           self.provenance)
 
@@ -489,7 +471,7 @@ def _stack_norm(stack: np.ndarray) -> float:
 
 def _projection_from_array(symbols: np.ndarray, method: str,
                            provenance: str,
-                           characters: tuple | None = None) -> ProjectionMatrix:
+                           characters: tuple = TRIVIAL) -> ProjectionMatrix:
     idem = _stack_norm(symbols @ symbols - symbols)
     adjoint = _adjoint(symbols)
     # an exactly self-adjoint stack has defect 0.0 without an SVD

@@ -131,7 +131,7 @@ def operator_difference(left, right) -> EvaluatedOperator:
     Python objects, so no int64 difference can overflow."""
     a, b = left.exact_matrix.array, right.exact_matrix.array
     assert a.shape == b.shape
-    return EvaluatedOperator(exact.Matrix(a.astype(object) - b.astype(object)))
+    return EvaluatedOperator(a.astype(object) - b.astype(object))
 
 
 def projection_distance(p, q) -> float:

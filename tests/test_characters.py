@@ -7,6 +7,8 @@ integer and exact check, bit for bit on the lazily built shadow, and to
 1e-9 on the eigenvalue-derived floats.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,6 @@ from coholap import (
     todd_coxeter,
 )
 from coholap import cosets, exact
-from coholap.spectral import CharacterOperator, EvaluatedOperator
 
 TORUS = build_complex(Presentation(("a", "b"), (Word((1, 2, -1, -2)),)),
                       aspherical=True)
@@ -103,8 +104,7 @@ def test_character_form_matches_the_dense_path(name, spec, extra):
     laplacians, others = operators(spec)
     for matrix in laplacians:
         fast, slow = evaluate(matrix, rep), evaluate(matrix, dense)
-        assert type(fast) is CharacterOperator
-        assert type(slow) is EvaluatedOperator
+        assert (fast.backend, slow.backend) == ("characters", "dense")
         a, b = spectral_gap(fast), spectral_gap(slow)
         assert (a.backend, b.backend) == ("characters", "dense")
         for field in ("kernel_dim", "dimension", "scale", "threshold",
@@ -141,7 +141,7 @@ def test_coefficients_match_the_word_perm_route(name, spec, extra):
                 for word, coeff in matrix.entry(i, j).terms():
                     v[i, j, codes[rep.word_perm(word)[0]]] += coeff.numerator
         op = evaluate(matrix, rep)
-        assert type(op) is CharacterOperator
+        assert op.backend == "characters"
         assert np.array_equal(
             op.coefficients, v.reshape(matrix.rows, matrix.cols, *orders))
 
@@ -174,7 +174,7 @@ def test_non_abelian_stages_take_the_dense_path(relators):
     assert rep.table.characters is None
     laplacian = build_laplacian(FREE2, 1).laplacian
     op = evaluate(laplacian, rep)
-    assert type(op) is EvaluatedOperator
+    assert op.backend == "dense"
     assert spectral_gap(op).backend == "dense"
 
 
@@ -188,8 +188,8 @@ def test_the_table_carries_read_only_codes():
         codes[0] = codes[1]
     rep = Representation.from_coset_table(table)
     laplacian = build_laplacian(FREE2, 0).laplacian
-    assert type(evaluate(laplacian, rep)) is CharacterOperator
-    assert type(evaluate(laplacian, dense_twin(rep))) is EvaluatedOperator
+    assert evaluate(laplacian, rep).backend == "characters"
+    assert evaluate(laplacian, dense_twin(rep)).backend == "dense"
 
 
 class TestCorruptedCoordinates:
@@ -280,6 +280,31 @@ def test_exact_product_check_matches_the_dense_product(name, spec, extra):
         # Delta^+ is self-adjoint: its square vanishes only when it does
         assert (evaluate(plus, rep).product_is_zero_exact(evaluate(plus, rep))
                 == evaluate(plus, rep).is_zero_exact())
+
+
+@pytest.mark.parametrize("name, spec, extra", [
+    case for case in CORPUS if case[0] in (
+        "genus2-(Z/2)^4", "torus-Z/2xZ/6")])
+def test_product_check_across_the_two_forms(name, spec, extra):
+    """Integral Delta_1^+, in character form and dense, against rational,
+    hence dense, halves of Delta_1^- and Delta_1^+ on the same stage, in
+    both orders.  The oracle is the dense exact product of the integral
+    parts, zero exactly when the product with a half is."""
+    rep = quotient(spec, extra)
+    dense = dense_twin(rep)
+    bundle = build_laplacian(spec, 1)
+    plus, dense_plus = (evaluate(bundle.plus_part, r) for r in (rep, dense))
+    assert (plus.backend, dense_plus.backend) == ("characters", "dense")
+    for part, expected in ((bundle.minus_part, True),
+                           (bundle.plus_part, False)):
+        oracle = exact.is_zero(exact.matmul(
+            dense_plus.exact_matrix, evaluate(part, dense).exact_matrix))
+        assert oracle == expected
+        half = evaluate(part.scale(Fraction(1, 2)), rep)
+        assert half.backend == "dense"
+        for left in (plus, dense_plus):
+            assert left.product_is_zero_exact(half) == expected
+            assert half.product_is_zero_exact(left) == expected
 
 
 def test_a_projection_wider_than_the_budget_refuses_its_matrix():

@@ -104,8 +104,8 @@ class TestEvaluate:
         # exact and the only copy; the int64 matrix is rebuilt on demand
         for top in (2**53 - 1, -(2**53) + 1):
             grid = np.array([[0, top], [top, 1]], dtype=np.int64)
-            op = EvaluatedOperator(exact.Matrix(grid))
-            assert op._exact is None
+            op = EvaluatedOperator(grid)
+            assert op.coefficients is op.shadow
             assert op.exact_matrix.array.dtype == np.int64
             assert op.exact_matrix == grid.tolist()
             assert op.is_symmetric_exact()
@@ -115,12 +115,12 @@ class TestEvaluate:
         # 2**53 and 2**53 + 1 share a float64: only the exact matrix shows
         # that this matrix is not symmetric
         grid = np.array([[0, 2**53], [2**53 + 1, 0]], dtype=np.int64)
-        op = EvaluatedOperator(exact.Matrix(grid))
-        assert op._exact is not None
+        op = EvaluatedOperator(grid)
+        assert op.coefficients.dtype == np.int64
         assert np.array_equal(op.shadow, op.shadow.T)
         assert not op.is_symmetric_exact()
-        low = EvaluatedOperator(exact.Matrix(np.array([[-(2**53)]])))
-        assert low._exact is not None
+        low = EvaluatedOperator(np.array([[-(2**53)]]))
+        assert low.coefficients.dtype == np.int64
         assert low.exact_matrix == ((-(2**53),),)
 
     def test_dimension_requires_square(self):
@@ -130,6 +130,18 @@ class TestEvaluate:
         op = evaluate(matrix, rep)
         with pytest.raises(ShapeMismatchError):
             _ = op.dimension
+
+    def test_product_check_requires_matching_shapes(self):
+        rep = regular_rep(F1, ["a^3"])
+        matrix = GroupRingMatrix(
+            1, 2, [[GroupRingElement.one(), GroupRingElement.one()]])
+        square = GroupRingMatrix.from_element(GroupRingElement.one())
+        for r in (rep, Representation(3, perms=rep.perms)):
+            row, one = evaluate(matrix, r), evaluate(square, r)
+            for left, right in ((row, row), (row, one)):
+                with pytest.raises(ShapeMismatchError):
+                    left.product_is_zero_exact(right)
+            assert not one.product_is_zero_exact(row)
 
 
 class TestEigenvalueOracles:
@@ -184,9 +196,32 @@ class TestEigenvalueOracles:
         first = spectral_gap(op)
         kernel_projection(op)
         assert spectral_gap(op) == first
-        # the operator's eigenvalues once; the projection's one-block
-        # stack P^2 - P once, for its idempotency defect
-        assert calls == [(9, 9), (1, 9, 9)]
+        # the operator's eigenvalues once, on its one-symbol stack; the
+        # projection's one-block stack P^2 - P once, for its idempotency
+        # defect
+        assert calls == [(1, 9, 9), (1, 9, 9)]
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "characters"])
+    def test_gap_report_kept_per_tolerance(self, monkeypatch, dense):
+        rep = regular_rep(F2, ["a^3", "b^3", "a*b*a^-1*b^-1"])
+        if dense:
+            rep = Representation(rep.dimension, perms=rep.perms)
+        op = laplacian_operator(F2, rep)
+        assert op.backend == ("dense" if dense else "characters")
+        calls = []
+        for name in ("is_symmetric_exact", "one_norm"):
+            method = getattr(EvaluatedOperator, name)
+            monkeypatch.setattr(
+                EvaluatedOperator, name,
+                lambda self, name=name, method=method:
+                    calls.append(name) or method(self))
+        first = spectral_gap(op)
+        kernel_projection(op)
+        assert spectral_gap(op) is first
+        assert calls == ["is_symmetric_exact", "one_norm"]
+        other = spectral_gap(op, 1e-6)
+        assert other.zero_tolerance == 1e-6 and other.kernel_dim == 1
+        assert calls == ["is_symmetric_exact", "one_norm"] * 2
 
 
 class TestLanczos:
