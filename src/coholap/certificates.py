@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import MalformedInputError, ShapeMismatchError
 from .groupring import (
@@ -36,8 +36,7 @@ from .spectral import DEFAULT_ZERO_TOLERANCE, EvaluatedOperator
 SOUNDNESS_SLACK = 1e-6
 
 
-@dataclass(frozen=True)
-class IdealWitness:
+class IdealWitness(NamedTuple):
     """One term a (r - 1) b with r an ideal generator."""
 
     left: GroupRingMatrix
@@ -122,8 +121,7 @@ class Certificate:
         return None
 
 
-@dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(NamedTuple):
     verified: bool
     residual: GroupRingMatrix
     residual_terms: int
@@ -170,8 +168,7 @@ def verify_certificate(certificate: Certificate) -> CertificateReport:
         label=certificate.label)
 
 
-@dataclass(frozen=True)
-class GapClaim:
+class GapClaim(NamedTuple):
     """What a verified certificate proves, as a structured record."""
 
     label: str
@@ -213,8 +210,7 @@ def certificate_gap_claim(certificate: Certificate,
         polynomial_form=(c2, c1))
 
 
-@dataclass(frozen=True)
-class SoundnessCheck:
+class SoundnessCheck(NamedTuple):
     holds: bool
     offending_eigenvalue: float | None
     zero_threshold: float

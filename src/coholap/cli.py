@@ -24,63 +24,21 @@ derived from them (the CSV reads its columns out of the JSON records).
 
 from __future__ import annotations
 
-import argparse
-import csv
-import datetime
+# The layers are imported where they are called, and argparse, csv,
+# datetime and platform where they are used, after numpy: loaded before
+# numpy, those four raise peak RSS by about 0.2 MiB on the project-chain
+# workload.
 import io
 import json
 import math
 import os
-import platform
 import sys
 import warnings
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import __version__ as VERSION
-from .certificates import (
-    certificate_gap_claim,
-    check_claim_soundness,
-    verify_certificate,
-)
-from .complexes import validate_chain_identity
-from .cosets import (
-    DEFAULT_BALL_RADIUS,
-    DEFAULT_MAX_COSETS,
-    QuotientChain,
-    SeparationWarning,
-    quotient_chain,
-)
-from .description import (
-    load_payload,
-    parse_beta_ref,
-    parse_certificates,
-    parse_chain,
-    parse_complex,
-    parse_degree,
-    parse_degrees,
-    parse_method,
-    parse_presentation,
-    parse_representation,
-    parse_subgroup_orders,
-    parse_tolerance,
-    parse_upper_bounds,
-)
 from .errors import CoholapError, MalformedInputError
-from .pipeline import (
-    betti_report,
-    box_obstruction_report,
-    euler_class_trace,
-    ghost_diagnostic,
-    higher_kazhdan_projection,
-    l2_betti_upper_bounds,
-    lambda_ring_membership,
-    laplacian_operator,
-    luck_approximation,
-)
-from .spectral import evaluate, spectral_gap
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +88,8 @@ def _gap_json(report) -> dict:
 def _csv_text(columns: tuple[tuple[str, str], ...], records: list[dict]) -> str:
     """One CSV row per JSON report record; a column's path is dotted keys
     into the record, and a path below a null block gives an empty cell."""
+    import csv
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow([header for header, _path in columns])
@@ -167,6 +127,9 @@ class _Run:
     description with several faults always reports the same one)."""
 
     def __init__(self, args, payload: dict, degree_key: str | None):
+        from .description import (parse_complex, parse_degree, parse_degrees,
+                                  parse_presentation, parse_tolerance)
+
         self.args = args
         self.payload = payload
         self.presentation = parse_presentation(payload)
@@ -176,7 +139,7 @@ class _Run:
         elif degree_key == "degrees":
             self.degrees = parse_degrees(payload, args.command)
         self.tol = parse_tolerance(payload, args.tol)
-        self.chain: QuotientChain | None = None  # set by _chain
+        self.chain = None  # the QuotientChain, set by _chain
 
 
 def _check_cochain(run: _Run, representations) -> None:
@@ -186,14 +149,19 @@ def _check_cochain(run: _Run, representations) -> None:
     presentation complex alone gives d_1 d_0 = 1 - r_j, which vanishes
     under every representation of the presented group.
     """
+    from .complexes import validate_chain_identity
+
     if run.payload.get("higher_differentials"):
         for rep in representations:
             validate_chain_identity(run.complex, rep)
 
 
-def _chain(run: _Run) -> QuotientChain:
+def _chain(run: _Run):
     """The description's quotient chain, kept on ``run`` so that main adds
     its separation summary to the report."""
+    from .cosets import SeparationWarning, quotient_chain
+    from .description import parse_chain
+
     chain = run.chain = quotient_chain(
         run.presentation,
         parse_chain(run.payload, run.presentation, run.args.command),
@@ -218,6 +186,8 @@ def _per_stage(run: _Run, key: str, records: Callable) -> dict:
     otherwise the single 'representation' block (default: the regular
     representation of the presented group) names one stage.
     """
+    from .description import parse_representation
+
     if "chain" in run.payload:
         stages = [(position, order, rep)
                   for position, order, _table, rep in _chain(run).stages()]
@@ -256,9 +226,9 @@ def _command(name: str, help_text: str, degree_key: str | None,
              records_key: str, columns: str):
     """Register a handler, which returns its report less the keys main adds.
 
-    Handlers reach library functions through this module's globals at
-    call time, never through stored references: per-layer tracing
-    rebinds those globals.
+    Handlers and helpers import the library functions they call when
+    they run, so a command loads only the layers it uses, and per-layer
+    tracing, which rebinds module attributes, sees every call.
     """
     def register(handler):
         _COMMANDS[name] = _Command(handler, help_text, degree_key,
@@ -271,6 +241,9 @@ def _command(name: str, help_text: str, degree_key: str | None,
           "degree", "stages",
           "position quotient_order dimension kernel_dim gap resolved lowest")
 def _cmd_spectrum(run: _Run) -> dict:
+    from .pipeline import laplacian_operator
+    from .spectral import spectral_gap
+
     def records(order, rep):
         op = laplacian_operator(run.complex, run.degree, rep)
         return [{"label": rep.label, **_gap_json(spectral_gap(op, run.tol))}]
@@ -281,6 +254,9 @@ def _cmd_spectrum(run: _Run) -> dict:
           "degrees", "records",
           "position quotient_order degree betti normalized gap resolved")
 def _cmd_betti(run: _Run) -> dict:
+    from .description import parse_upper_bounds
+    from .pipeline import betti_report, l2_betti_upper_bounds
+
     def records(order, rep):
         for degree in run.degrees:
             betti, gap_report = betti_report(run.complex, degree, rep, run.tol)
@@ -302,6 +278,9 @@ def _cmd_betti(run: _Run) -> dict:
 @_command("luck", "normalized Betti sequence along a chain of quotients",
           "degree", "records", "position quotient_order betti ratio gap")
 def _cmd_luck(run: _Run) -> dict:
+    from .description import parse_subgroup_orders
+    from .pipeline import lambda_ring_membership, luck_approximation
+
     luck = luck_approximation(run.complex, run.degree, _chain(run), run.tol)
     report = {
         "records": [_pick(r, "position quotient_order betti ratio gap")
@@ -321,6 +300,9 @@ def _cmd_luck(run: _Run) -> dict:
           "product_defect gap=gap.gap gap_plus=gap_plus.gap "
           "gap_minus=gap_minus.gap method")
 def _cmd_project(run: _Run) -> dict:
+    from .description import parse_method
+    from .pipeline import higher_kazhdan_projection
+
     method = parse_method(run.payload)
 
     def records(order, rep):
@@ -349,11 +331,17 @@ def _cmd_project(run: _Run) -> dict:
           "degree", "records",
           "position quotient_order kernel_dim lifted_value discrepancy gap")
 def _cmd_obstruct(run: _Run) -> dict:
+    from .description import parse_beta_ref
+    from .pipeline import box_obstruction_report
+
     chain = _chain(run)
     beta_ref = parse_beta_ref(run.payload, run.args.command)
 
     gap_claim = None
     if "certificate" in run.payload or "certificates" in run.payload:
+        from .certificates import certificate_gap_claim, verify_certificate
+        from .description import parse_certificates
+
         certificate, _soundness = parse_certificates(
             run.payload, run.presentation, run.complex)[0]
         gap_claim = certificate_gap_claim(certificate,
@@ -378,6 +366,8 @@ def _cmd_obstruct(run: _Run) -> dict:
           None, "records",
           "position quotient_order kernel_dims euler_trace matches")
 def _cmd_euler(run: _Run) -> dict:
+    from .pipeline import euler_class_trace
+
     euler = euler_class_trace(run.complex, _chain(run), run.tol)
     records = [{
         **_pick(r, "position quotient_order kernel_dims euler_trace"),
@@ -390,6 +380,9 @@ def _cmd_euler(run: _Run) -> dict:
 @_command("ghost", "entry decay of kernel projections along a chain",
           "degree", "records", "position quotient_order max_abs_entry trace")
 def _cmd_ghost(run: _Run) -> dict:
+    from .description import parse_method
+    from .pipeline import ghost_diagnostic
+
     method = parse_method(run.payload)
     ghost = ghost_diagnostic(run.complex, run.degree, _chain(run), run.tol,
                              method=method)
@@ -407,6 +400,11 @@ def _cmd_ghost(run: _Run) -> dict:
           "label verified residual_terms claim_kind=claim.kind "
           "epsilon=claim.epsilon soundness_holds=soundness.holds")
 def _cmd_verify_cert(run: _Run) -> dict:
+    from .certificates import (certificate_gap_claim, check_claim_soundness,
+                               verify_certificate)
+    from .description import parse_certificates, parse_representation
+    from .spectral import evaluate
+
     results = []
     for certificate, soundness in parse_certificates(
             run.payload, run.presentation, run.complex):
@@ -444,7 +442,10 @@ def _cmd_verify_cert(run: _Run) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    from .cosets import DEFAULT_BALL_RADIUS, DEFAULT_MAX_COSETS
+    import argparse  # after numpy, which cosets loads
+
     parser = argparse.ArgumentParser(
         prog="coholap",
         description="Exact spectral computations for cohomological "
@@ -477,6 +478,11 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _write_outputs(args, report_text: str, csv_text: str) -> None:
+    import datetime
+    import platform
+
+    import numpy as np
+
     os.makedirs(args.out_dir, exist_ok=True)
     _write_text(os.path.join(args.out_dir, f"{args.command}.json"),
                 report_text)
@@ -509,6 +515,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 0 for --help/--version and 2 for usage errors
         return int(exc.code or 0)
+    from .description import load_payload
+
     command = _COMMANDS[args.command]
     try:
         if args.ball_radius < 0:

@@ -26,7 +26,7 @@ validated under representations, where it must vanish exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .cosets import Representation
 from .errors import (
@@ -44,8 +44,7 @@ from .groupring import (
 )
 
 
-@dataclass(frozen=True)
-class CochainComplexSpec:
+class CochainComplexSpec(NamedTuple):
     """A finite cochain complex over the group ring of a presentation.
 
     ``differentials[n]`` is d_n : C^n -> C^{n+1}, a k_{n+1} x k_n matrix;

@@ -23,7 +23,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -437,8 +437,7 @@ class Representation:
         return f"Representation({kind}, dim={self.dimension}, label={self.label!r})"
 
 
-@dataclass(frozen=True)
-class SeparationReport:
+class SeparationReport(NamedTuple):
     """Outcome of checking that short words survive into some quotient."""
 
     radius: int

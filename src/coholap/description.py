@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .certificates import Certificate, IdealWitness
 from .complexes import CochainComplexSpec, build_complex, build_laplacian
 from .cosets import Representation, todd_coxeter
 from .errors import MalformedInputError
@@ -211,8 +210,10 @@ def parse_scalar(value, what: str) -> Fraction:
 
 def parse_certificates(payload: dict, presentation: Presentation,
                         complex_spec: CochainComplexSpec
-                        ) -> list[tuple[Certificate, dict | None]]:
-    """Certificates plus their optional soundness-check blocks."""
+                        ) -> list[tuple]:
+    """(Certificate, soundness-check block or None) pairs."""
+    from .certificates import Certificate, IdealWitness
+
     blocks = payload.get("certificates")
     if blocks is None and "certificate" in payload:
         blocks = [payload["certificate"]]

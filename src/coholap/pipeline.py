@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -73,8 +73,7 @@ def betti_finite_quotient(spec: CochainComplexSpec, degree: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KazhdanProjections:
+class KazhdanProjections(NamedTuple):
     """Spectral projections onto ker Delta_n, ker Delta_n^+, ker Delta_n^-."""
 
     degree: int
@@ -150,8 +149,7 @@ def higher_kazhdan_projection(spec: CochainComplexSpec, degree: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LuckRecord:
+class LuckRecord(NamedTuple):
     position: int
     quotient_order: int
     betti: int
@@ -159,8 +157,7 @@ class LuckRecord:
     gap: float
 
 
-@dataclass(frozen=True)
-class LuckReport:
+class LuckReport(NamedTuple):
     degree: int
     records: tuple[LuckRecord, ...]
     tail_estimates: tuple[Fraction, ...]
@@ -211,8 +208,7 @@ def luck_approximation(spec: CochainComplexSpec, degree: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UpperBoundReport:
+class UpperBoundReport(NamedTuple):
     degree: int
     norm_bound: Fraction
     values: tuple[Fraction, ...]          # u_1 .. u_M, nonincreasing
@@ -465,16 +461,14 @@ def lambda_ring_membership(value: Fraction,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EulerRecord:
+class EulerRecord(NamedTuple):
     position: int
     quotient_order: int
     kernel_dims: tuple[int, ...]
     euler_trace: Fraction
 
 
-@dataclass(frozen=True)
-class EulerReport:
+class EulerReport(NamedTuple):
     euler_characteristic: int
     records: tuple[EulerRecord, ...]
     all_match: bool
@@ -532,8 +526,7 @@ class BetaRef:
         object.__setattr__(self, "value", Fraction(self.value))
 
 
-@dataclass(frozen=True)
-class ObstructionRecord:
+class ObstructionRecord(NamedTuple):
     position: int
     quotient_order: int
     d_star_value: int
@@ -542,8 +535,7 @@ class ObstructionRecord:
     gap: float
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     degree: int
     beta_ref: BetaRef
     records: tuple[ObstructionRecord, ...]
@@ -612,8 +604,7 @@ def box_obstruction_report(spec: CochainComplexSpec, degree: int,
         certified_epsilon=float(gap_claim.epsilon) if certified else None)
 
 
-@dataclass(frozen=True)
-class GhostRecord:
+class GhostRecord(NamedTuple):
     position: int
     quotient_order: int
     max_abs_entry: float
@@ -621,8 +612,7 @@ class GhostRecord:
     backend: str
 
 
-@dataclass(frozen=True)
-class GhostReport:
+class GhostReport(NamedTuple):
     degree: int
     records: tuple[GhostRecord, ...]
     ghost_like: bool

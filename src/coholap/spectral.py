@@ -39,7 +39,7 @@ discrete heat semigroup), which the tests require to agree.  Both take
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,7 +83,7 @@ class EvaluatedOperator:
     """
 
     __slots__ = ("coefficients", "characters", "rows", "cols", "provenance",
-                 "_shadow", "_eigenvalues", "_gap")
+                 "_shadow", "_eigenvalues", "_gap", "_symmetric")
 
     def __init__(self, coefficients: np.ndarray, characters: tuple = TRIVIAL,
                  provenance: str = ""):
@@ -95,7 +95,7 @@ class EvaluatedOperator:
                                 for side in coefficients.shape[:2])
         self.provenance = provenance
         self._shadow = coefficients if coefficients.dtype == np.float64 else None
-        self._eigenvalues = self._gap = None
+        self._eigenvalues = self._gap = self._symmetric = None
 
     @property
     def backend(self) -> str:
@@ -129,11 +129,14 @@ class EvaluatedOperator:
         return symbols.reshape(*v.shape[:2], -1).transpose(2, 0, 1)
 
     def is_symmetric_exact(self) -> bool:
-        """v_ij[y] = v_ji[-y] for every y (arrays of two shapes differ)."""
-        v = self.coefficients
-        axes = tuple(range(2, v.ndim))
-        return np.array_equal(v, _roll(np.flip(v, axes), 1, axes)
-                              .swapaxes(0, 1))
+        """v_ij[y] = v_ji[-y] for every y (arrays of two shapes differ),
+        compared once."""
+        if self._symmetric is None:
+            v = self.coefficients
+            axes = tuple(range(2, v.ndim))
+            self._symmetric = np.array_equal(
+                v, _roll(np.flip(v, axes), 1, axes).swapaxes(0, 1))
+        return self._symmetric
 
     def is_zero_exact(self) -> bool:
         return not np.count_nonzero(self.coefficients)
@@ -291,8 +294,7 @@ def _circulant(v: np.ndarray, codes: np.ndarray,
     return grid
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(NamedTuple):
     """Zero cluster and first nonzero eigenvalue of a PSD operator."""
 
     dimension: int
@@ -412,8 +414,7 @@ def spectral_gap(op: EvaluatedOperator,
     return op._gap
 
 
-@dataclass(frozen=True)
-class ProjectionMatrix:
+class ProjectionMatrix(NamedTuple):
     """A numerical spectral projection with its invariant defects.
 
     ``symbols`` is the projection as a stack of blocks, one per symbol of

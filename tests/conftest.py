@@ -8,13 +8,18 @@ against these.
 """
 
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from itertools import combinations
 from random import Random
 
 import numpy as np
 
+import coholap
 from coholap import (
     EvaluatedOperator,
     GroupRingElement,
@@ -699,3 +704,17 @@ def slow_ring_matmul(a, b) -> list[list[dict]]:
             row.append(acc)
         out.append(row)
     return out
+
+
+def fresh_interpreter(script: str, *args: str, path=()) -> str:
+    """stdout of ``script`` run with ``args`` in a new interpreter that
+    imports this package (and the directories in ``path``), with one BLAS
+    thread; fails the test on a non-zero exit."""
+    src = os.path.dirname(os.path.dirname(coholap.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join((*map(str, path), src)))
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(script),
+                           *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout

@@ -6,25 +6,36 @@ untraced original, so renaming or deleting a traced function must fail
 here, not only in a traced bench run.
 """
 
-import os
-import subprocess
-import sys
-import textwrap
 from pathlib import Path
 
-import coholap
+from conftest import fresh_interpreter
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_the_tracer_installs_on_the_package():
-    script = textwrap.dedent("""
+    fresh_interpreter("""
         from layers import Tracer
         Tracer().install()
-    """)
-    src = os.path.dirname(os.path.dirname(coholap.__file__))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join((str(PERFBENCH), src)))
-    done = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
+    """, path=(PERFBENCH,))
+
+
+def test_command_handlers_call_through_the_tracer(tmp_path):
+    # the handlers import the layers when they run, after the tracer has
+    # rebound them, as in a traced bench child
+    calls = fresh_interpreter("""
+        import contextlib, io, sys
+        import coholap.cli
+        from layers import Tracer
+        tracer = Tracer()
+        tracer.install()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert coholap.cli.main(
+                ["betti", sys.argv[1], "--out-dir", sys.argv[2]]) == 0
+        print(tracer.calls["pipeline.betti_report"],
+              tracer.calls["spectral.evaluate"], tracer.calls["cli"])
+    """, str(ROOT / "demos" / "specs" / "torus_quotient.json"), str(tmp_path),
+        path=(PERFBENCH,))
+    # degrees 0, 1 and 2 of one stage: one Laplacian each
+    assert calls.split() == ["3", "3", "1"]
