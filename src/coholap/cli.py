@@ -25,9 +25,9 @@ derived from them (the CSV reads its columns out of the JSON records).
 from __future__ import annotations
 
 # The layers are imported where they are called, and argparse, csv,
-# datetime and platform where they are used, after numpy: loaded before
-# numpy, those four raise peak RSS by about 0.2 MiB on the project-chain
-# workload.
+# datetime and platform where they are used.  csv, datetime and platform
+# come after numpy: loaded before it, they raise peak RSS on the
+# project-chain workload.
 import io
 import json
 import math
@@ -443,8 +443,7 @@ def _cmd_verify_cert(run: _Run) -> dict:
 
 
 def _build_parser():
-    from .cosets import DEFAULT_BALL_RADIUS, DEFAULT_MAX_COSETS
-    import argparse  # after numpy, which cosets loads
+    import argparse
 
     parser = argparse.ArgumentParser(
         prog="coholap",
@@ -460,11 +459,10 @@ def _build_parser():
         sub.add_argument("--tol", type=float, default=None,
                          help="zero tolerance override (default: the "
                               "description's zero_tolerance, else 1e-8)")
-        sub.add_argument("--max-cosets", type=int,
-                         default=DEFAULT_MAX_COSETS, dest="max_cosets",
+        # the defaults live in cosets, which loads numpy: main reads them
+        sub.add_argument("--max-cosets", type=int, dest="max_cosets",
                          help="coset enumeration budget")
-        sub.add_argument("--ball-radius", type=int,
-                         default=DEFAULT_BALL_RADIUS, dest="ball_radius",
+        sub.add_argument("--ball-radius", type=int, dest="ball_radius",
                          help="word length for the chain separation check")
         sub.add_argument("--out-dir", default="coholap-out", dest="out_dir",
                          help="directory for report files "
@@ -515,7 +513,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 0 for --help/--version and 2 for usage errors
         return int(exc.code or 0)
+    from .cosets import DEFAULT_BALL_RADIUS, DEFAULT_MAX_COSETS
     from .description import load_payload
+
+    if args.ball_radius is None:
+        args.ball_radius = DEFAULT_BALL_RADIUS
+    if args.max_cosets is None:
+        args.max_cosets = DEFAULT_MAX_COSETS
 
     command = _COMMANDS[args.command]
     try:

@@ -378,10 +378,6 @@ class Representation:
                 if not exact.is_orthogonal(m):
                     raise ValueError("generator image is not orthogonal")
 
-    @property
-    def generator_count(self) -> int:
-        return len(self.perms if self.perms is not None else self.matrices)
-
     @staticmethod
     def trivial(generator_count: int, label: str = "trivial") -> "Representation":
         return Representation(

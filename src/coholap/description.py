@@ -185,7 +185,7 @@ def parse_tolerance(payload: dict, override: float | None) -> float:
     try:
         value = float(value)
     except (TypeError, ValueError):
-        raise MalformedInputError("zero tolerance must be a number")
+        raise MalformedInputError("'zero_tolerance' must be a number")
     if not 0 < value < 1:
         raise MalformedInputError("zero tolerance must lie in (0, 1)")
     return value

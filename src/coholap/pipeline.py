@@ -21,7 +21,8 @@ import numpy as np
 
 from . import exact
 from .complexes import CochainComplexSpec, build_laplacian
-from .cosets import QuotientChain, Representation, todd_coxeter
+from .cosets import (DEFAULT_MAX_COSETS, QuotientChain, Representation,
+                     todd_coxeter)
 from .errors import (
     EnumerationOverflowError,
     IncompleteComplexError,
@@ -284,7 +285,7 @@ def l2_betti_upper_bounds(spec: CochainComplexSpec, degree: int,
                           gap_hint: float | None = None,
                           norm_bound: Fraction | None = None,
                           term_budget: int = 2_000_000,
-                          max_cosets: int = 10**6) -> UpperBoundReport:
+                          max_cosets: int = DEFAULT_MAX_COSETS) -> UpperBoundReport:
     """Exact values u_M = tau_k((I - Delta_n / R)^M) for M = 1..m_max.
 
     Each u_M bounds the limiting normalized Betti number from above when

@@ -3,14 +3,15 @@
 ``evaluate`` turns a k x k matrix over the group ring into an
 :class:`EvaluatedOperator`: a k x k matrix of exact convolution kernels
 on a finite abelian quotient Q, with one k x k symbol per character of Q.
-An integral matrix under the regular representation of an abelian
-quotient, whose coset table carries its characters, is held over that
-quotient.  Every other matrix is dense: it is held over the trivial
-quotient Q = 1, whose one symbol is the whole (k * dim) x (k * dim) block
-matrix, block (i, j) being ``sum_w coeff * pi(w)`` (int64 for integer
-coefficients under permutations, Python rationals otherwise; int64
-entries strictly between -2**53 and 2**53 held once, as floats).  The
-exact-to-float boundary sits immediately before eigenvalue computation.
+The stage alone picks the form: under the regular representation of an
+abelian quotient, whose coset table carries its characters, a matrix is
+held over that quotient.  Under any other it is dense, held over the
+trivial quotient Q = 1, whose one symbol is the whole (k * dim) x
+(k * dim) block matrix, block (i, j) being ``sum_w coeff * pi(w)``.
+Either form is int64 for integer coefficients under permutations, Python
+rationals otherwise (dense int64 entries strictly between -2**53 and
+2**53 held once, as floats).  The exact-to-float boundary sits
+immediately before eigenvalue computation.
 
 Eigenvalues, kernel and heat projections, rank checks and the exact
 Delta^+ Delta^- = 0 check run on the symbols and on the arrays of
@@ -102,8 +103,9 @@ class EvaluatedOperator:
         return "characters" if self.characters[0] else "dense"
 
     def _numeric_coefficients(self) -> np.ndarray:
-        """A character form's int64 kernels, a dense operator's shadow."""
-        return self.coefficients if self.characters[0] else self.shadow
+        """The kernels, rationals as floats; a dense operator's shadow."""
+        v = self.coefficients if self.characters[0] else self.shadow
+        return v.astype(np.float64) if v.dtype == object else v
 
     @property
     def shadow(self) -> np.ndarray:
@@ -115,12 +117,6 @@ class EvaluatedOperator:
     def exact_matrix(self) -> exact.Matrix:
         return exact.Matrix(_exact(_circulant(
             self.coefficients, self.characters[1], self.provenance)))
-
-    @property
-    def dimension(self) -> int:
-        if self.rows != self.cols:
-            raise ShapeMismatchError("dimension is defined for square operators")
-        return self.rows
 
     def symbols(self) -> np.ndarray:
         """The stack of k x k symbols the operator is the direct sum of."""
@@ -147,15 +143,15 @@ class EvaluatedOperator:
         Checked on the product's coset-0 columns, which fix an operator
         that commutes with translation: (a * b)_il = sum over the pairs
         (j, y) with a_ij[y] != 0 of a_ij[y] roll(b_jl, y), one exact
-        product of a k x S matrix with an S x k|Q| matrix.  Operators over
-        two different quotients multiply as dense exact matrices.
+        product of a k x S matrix with an S x k|Q| matrix.  Both operators
+        must live over one quotient, as two evaluations on one stage do.
         """
         if self.cols != right.rows:
             raise ShapeMismatchError(f"cannot multiply {self.rows}x{self.cols}"
                                      f" by {right.rows}x{right.cols}")
         if right.characters is not self.characters:
-            return exact.is_zero(exact.matmul(self.exact_matrix,
-                                              right.exact_matrix))
+            raise ShapeMismatchError(
+                "cannot multiply operators over different quotients")
         a, b = self.coefficients, right.coefficients
         orders, axes = a.shape[2:], tuple(range(2, b.ndim))
         size = self.characters[1].size
@@ -216,15 +212,15 @@ def evaluate(matrix: GroupRingMatrix, rep: Representation,
 
     A *-homomorphism: products, sums, and adjoints commute with
     evaluation, and self-adjoint inputs give exactly symmetric outputs.
-    An entry of a permutation evaluation is a sum of coefficients, so
-    with integer coefficients of absolute sum below 2**62 it is int64.
-    Such an integral matrix under a representation whose coset table
-    carries characters is held in character form: each term adds its
-    coefficient to v_ij at coset 0 * word^-1, walked letter by letter
-    through the table.  Otherwise (no table included) it is dense, over
-    the trivial quotient: each term is one scatter into the grid, which
-    raises SizeBudgetError, before allocating, when its larger side
-    exceeds ``DENSE_EIG_CUTOFF``.
+    Under a representation whose coset table carries characters the
+    matrix is held in character form: each term adds its coefficient to
+    v_ij at coset 0 * word^-1, walked letter by letter through the table.
+    Under any other (no table included) it is dense, over the trivial
+    quotient: each term is one scatter into the grid, which raises
+    SizeBudgetError, before allocating, when its larger side exceeds
+    ``DENSE_EIG_CUTOFF``.  An entry of a permutation evaluation is a sum
+    of coefficients, so with integer coefficients of absolute sum below
+    2**62 either form is int64; otherwise it holds Python rationals.
     """
     provenance = provenance or f"{matrix.rows}x{matrix.cols}@{rep.label or 'rep'}"
     terms = [(i, j, word, coeff)
@@ -233,18 +229,18 @@ def evaluate(matrix: GroupRingMatrix, rep: Representation,
     integral = (rep.perms is not None
                 and all(coeff.denominator == 1 for *_, coeff in terms)
                 and sum(abs(coeff) for *_, coeff in terms) < 2**62)
-    characters = (rep.table.characters if integral and rep.table
-                  else None) or TRIVIAL
+    characters = (rep.table and rep.table.characters) or TRIVIAL
     if characters is TRIVIAL:
         v = _scatter(matrix, rep, terms, integral, provenance)
     else:
         orders, codes = characters
-        v = np.zeros((matrix.rows, matrix.cols, rep.dimension), dtype=np.int64)
+        v = np.zeros((matrix.rows, matrix.cols, rep.dimension),
+                     dtype=np.int64 if integral else object)
         for i, j, word, coeff in terms:
             coset = 0
             for letter in reversed(word):
                 coset = rep.table.columns[CosetTable._column(-letter), coset]
-            v[i, j, codes[coset]] += coeff.numerator
+            v[i, j, codes[coset]] += coeff.numerator if integral else coeff
         v = v.reshape(matrix.rows, matrix.cols, *orders)
     result = EvaluatedOperator(v, characters, provenance)
     if matrix.is_self_adjoint() and not result.is_symmetric_exact():

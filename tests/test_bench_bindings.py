@@ -39,3 +39,24 @@ def test_command_handlers_call_through_the_tracer(tmp_path):
         path=(PERFBENCH,))
     # degrees 0, 1 and 2 of one stage: one Laplacian each
     assert calls.split() == ["3", "3", "1"]
+
+
+def test_the_pinned_call_counts_hold(tmp_path):
+    # each workload at seed 0, as a traced bench child runs it; each new
+    # tracer wraps the last one's wrappers and counts only its workload
+    fresh_interpreter("""
+        import sys
+        import child, layers, run, workloads
+        for name in workloads.WORKLOADS:
+            tracer = layers.Tracer()
+            tracer.install()
+            ops = workloads.operations(name, 0)
+            results = child.run_ops(ops, sys.argv[1], tracer)
+            problems = run.failures(
+                ops, {"exit": 0, "record": {"ops": results}})
+            assert not problems, (name, problems)
+            expected = workloads.EXPECTED_CALLS[name]
+            calls = {layer: tracer.calls[layer] for layer in layers.CALLS}
+            assert calls == {layer: expected.get(layer, 0)
+                             for layer in layers.CALLS}, (name, calls)
+    """, str(tmp_path), path=(PERFBENCH,))

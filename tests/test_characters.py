@@ -4,9 +4,11 @@ A regular representation rebuilt from the same permutations but without
 its coset table always takes the dense path, so every operator below is
 evaluated twice, once each way, and the two must agree: exactly on every
 integer and exact check, bit for bit on the lazily built shadow, and to
-1e-9 on the eigenvalue-derived floats.
+1e-9 on the eigenvalue-derived floats.  Rational operators, the integral
+ones scaled, take the character form too.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -18,13 +20,16 @@ from coholap import (
     InvariantError,
     Presentation,
     Representation,
+    ShapeMismatchError,
     SizeBudgetError,
     Word,
     build_complex,
     build_laplacian,
     evaluate,
     free_group_complex,
+    heat_projection,
     higher_kazhdan_projection,
+    kernel_projection,
     spectral_gap,
     surface_genus2_complex,
     todd_coxeter,
@@ -35,6 +40,7 @@ TORUS = build_complex(Presentation(("a", "b"), (Word((1, 2, -1, -2)),)),
                       aspherical=True)
 FREE2 = free_group_complex(2)
 GENUS2 = surface_genus2_complex()
+HALF, TWO_THIRDS = Fraction(1, 2), Fraction(2, 3)
 
 
 def abelian_words(names, m):
@@ -84,6 +90,14 @@ def convolution_grid(op, rep):
                      for i in range(rows)])
 
 
+def agree(x: float, y: float, integral: bool) -> bool:
+    """Equal for an integral operator.  A rational character form sums
+    its kernels' floats in another order than the dense columns, so its
+    one-norm, and the scale and threshold read from it, may differ in the
+    last bit."""
+    return x == y if integral else math.isclose(x, y, rel_tol=1e-12)
+
+
 def operators(spec):
     """Laplacians and their parts, differentials (rectangular) and the
     chain-identity products d d, all of one complex."""
@@ -102,26 +116,33 @@ def test_character_form_matches_the_dense_path(name, spec, extra):
     dense = dense_twin(rep)
     assert rep.table.characters is not None
     laplacians, others = operators(spec)
-    for matrix in laplacians:
-        fast, slow = evaluate(matrix, rep), evaluate(matrix, dense)
+
+    def twins(matrices, integral):
+        return [(evaluate(m, rep), evaluate(m, dense), integral)
+                for m in matrices]
+
+    square = (twins(laplacians, True)
+              + twins([m.scale(HALF) for m in laplacians], False))
+    for fast, slow, integral in square:
         assert (fast.backend, slow.backend) == ("characters", "dense")
         a, b = spectral_gap(fast), spectral_gap(slow)
         assert (a.backend, b.backend) == ("characters", "dense")
-        for field in ("kernel_dim", "dimension", "scale", "threshold",
-                      "resolved"):
+        for field in ("kernel_dim", "dimension", "resolved"):
             assert getattr(a, field) == getattr(b, field), field
+        for field in ("scale", "threshold"):
+            assert agree(getattr(a, field), getattr(b, field), integral), field
         assert abs(a.gap - b.gap) <= 1e-9 or a.gap == b.gap
         assert len(a.lowest) == len(b.lowest)
         assert all(abs(x - y) <= 1e-9 for x, y in zip(a.lowest, b.lowest))
-    for matrix in laplacians + others:
-        fast, slow = evaluate(matrix, rep), evaluate(matrix, dense)
+    for fast, slow, integral in square + twins(others, True):
         assert (fast.rows, fast.cols) == (slow.rows, slow.cols)
-        assert fast.one_norm() == slow.one_norm()
+        assert agree(fast.one_norm(), slow.one_norm(), integral)
         assert fast.is_symmetric_exact() == slow.is_symmetric_exact()
         assert fast.is_zero_exact() == slow.is_zero_exact()
         assert fast.shadow.dtype == slow.shadow.dtype
         assert fast.shadow.tobytes() == slow.shadow.tobytes()
-        assert np.array_equal(convolution_grid(fast, rep), slow.shadow)
+        if integral:  # the halves share the integral operators' layout
+            assert np.array_equal(convolution_grid(fast, rep), slow.shadow)
         assert fast.exact_matrix == slow.exact_matrix
 
 
@@ -259,9 +280,34 @@ def test_projections_match_the_dense_path(name, spec, extra, method):
                 assert p.selfadjoint_defect <= 1e-12
 
 
+RATIONAL_PROJECTION_CORPUS = [case for case in CORPUS if case[0] in (
+    "genus2-(Z/2)^4", "genus2-(Z/3)^4", "torus-Z/2xZ/6",
+    "free2-klein-enumerated")]
+
+
+@pytest.mark.parametrize("name, spec, extra", RATIONAL_PROJECTION_CORPUS,
+                         ids=[name for name, *_ in RATIONAL_PROJECTION_CORPUS])
+def test_projections_of_rational_operators_match_the_dense_path(name, spec,
+                                                                extra):
+    rep = quotient(spec, extra)
+    dense = dense_twin(rep)
+    for degree in range(spec.top_degree + 1):
+        half = build_laplacian(spec, degree).laplacian.scale(HALF)
+        fast, slow = evaluate(half, rep), evaluate(half, dense)
+        assert (fast.backend, slow.backend) == ("characters", "dense")
+        for project in (kernel_projection, heat_projection):
+            a, b = project(fast), project(slow)
+            assert (a.backend, b.backend) == ("characters", "dense")
+            assert abs(a.trace() - b.trace()) <= 1e-9
+            assert abs(a.max_abs_entry() - b.max_abs_entry()) <= 1e-9
+
+
 @pytest.mark.parametrize("name, spec, extra", CORPUS,
                          ids=[name for name, *_ in CORPUS])
 def test_exact_product_check_matches_the_dense_product(name, spec, extra):
+    """The oracle is the dense exact product of the integral operators.
+    Scaling by 2/3 keeps every zero, so it is the oracle of the rational
+    character forms too, whose dense product would be slow."""
     rep = quotient(spec, extra)
     dense = dense_twin(rep)
     for degree in range(spec.top_degree + 1):
@@ -276,35 +322,20 @@ def test_exact_product_check_matches_the_dense_product(name, spec, extra):
                 product_is_zero = evaluate(left, backend).product_is_zero_exact(
                     evaluate(right, backend))
                 assert product_is_zero == oracle
+            if left is plus:  # rational Delta^+ Delta^- and Delta^+ Delta^+
+                thirds = [evaluate(m.scale(TWO_THIRDS), rep)
+                          for m in (left, right)]
+                assert thirds[0].backend == "characters"
+                assert thirds[0].product_is_zero_exact(thirds[1]) == oracle
+        # one operator in character form, the other dense: two quotients
+        fast, slow = evaluate(plus, rep), evaluate(minus, dense)
+        for left, right in ((fast, slow), (slow, fast)):
+            with pytest.raises(ShapeMismatchError, match="quotients"):
+                left.product_is_zero_exact(right)
         assert evaluate(plus, rep).product_is_zero_exact(evaluate(minus, rep))
         # Delta^+ is self-adjoint: its square vanishes only when it does
         assert (evaluate(plus, rep).product_is_zero_exact(evaluate(plus, rep))
                 == evaluate(plus, rep).is_zero_exact())
-
-
-@pytest.mark.parametrize("name, spec, extra", [
-    case for case in CORPUS if case[0] in (
-        "genus2-(Z/2)^4", "torus-Z/2xZ/6")])
-def test_product_check_across_the_two_forms(name, spec, extra):
-    """Integral Delta_1^+, in character form and dense, against rational,
-    hence dense, halves of Delta_1^- and Delta_1^+ on the same stage, in
-    both orders.  The oracle is the dense exact product of the integral
-    parts, zero exactly when the product with a half is."""
-    rep = quotient(spec, extra)
-    dense = dense_twin(rep)
-    bundle = build_laplacian(spec, 1)
-    plus, dense_plus = (evaluate(bundle.plus_part, r) for r in (rep, dense))
-    assert (plus.backend, dense_plus.backend) == ("characters", "dense")
-    for part, expected in ((bundle.minus_part, True),
-                           (bundle.plus_part, False)):
-        oracle = exact.is_zero(exact.matmul(
-            dense_plus.exact_matrix, evaluate(part, dense).exact_matrix))
-        assert oracle == expected
-        half = evaluate(part.scale(Fraction(1, 2)), rep)
-        assert half.backend == "dense"
-        for left in (plus, dense_plus):
-            assert left.product_is_zero_exact(half) == expected
-            assert half.product_is_zero_exact(left) == expected
 
 
 def test_a_projection_wider_than_the_budget_refuses_its_matrix():
@@ -315,3 +346,14 @@ def test_a_projection_wider_than_the_budget_refuses_its_matrix():
     assert abs(projection.trace() - 2594) < 1e-6
     with pytest.raises(SizeBudgetError, match="5184"):
         _ = projection.matrix
+
+
+def test_a_rational_laplacian_past_the_dense_budget():
+    # genus 2 over (Z/16)^4 in degree 1: 262144 wide, held in character
+    # form although its coefficients are halves
+    rep = quotient(GENUS2, abelian_words("abcd", 16))
+    half = build_laplacian(GENUS2, 1).laplacian.scale(HALF)
+    report = spectral_gap(evaluate(half, rep))
+    assert report.backend == "characters"
+    assert report.kernel_dim == 131074
+    assert abs(report.gap - 0.0761204675) <= 1e-9

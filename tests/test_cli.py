@@ -37,6 +37,14 @@ ROTATION_CERT = {
 }
 
 
+def _cert(**fields):
+    """A verify-cert description of ROTATION_CERT with ``fields`` set, or
+    dropped where None."""
+    cert = {key: value for key, value in dict(ROTATION_CERT, **fields).items()
+            if value is not None}
+    return {"presentation": CYCLIC3["presentation"], "certificates": [cert]}
+
+
 def genus2_abelian_payload(ms):
     """Genus 2 in degree 1 along the chain of (Z/m)^4 quotients."""
     commutators = [f"{x}*{y}*{x}^-1*{y}^-1"
@@ -619,6 +627,35 @@ class TestVerifyCert:
                              {"presentation": CYCLIC3["presentation"]})
         assert code == 2
 
+    def test_polynomial_form_and_ideal(self, tmp_path, capsys):
+        payload = _cert(epsilon=None, polynomial_form=["1", "-6"],
+                        ideal=["a^3"])
+        code, stdout, _ = run_cli(tmp_path, capsys, "verify-cert", payload)
+        assert code == 0
+        (entry,) = json.loads(stdout)["certificates"]
+        assert entry["verified"] is True
+        assert entry["claim"]["polynomial_form"] == ["1", "-6"]
+        assert entry["claim"]["epsilon"] == "6"
+
+    def test_rational_target_on_a_quotient_past_the_dense_budget(
+            self, tmp_path, capsys):
+        # the random walk operator of Z/128 x Z/128: 16384 wide, held over
+        # the quotient's characters although its coefficients are quarters
+        payload = {
+            "presentation": TORUS["presentation"],
+            "certificate": {
+                "target": {"matrix": [
+                    ["1 - 1/4*a - 1/4*a^-1 - 1/4*b - 1/4*b^-1"]]},
+                "soundness": {"kind": "quotient",
+                              "relators": ["a^128", "b^128"]},
+            },
+        }
+        code, stdout, _ = run_cli(tmp_path, capsys, "verify-cert", payload)
+        assert code == 0
+        (entry,) = json.loads(stdout)["certificates"]
+        assert entry["soundness"]["quotient_order"] == 16384
+        assert entry["soundness"]["holds"] is True
+
 
 class TestChainIdentity:
     """A complex with d_2 d_1 != 0 is rejected before any number is
@@ -640,7 +677,76 @@ class TestChainIdentity:
         assert not (out / f"{command}.csv").exists()
 
 
+# (command, description, text the message must hold); a description of
+# None names a directory as the spec path
+MALFORMED = [
+    ("spectrum", None, "is a directory"),
+    ("spectrum", {"degree": 0}, "'presentation'"),
+    ("spectrum", {"presentation": {"generators": "ab"}, "degree": 0},
+     "presentation.generators"),
+    ("spectrum", {"presentation": {"generators": ["a"], "relators": [3]},
+                  "degree": 0}, "presentation.relators"),
+    ("spectrum", dict(CYCLIC3, degree="0"), "'degree'"),
+    ("betti", dict(CYCLIC3, degrees=[0, -1]), "'degrees'"),
+    ("betti", dict(CYCLIC3, degrees=[]), "'degrees'"),
+    ("spectrum", dict(CYCLIC3, higher_differentials={"2": []}),
+     "higher_differentials[2]"),
+    ("spectrum",
+     dict(CYCLIC3, higher_differentials={"2": [["1", "a"], ["1"]]}),
+     "higher_differentials[2] has ragged rows"),
+    ("spectrum", dict(CYCLIC3, higher_differentials={"2": [[1]]}),
+     "higher_differentials[2] entries"),
+    ("spectrum", dict(CYCLIC3, higher_differentials=[["1"]]),
+     "higher_differentials"),
+    ("spectrum", dict(CYCLIC3, higher_differentials={"two": [["1"]]}),
+     "higher_differentials key 'two'"),
+    ("spectrum", dict(CYCLIC3, aspherical="yes"), "'aspherical'"),
+    ("spectrum", dict(CYCLIC3, representation="regular"), "'representation'"),
+    ("spectrum", dict(CYCLIC3, zero_tolerance="small"), "'zero_tolerance'"),
+    ("betti", dict(CYCLIC3, upper_bounds=[]), "'upper_bounds'"),
+    ("betti", dict(CYCLIC3, upper_bounds={"m_max": 0}), "upper_bounds.m_max"),
+    ("luck", dict(CYCLIC3, chain=[]), "'chain'"),
+    ("luck", dict(CYCLIC3, chain="a^3"), "'chain'"),
+    ("luck", dict(TestLuck.PAYLOAD, finite_subgroup_orders=[0]),
+     "'finite_subgroup_orders'"),
+    ("obstruct", dict(CYCLIC3, chain=[[]], beta_ref={"provenance": "cited"}),
+     "'beta_ref'"),
+    ("verify-cert", {"presentation": CYCLIC3["presentation"],
+                     "certificates": ["rotation-gap"]},
+     "certificates[0] must be an object"),
+    ("verify-cert", _cert(target={"degree": 0}), "certificates[0].target"),
+    ("verify-cert", _cert(target={"matrix": [["1", "a"], ["1"]]}),
+     "certificates[0].target.matrix has ragged rows"),
+    ("verify-cert", _cert(epsilon=None, polynomial_form=["1"]),
+     "certificates[0].polynomial_form"),
+    ("verify-cert", _cert(witnesses=["a^3"]), "certificates[0].witnesses[0]"),
+    ("verify-cert", _cert(witnesses=[{"left": [["1"]], "relator": "0",
+                                      "right": [["1"]]}]),
+     "certificates[0].witnesses[0].relator"),
+    ("verify-cert", _cert(label=3), "certificates[0].label"),
+    ("verify-cert", _cert(soundness="regular"), "certificates[0].soundness"),
+]
+
+
 class TestErrorHandling:
+    @pytest.mark.parametrize("command, payload, key", MALFORMED,
+                             ids=[f"{command}-{key}"
+                                  for command, _, key in MALFORMED])
+    def test_malformed_description(self, tmp_path, capsys, command, payload,
+                                   key):
+        spec = tmp_path
+        if payload is not None:
+            spec = tmp_path / "exp.json"
+            spec.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        code = main([command, str(spec), "--out-dir", str(out),
+                     "--ball-radius", "1"])
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert code == 2
+        assert error["type"] == "MalformedInputError"
+        assert key in error["message"], error["message"]
+        assert not (out / "error.json").exists()
+
     def test_missing_file_is_malformed_input(self, tmp_path, capsys):
         code = main(["spectrum", str(tmp_path / "absent.json"),
                      "--out-dir", str(tmp_path / "out")])

@@ -123,14 +123,6 @@ class TestEvaluate:
         assert low.coefficients.dtype == np.int64
         assert low.exact_matrix == ((-(2**53),),)
 
-    def test_dimension_requires_square(self):
-        rep = regular_rep(F1, ["a^2"])
-        matrix = GroupRingMatrix(
-            1, 2, [[GroupRingElement.one(), GroupRingElement.one()]])
-        op = evaluate(matrix, rep)
-        with pytest.raises(ShapeMismatchError):
-            _ = op.dimension
-
     def test_product_check_requires_matching_shapes(self):
         rep = regular_rep(F1, ["a^3"])
         matrix = GroupRingMatrix(

@@ -10,6 +10,7 @@ module.
 import textwrap
 from pathlib import Path
 
+import pytest
 from conftest import fresh_interpreter
 
 import coholap
@@ -60,6 +61,19 @@ def test_import_coholap_loads_no_submodule():
 def test_import_cli_loads_only_the_errors():
     assert _loaded("import coholap.cli") == [
         "coholap", "coholap.cli", "coholap.errors"]
+
+
+@pytest.mark.parametrize("flag", ["--version", "--help"])
+def test_version_and_help_load_no_numpy(flag):
+    loaded = fresh_interpreter(f"""
+        import contextlib, io, sys
+        from coholap import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main([{flag!r}]) == 0
+        print(*sorted(sys.modules))
+    """).split()
+    assert "numpy" not in loaded
+    assert "coholap.cosets" not in loaded
 
 
 def test_betti_never_loads_certificates(tmp_path):
