@@ -290,9 +290,16 @@ def _scan_and_fill(n: int, words: Sequence[Word],
     return columns
 
 
+def _walk(columns: np.ndarray, word: Iterable[int], x):
+    """x * word for a coset or cosets x: row ``_column(s)`` sends x to x * s."""
+    for letter in word:
+        x = columns[CosetTable._column(letter), x]
+    return x
+
+
 def _validate_table(table: CosetTable) -> None:
     """Check every coset: each inverse column undoes its generator column
-    (so both are bijections) and every relator composes to the identity."""
+    (so both are bijections) and every relator, walked, is the identity."""
     columns = table.columns
     identity = np.arange(table.coset_count)
     for i in range(table.presentation.generator_count):
@@ -300,10 +307,7 @@ def _validate_table(table: CosetTable) -> None:
             raise InvariantError(
                 f"generator {i + 1} and its inverse column disagree")
     for relator in (*table.presentation.relators, *table.extra_relators):
-        x = identity
-        for letter in relator:
-            x = columns[CosetTable._column(letter)][x]
-        if not np.array_equal(x, identity):
+        if not np.array_equal(_walk(columns, relator, identity), identity):
             raise InvariantError("a relator fails to act as the identity")
 
 
@@ -346,30 +350,33 @@ class Representation:
 
     Generator images are either permutations (the standard pipeline) or
     explicit rational orthogonal matrices; inverses are transposes either
-    way, so every word image is exact.  ``table`` is the coset table a
-    regular representation comes from, or None.
+    way, so every word image is exact.  Permutations act through
+    ``columns`` in the coset-table layout (``perms = columns[1::2]``),
+    shared with ``table``, the coset table of a regular one, else None.
     """
 
     def __init__(self, dimension: int, *,
                  perms: Sequence[Sequence[int]] | None = None,
                  matrices: Sequence[Sequence[Sequence[Fraction]]] | None = None,
-                 label: str = ""):
-        if (perms is None) == (matrices is None):
-            raise ValueError("provide exactly one of perms= or matrices=")
+                 table: CosetTable | None = None, label: str = ""):
+        if sum(kind is not None for kind in (perms, matrices, table)) != 1:
+            raise ValueError("give exactly one of perms=, matrices= or table=")
+        if table is not None and table.coset_count != dimension:
+            raise ShapeMismatchError(
+                f"a table of {table.coset_count} cosets in dimension {dimension}")
         self.dimension = dimension
         self.label = label
-        self.table: CosetTable | None = None
+        self.table = table
+        self.columns = None if table is None else table.columns
+        self.matrices = None
         if perms is not None:
             # one row per generator; a row of the wrong length cannot reshape
-            self.perms: np.ndarray | None = np.asarray(
-                perms, dtype=np.int64).reshape(len(perms), dimension)
-            if (np.sort(self.perms, axis=1) != np.arange(dimension)).any():
+            perms = np.asarray(perms, dtype=np.int64).reshape(len(perms), dimension)
+            inverses = np.argsort(perms, axis=1)  # also sorts the rows once
+            if (np.take_along_axis(perms, inverses, 1) != np.arange(dimension)).any():
                 raise ValueError("generator image is not a permutation")
-            # Permutations act as index maps; dense images are built per
-            # word only when asked for (word_matrix).
-            self.matrices = None
-        else:
-            self.perms = None
+            self.columns = np.stack((inverses, perms), 1).reshape(-1, dimension)
+        elif matrices is not None:
             self.matrices = tuple(exact.Matrix(m) for m in matrices)
             for m in self.matrices:
                 if m.array.shape != (dimension, dimension):
@@ -377,6 +384,7 @@ class Representation:
                         "generator image has the wrong dimension")
                 if not exact.is_orthogonal(m):
                     raise ValueError("generator image is not orthogonal")
+        self.perms = None if self.columns is None else self.columns[1::2]
 
     @staticmethod
     def trivial(generator_count: int, label: str = "trivial") -> "Representation":
@@ -388,25 +396,18 @@ class Representation:
         """Pull back the regular representation of the quotient.
 
         The image of g sends the basis vector of coset x to that of
-        x * g^-1; composing left-to-right then matches word products, so
-        the result is a homomorphism on words.
+        x * g^-1, so the result is a homomorphism on words.  It acts
+        through the table's own columns, neither copied nor validated.
         """
-        rep = Representation(table.coset_count, perms=table.columns[1::2],
-                             label=label or f"regular[{table.coset_count}]")
-        rep.table = table
-        return rep
+        return Representation(table.coset_count, table=table,
+                              label=label or f"regular[{table.coset_count}]")
 
-    def word_perm(self, word: Word) -> np.ndarray:
-        """pi(word) as an index array: basis vector c goes to out[c]."""
-        if self.perms is None:
+    def word_perm(self, word: Word, x=None):
+        """pi(word), basis vector c going to out[c]; or only x * word^-1."""
+        if self.columns is None:
             raise ValueError("not a permutation representation")
-        out = np.arange(self.dimension)
-        # pi(w) = pi(l_1) ... pi(l_k) acting on the left: apply letters
-        # right-to-left as functions; argsort inverts a permutation.
-        for letter in reversed(word):
-            p = self.perms[abs(letter) - 1]
-            out = p[out] if letter > 0 else np.argsort(p)[out]
-        return out
+        return _walk(self.columns, [-letter for letter in reversed(word)],
+                     np.arange(self.dimension) if x is None else x)
 
     def word_matrix(self, word: Word) -> exact.Matrix:
         if self.perms is not None:

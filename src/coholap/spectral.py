@@ -45,12 +45,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import exact
-from .cosets import CosetTable, Representation
+from .cosets import Representation
 from .errors import (
     InvariantError,
     NotPositiveSemidefiniteError,
     ShapeMismatchError,
     SizeBudgetError,
+    UnknownGeneratorError,
     UnresolvedGapError,
 )
 from .groupring import GroupRingMatrix
@@ -84,7 +85,7 @@ class EvaluatedOperator:
     """
 
     __slots__ = ("coefficients", "characters", "rows", "cols", "provenance",
-                 "_shadow", "_eigenvalues", "_gap", "_symmetric")
+                 "_shadow", "_floats", "_eigenvalues", "_gap", "_symmetric")
 
     def __init__(self, coefficients: np.ndarray, characters: tuple = TRIVIAL,
                  provenance: str = ""):
@@ -96,16 +97,19 @@ class EvaluatedOperator:
                                 for side in coefficients.shape[:2])
         self.provenance = provenance
         self._shadow = coefficients if coefficients.dtype == np.float64 else None
-        self._eigenvalues = self._gap = self._symmetric = None
+        self._floats = self._eigenvalues = self._gap = self._symmetric = None
 
     @property
     def backend(self) -> str:
         return "characters" if self.characters[0] else "dense"
 
     def _numeric_coefficients(self) -> np.ndarray:
-        """The kernels, rationals as floats; a dense operator's shadow."""
-        v = self.coefficients if self.characters[0] else self.shadow
-        return v.astype(np.float64) if v.dtype == object else v
+        """The kernels, rationals as floats converted once, int64 uncast;
+        a dense operator's shadow."""
+        if self._floats is None:
+            v = self.coefficients if self.characters[0] else self.shadow
+            self._floats = v.astype(np.float64) if v.dtype == object else v
+        return self._floats
 
     @property
     def shadow(self) -> np.ndarray:
@@ -214,15 +218,21 @@ def evaluate(matrix: GroupRingMatrix, rep: Representation,
     evaluation, and self-adjoint inputs give exactly symmetric outputs.
     Under a representation whose coset table carries characters the
     matrix is held in character form: each term adds its coefficient to
-    v_ij at coset 0 * word^-1, walked letter by letter through the table.
-    Under any other (no table included) it is dense, over the trivial
-    quotient: each term is one scatter into the grid, which raises
-    SizeBudgetError, before allocating, when its larger side exceeds
-    ``DENSE_EIG_CUTOFF``.  An entry of a permutation evaluation is a sum
-    of coefficients, so with integer coefficients of absolute sum below
-    2**62 either form is int64; otherwise it holds Python rationals.
+    v_ij at coset 0 * word^-1, which ``rep.word_perm(word, 0)`` walks
+    through the table layout.  Under any other (no table included) it is
+    dense, over the trivial quotient: each term is one scatter into the
+    grid, which raises SizeBudgetError, before allocating, when its larger
+    side exceeds ``DENSE_EIG_CUTOFF``.  An entry of a permutation
+    evaluation is a sum of coefficients, so with integer coefficients of
+    absolute sum below 2**62 either form is int64; otherwise it holds
+    Python rationals.  A generator the representation lacks raises
+    UnknownGeneratorError before any walk or scatter.
     """
     provenance = provenance or f"{matrix.rows}x{matrix.cols}@{rep.label or 'rep'}"
+    count = len(rep.matrices if rep.perms is None else rep.perms)
+    if (top := matrix.max_generator()) > count:
+        raise UnknownGeneratorError(f"generator s{top} is outside the {count} "
+                                    f"generator(s) of {rep.label or 'rep'!r}")
     terms = [(i, j, word, coeff)
              for i in range(matrix.rows) for j in range(matrix.cols)
              for word, coeff in matrix.entry(i, j).terms()]
@@ -237,10 +247,8 @@ def evaluate(matrix: GroupRingMatrix, rep: Representation,
         v = np.zeros((matrix.rows, matrix.cols, rep.dimension),
                      dtype=np.int64 if integral else object)
         for i, j, word, coeff in terms:
-            coset = 0
-            for letter in reversed(word):
-                coset = rep.table.columns[CosetTable._column(-letter), coset]
-            v[i, j, codes[coset]] += coeff.numerator if integral else coeff
+            v[i, j, codes[rep.word_perm(word, 0)]] += (
+                coeff.numerator if integral else coeff)
         v = v.reshape(matrix.rows, matrix.cols, *orders)
     result = EvaluatedOperator(v, characters, provenance)
     if matrix.is_self_adjoint() and not result.is_symmetric_exact():

@@ -197,6 +197,23 @@ def slow_word_matrix(rep, word):
     return out
 
 
+def slow_word_perm(rep, word):
+    """pi(word) of a permutation representation as a list, basis vector c
+    going to out[c]: the rows of ``rep.perms`` composed letter by letter,
+    each inverse letter's row inverted explicitly."""
+    dim = rep.dimension
+    out = list(range(dim))
+    for letter in word:
+        image = rep.perms[abs(letter) - 1].tolist()
+        if letter < 0:
+            inverse = [0] * dim
+            for c, target in enumerate(image):
+                inverse[target] = c
+            image = inverse
+        out = [out[image[c]] for c in range(dim)]  # pi(w l) = pi(w) pi(l)
+    return out
+
+
 def slow_evaluate(matrix, rep):
     """Block evaluation of a group-ring matrix into a tuple-of-tuples
     Fraction grid, one grid entry at a time."""
@@ -208,7 +225,7 @@ def slow_evaluate(matrix, rep):
             row0, col0 = i * dim, j * dim
             for word, coeff in matrix.entry(i, j).terms():
                 if rep.perms is not None:
-                    perm = rep.word_perm(word)
+                    perm = slow_word_perm(rep, word)
                     for col in range(dim):
                         grid[row0 + perm[col]][col0 + col] += coeff
                 else:

@@ -14,6 +14,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import slow_word_perm
+
 from coholap import (
     GroupRingElement,
     GroupRingMatrix,
@@ -150,7 +152,8 @@ def test_character_form_matches_the_dense_path(name, spec, extra):
                          ids=[name for name, *_ in CORPUS])
 def test_coefficients_match_the_word_perm_route(name, spec, extra):
     """The coset-0 walk of ``evaluate`` against reading coset 0's image
-    off the whole permutation pi(word)."""
+    off the whole permutation pi(word), composed by an oracle that does
+    not walk the table."""
     rep = quotient(spec, extra)
     orders, codes = rep.table.characters
     laplacians, others = operators(spec)
@@ -160,11 +163,24 @@ def test_coefficients_match_the_word_perm_route(name, spec, extra):
         for i in range(matrix.rows):
             for j in range(matrix.cols):
                 for word, coeff in matrix.entry(i, j).terms():
-                    v[i, j, codes[rep.word_perm(word)[0]]] += coeff.numerator
+                    v[i, j, codes[slow_word_perm(rep, word)[0]]] += (
+                        coeff.numerator)
         op = evaluate(matrix, rep)
         assert op.backend == "characters"
         assert np.array_equal(
             op.coefficients, v.reshape(matrix.rows, matrix.cols, *orders))
+
+
+def test_float_kernels_are_converted_once():
+    rep = quotient(TORUS, ["a^2", "b^6"])
+    laplacian = build_laplacian(TORUS, 1).laplacian
+    rational = evaluate(laplacian.scale(HALF), rep)
+    floats = rational._numeric_coefficients()
+    assert rational.coefficients.dtype == object
+    assert floats.dtype == np.float64
+    assert rational._numeric_coefficients() is floats
+    integral = evaluate(laplacian, rep)
+    assert integral._numeric_coefficients() is integral.coefficients
 
 
 def test_checks_see_asymmetric_and_nonzero_operators():

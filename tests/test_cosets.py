@@ -19,6 +19,7 @@ from conftest import (
     random_word,
     slow_matmul,
     slow_todd_coxeter,
+    slow_word_perm,
 )
 
 from coholap import (
@@ -168,6 +169,61 @@ class TestRepresentation:
                            rep.word_perm(u * v))
             # pi(uv) = pi(u) pi(v) as functions
             assert all(puv[x] == pu[pv[x]] for x in range(rep.dimension))
+
+    def test_word_perm_against_composed_rows(self):
+        """The one walk through the table layout, from the table's own
+        columns and from columns built from ``perms=``, against the rows
+        of ``perms`` composed in plain Python."""
+        p = presentation("ab", ["a^2", "b^3", "a*b*a*b"])
+        rep = Representation.from_coset_table(todd_coxeter(p))
+        twin = Representation(rep.dimension, perms=rep.perms)
+        assert np.array_equal(twin.columns, rep.columns)
+        rng = Random(5)
+        for _ in range(40):
+            word = random_word(rng, 2)
+            expected = slow_word_perm(rep, word)
+            for r in (rep, twin):
+                assert r.word_perm(word).tolist() == expected
+                assert r.word_perm(word, 0) == expected[0]
+
+    def test_regular_representation_shares_the_table_columns(self):
+        genus2 = surface_genus2_complex().presentation
+        table = todd_coxeter(genus2, _abelian_stages(genus2, (16,))[0])
+        tracemalloc.start()
+        try:
+            rep = Representation.from_coset_table(table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.columns is table.columns
+        assert rep.table is table and rep.dimension == 65536
+        assert peak < 64 << 10  # a copy of the generator rows is 2 MiB
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda: Representation(2), "exactly one of"),
+        (lambda: Representation(2, perms=[[0, 1]],
+                                matrices=[[[1, 0], [0, 1]]]), "exactly one of"),
+        (lambda: Representation(4, perms=[[0, 1, 2, 3]] * 2,
+                                table=todd_coxeter(F2, words(
+                                    F2, ["a^2", "b^2", *ABELIAN]))),
+         "exactly one of"),
+        (lambda: Representation(3, table=todd_coxeter(F2, words(
+            F2, ["a^2", "b^2", *ABELIAN]))),
+         "a table of 4 cosets in dimension 3"),
+        (lambda: Representation(2, perms=[[0, 0]]), "is not a permutation"),
+        (lambda: Representation(2, perms=[[1, 2]]), "is not a permutation"),
+        (lambda: Representation(2, perms=[[0, 1], [-1, 0]]),
+         "is not a permutation"),
+        (lambda: Representation(2, matrices=[[[1, 1], [0, 1]]]),
+         "image is not orthogonal"),
+        (lambda: Representation(1, matrices=[[[-1]]]).word_perm(Word([1])),
+         "not a permutation representation"),
+    ], ids=["no-images", "perms-and-matrices", "perms-and-table",
+            "table-of-another-order", "repeated-image", "image-out-of-range",
+            "negative-image", "not-orthogonal", "word-perm-of-matrices"])
+    def test_malformed_images_raise(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
 
     def test_word_matrix_is_exact_orthogonal(self):
         from coholap import exact  # type: ignore[attr-defined]

@@ -23,6 +23,7 @@ from coholap import (
     MalformedPresentation,
     Presentation,
     ShapeMismatchError,
+    UnknownGeneratorError,
     Word,
     fox_derivative,
     generator_word,
@@ -433,3 +434,25 @@ class TestPresentation:
             "8 - 2*a - 2*a^-1 - 2*b - 2*b^-1", ("a", "b"))
         assert p.degree_zero_laplacian() == expected
         assert p.symmetric_set_size == 4
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: Word([1, 0]), UnknownGeneratorError, "letter 0"),
+    (lambda: generator_word(0), UnknownGeneratorError, ">= 1, got 0"),
+    (lambda: fox_derivative(Word([1]), 0), UnknownGeneratorError,
+     ">= 1, got 0"),
+    (lambda: GroupRingMatrix(-1, 2), ShapeMismatchError, "nonnegative"),
+    (lambda: GroupRingMatrix(1, 2, [[GroupRingElement.one()]]),
+     ShapeMismatchError, "does not match declared shape 1x2"),
+    (lambda: GroupRingMatrix.zero(1, 2).trace(), ShapeMismatchError,
+     "requires a square matrix"),
+    (lambda: Presentation((), ()), MalformedPresentation,
+     "at least one generator"),
+    (lambda: Presentation(("a",), ()).check_word(Word([1, -2])),
+     UnknownGeneratorError, r"word \(1, -2\) uses a generator outside"),
+], ids=["word-letter-0", "generator-word-0", "fox-derivative-0",
+        "negative-dimensions", "grid-shape", "trace-not-square",
+        "no-generators", "word-beyond-generators"])
+def test_malformed_input_raises(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

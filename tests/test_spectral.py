@@ -25,9 +25,11 @@ from coholap import (
     Representation,
     ShapeMismatchError,
     SizeBudgetError,
+    UnknownGeneratorError,
     UnresolvedGapError,
     Word,
     evaluate,
+    free_group_complex,
     heat_projection,
     kernel_projection,
     lanczos_lowest,
@@ -134,6 +136,33 @@ class TestEvaluate:
                 with pytest.raises(ShapeMismatchError):
                     left.product_is_zero_exact(right)
             assert not one.product_is_zero_exact(row)
+
+
+def generator_matrix(index):
+    return GroupRingMatrix.from_element(GroupRingElement.generator(index))
+
+
+def regular_f2():
+    return regular_rep(F2, ["a^3", "b^3", "a*b*a^-1*b^-1"])
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: evaluate(generator_matrix(3), regular_f2()),
+     UnknownGeneratorError,
+     r"s3 is outside the 2 generator\(s\) of 'regular\[9\]'"),
+    (lambda: evaluate(generator_matrix(3), Representation(
+        9, perms=regular_f2().perms, label="twin")),
+     UnknownGeneratorError, "s3 is outside the 2 generator.* of 'twin'"),
+    (lambda: evaluate(generator_matrix(2), Representation(
+        1, matrices=[[[-1]]], label="sign")),
+     UnknownGeneratorError, "s2 is outside the 1 generator.* of 'sign'"),
+    (lambda: spectral_gap(evaluate(free_group_complex(2).differential(0),
+                                   regular_f2())),
+     ShapeMismatchError, "requires a square operator"),
+], ids=["characters", "dense-permutations", "orthogonal", "rectangular-gap"])
+def test_malformed_operands_raise(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 class TestEigenvalueOracles:
