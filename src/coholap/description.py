@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .complexes import CochainComplexSpec, build_complex, build_laplacian
 from .cosets import Representation, todd_coxeter
-from .errors import MalformedInputError
+from .errors import MalformedInputError, ShapeMismatchError
 from .groupring import GroupRingMatrix, Presentation, Word
 from .pipeline import BetaRef
 from .spectral import DEFAULT_ZERO_TOLERANCE
@@ -132,8 +132,10 @@ def parse_complex(payload: dict,
     aspherical = payload.get("aspherical", False)
     if not isinstance(aspherical, bool):
         raise MalformedInputError("'aspherical' must be a boolean")
-    return build_complex(presentation, higher_differentials=higher,
-                         aspherical=aspherical)
+    try:
+        return build_complex(presentation, higher, aspherical)
+    except ShapeMismatchError as exc:
+        raise MalformedInputError(f"higher_differentials: {exc}") from exc
 
 
 def parse_representation(block, presentation: Presentation,
@@ -282,10 +284,13 @@ def parse_certificates(payload: dict, presentation: Presentation,
         label = block.get("label", default_label)
         if not isinstance(label, str):
             raise MalformedInputError(f"{where}.label must be text")
-        certificate = Certificate(
-            presentation=presentation, target=target, polynomial_form=form,
-            squares=squares, witnesses=tuple(witnesses),
-            ideal_generators=ideal, label=label)
+        try:
+            certificate = Certificate(
+                presentation=presentation, target=target, polynomial_form=form,
+                squares=squares, witnesses=tuple(witnesses),
+                ideal_generators=ideal, label=label)
+        except ShapeMismatchError as exc:
+            raise MalformedInputError(f"{where}: {exc}") from exc
         soundness = block.get("soundness")
         if soundness is not None and not isinstance(soundness, dict):
             raise MalformedInputError(f"{where}.soundness must be an object")

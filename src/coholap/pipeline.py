@@ -220,10 +220,10 @@ class UpperBoundReport(NamedTuple):
     gap_hint: float | None
 
 
-def _denominator_lcm(matrix: GroupRingMatrix) -> int:
-    return math.lcm(*(coeff.denominator
-                      for i in range(matrix.rows) for j in range(matrix.cols)
-                      for _w, coeff in matrix.entry(i, j).terms()))
+def _denominators(matrix: GroupRingMatrix) -> list[int]:
+    return [coeff.denominator
+            for i in range(matrix.rows) for j in range(matrix.cols)
+            for _w, coeff in matrix.entry(i, j).terms()]
 
 
 def _right_multiply(codes: np.ndarray, digits: tuple[int, ...],
@@ -242,16 +242,13 @@ def _right_multiply(codes: np.ndarray, digits: tuple[int, ...],
 
 def _times_base(power, base, radix: int):
     """M^(j+1) = M^j M; every entry is a (sorted codes, coefficients) pair."""
-    k = len(base)
-    out = []
-    for i in range(k):
-        row = []
-        for j in range(k):
+    out = [[] for _ in power]
+    for row, products in zip(power, out):
+        for column in zip(*base):
             # empty slices carry the dtypes when no term contributes
-            codes, coeffs = [power[i][0][0][:0]], [power[i][0][1][:0]]
-            for m in range(k):
-                left_codes, left_coeffs = power[i][m]
-                for digits, coeff in base[m][j]:
+            codes, coeffs = [row[0][0][:0]], [row[0][1][:0]]
+            for (left_codes, left_coeffs), entry in zip(row, column):
+                for digits, coeff in entry:
                     codes.append(_right_multiply(left_codes, digits, radix))
                     coeffs.append(left_coeffs * coeff)
             codes, coeffs = np.concatenate(codes), np.concatenate(coeffs)
@@ -260,8 +257,7 @@ def _times_base(power, base, radix: int):
             starts = np.flatnonzero(np.diff(codes, prepend=-1))
             merged, summed = codes[starts], np.add.reduceat(coeffs, starts)
             keep = summed != 0
-            row.append((merged[keep], summed[keep]))
-        out.append(row)
+            products.append((merged[keep], summed[keep]))
     return out
 
 
@@ -295,25 +291,23 @@ def l2_betti_upper_bounds(spec: CochainComplexSpec, degree: int,
     relators, and the exact normalized regular trace when the presented
     group is finite; other groups have no exact backend here.
 
-    Both backends take the traces tau(X^j) of one operator X, and
-    u_M = k + sum_j C(M, j) (-1/R)^j tau(X^j) with k the cell count.
     X is d* d when Delta_n = d d* (no part above), since
     tau((d d*)^j) = tau((d* d)^j) for j >= 1 and d* d is the smaller
-    matrix with the shorter words; otherwise X is Delta_n.
+    matrix with the shorter words; otherwise X is Delta_n.  Its
+    denominators are cleared once, c their lcm, and both backends take
+    the integer traces T_j = tau((cX)^j).  This is the only place that
+    divides: with R = p/q, a = -q and b = cp, each term is one fraction
+    u_M = k + (sum_j C(M, j) a^j b^(M-j) T_j) / b^M, k the cell count.
 
     Support growth beyond ``term_budget`` stops the sequence early and
     sets the ``cutoff`` flag instead of raising.
     """
     bundle = build_laplacian(spec, degree)
     l1_bound = bundle.laplacian.l1_operator_bound()
-    if norm_bound is None:
-        norm_bound = l1_bound
-    else:
-        norm_bound = Fraction(norm_bound)
-        if norm_bound < l1_bound:
-            raise MalformedInputError(
-                f"norm bound {norm_bound} is below the certified l1 bound "
-                f"{l1_bound}")
+    norm_bound = l1_bound if norm_bound is None else Fraction(norm_bound)
+    if norm_bound < l1_bound:
+        raise MalformedInputError(f"norm bound {norm_bound} is below the "
+                                  f"certified l1 bound {l1_bound}")
     if m_max < 1:
         raise MalformedInputError("m_max must be at least 1")
     if gap_hint is not None and not (0 < gap_hint <= float(norm_bound)):
@@ -325,6 +319,8 @@ def l2_betti_upper_bounds(spec: CochainComplexSpec, degree: int,
         x = bundle.laplacian
     else:
         x = down.adjoint() @ down
+    clear = math.lcm(*_denominators(x))
+    x = x.scale(clear)
 
     if not spec.presentation.relators:
         traces, cutoff = _free_power_traces(x, m_max, term_budget)
@@ -341,10 +337,11 @@ def l2_betti_upper_bounds(spec: CochainComplexSpec, degree: int,
         backend = "finite-regular"
 
     k = bundle.cell_count
-    step = -1 / norm_bound
+    a, b = -norm_bound.denominator, clear * norm_bound.numerator
     values = tuple(
-        k + sum(math.comb(m, j) * step ** j * traces[j - 1]
-                for j in range(1, m + 1))
+        Fraction(k * b ** m + sum(math.comb(m, j) * a ** j * b ** (m - j) * t
+                                  for j, t in enumerate(traces[:m], 1)),
+                 b ** m)
         for m in range(1, len(traces) + 1))
     lower = None
     if gap_hint is not None:
@@ -358,36 +355,35 @@ def l2_betti_upper_bounds(spec: CochainComplexSpec, degree: int,
 
 
 def _free_power_traces(matrix: GroupRingMatrix, m_max: int, term_budget: int
-                       ) -> tuple[list[Fraction], bool]:
-    """Exact tau(M^j) for j = 1..m_max of a self-adjoint M, and whether
-    support growth beyond ``term_budget`` cut the list short.
+                       ) -> tuple[list[int], bool]:
+    """Integer traces tau(M^j), j = 1..m_max, of a self-adjoint integral
+    M, and whether support growth beyond ``term_budget`` cut them short.
 
-    Coefficients are cleared to integers first.  A reduced word over n
-    generators is an integer code in base 2n + 1, its last letter the
-    least significant digit (s_i is 2i - 1, s_i^-1 is 2i); an entry of
-    M^j is a sorted array of codes with an array of coefficients.  Both
-    are int64 when every code and every partial sum provably fits, else
-    Python ints; so is the pairing tau(M^j) = tau(M^a M^b), a = ceil(j/2),
-    by l1^j < 2**63.  Only powers up to ceil(m_max/2) are multiplied out.
+    A reduced word over n generators is an integer code in base 2n + 1,
+    its last letter the least significant digit (s_i is 2i - 1, s_i^-1 is
+    2i); an entry of M^j is a sorted array of codes with an array of
+    coefficients.  Both are int64 when every code and every partial sum
+    provably fits, else Python ints; so is the pairing tau(M^j) =
+    tau(M^a M^b), a = ceil(j/2), by l1^j < 2**63.  Only powers up to
+    ceil(m_max/2) are multiplied out.
     """
-    if not matrix.is_self_adjoint():
+    if not matrix.is_self_adjoint() or math.lcm(*_denominators(matrix)) > 1:
         raise InvariantError("free-ring power traces need a self-adjoint "
-                             "matrix")
+                             "integral matrix")
     k = matrix.rows
-    clear = _denominator_lcm(matrix)
     radix = 2 * matrix.max_generator() + 1
-    base = [[[(tuple(2 * abs(letter) - (letter > 0) for letter in word),
-               int(coeff * clear))
+    base = [[[(tuple(2 * abs(s) - (s > 0) for s in word), int(coeff))
               for word, coeff in matrix.entry(i, j).terms()]
              for j in range(k)] for i in range(k)]
     terms = [term for row in base for entry in row for term in entry]
     top = (m_max + 1) // 2
     # M^top has words of length at most max_len * top, and the l1 norm
-    # of M^j over all entries is at most l1^j
+    # of M^j over all entries is at most l1^j.  Capping an exponent at 64
+    # keeps each answer, as 2**64 passes both limits, and the power small
     max_len = max((len(digits) for digits, _ in terms), default=0)
     l1 = sum(abs(coeff) for _, coeff in terms)
-    code_type = np.int64 if radix ** (max_len * top) < 2**63 else object
-    coeff_type = np.int64 if l1 ** top < 2**62 else object
+    code_type = np.int64 if radix ** min(max_len * top, 64) < 2**63 else object
+    coeff_type = np.int64 if l1 ** min(top, 64) < 2**62 else object
 
     identity = [[(np.zeros(int(i == j), dtype=code_type),
                   np.ones(int(i == j), dtype=coeff_type))
@@ -400,34 +396,33 @@ def _free_power_traces(matrix: GroupRingMatrix, m_max: int, term_budget: int
         powers.append(nxt)
     # tau(M^j) = tau(M^ceil(j/2) M^floor(j/2)) needs M^ceil(j/2)
     last = min(m_max, 2 * len(powers) - 2)
-    traces = [Fraction(_paired_trace(powers[(j + 1) // 2], powers[j // 2],
-                                     np.int64 if l1 ** j < 2**63 else object),
-                       clear ** j) for j in range(1, last + 1)]
+    traces = [_paired_trace(powers[(j + 1) // 2], powers[j // 2],
+                            np.int64 if l1 ** min(j, 64) < 2**63 else object)
+              for j in range(1, last + 1)]
     return traces, len(powers) <= top
 
 
 def _regular_power_traces(matrix: GroupRingMatrix, m_max: int,
-                          table) -> list[Fraction]:
-    """Exact normalized regular traces tau(M^j) for j = 1..m_max, the
-    presented group being finite with regular coset table ``table``.
+                          table) -> list[int]:
+    """Integer normalized regular traces tau(M^j), j = 1..m_max, of an
+    integral M over the finite group with regular coset table ``table``.
 
-    With c clearing the denominators of M, A = pi(cM) is an integer
-    matrix; every diagonal entry of a regular block is the coefficient at
-    the identity, so c^j tau(M^j) sums the k diagonal entries of A^j at
-    coset 0 (cell i at index i |G|).  Only those k columns are carried.
+    Every diagonal entry of a regular block of A = pi(M) holds the
+    identity coefficient, so tau(M^j) sums the k diagonal entries of A^j
+    at coset 0 (cell i at index i |G|), the only columns carried.
     """
+    if math.lcm(*_denominators(matrix)) > 1:
+        raise InvariantError("finite-regular traces need an integral matrix")
     rep = Representation.from_coset_table(table, label="full-regular")
-    clear, size = _denominator_lcm(matrix), table.coset_count
-    base = evaluate(matrix.scale(clear), rep,
-                    provenance="cX@full-regular").exact_matrix
+    base = evaluate(matrix, rep, provenance="cX@full-regular").exact_matrix
+    size = table.coset_count
     columns = [exact.Matrix(base.array[:, ::size])]
     while len(columns) < m_max:
         if columns[-1].array.dtype == object:  # cast the base once
             base = exact.Matrix(base.array.astype(object, copy=False))
         columns.append(exact.matmul(base, columns[-1]))
-    # summed as Python ints: an int64 trace could overflow
-    return [Fraction(sum(c.array[::size].diagonal().tolist()), clear ** j)
-            for j, c in enumerate(columns, start=1)]
+    # Python ints: int64 could overflow; a base past 2**62 holds rationals
+    return [int(sum(c.array[::size].diagonal().tolist())) for c in columns]
 
 
 # ---------------------------------------------------------------------------

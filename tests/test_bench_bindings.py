@@ -60,3 +60,14 @@ def test_the_pinned_call_counts_hold(tmp_path):
             assert calls == {layer: expected.get(layer, 0)
                              for layer in layers.CALLS}, (name, calls)
     """, str(tmp_path), path=(PERFBENCH,))
+
+
+def test_the_bench_self_test_passes():
+    # seeds 0 and 1 spell every input apart, the smallest stage of each
+    # workload meets its references, and BENCHMARK.json names what the
+    # bench produces
+    fresh_interpreter("""
+        import sys
+        import selftest
+        sys.exit(selftest.main())
+    """, path=(PERFBENCH,))

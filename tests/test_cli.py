@@ -725,6 +725,17 @@ MALFORMED = [
      "certificates[0].witnesses[0].relator"),
     ("verify-cert", _cert(label=3), "certificates[0].label"),
     ("verify-cert", _cert(soundness="regular"), "certificates[0].soundness"),
+    # shape faults found while the complex or a certificate is built
+    ("spectrum", dict(TORUS, degree=1,
+                      higher_differentials={"2": [["1 - a", "1"]]}),
+     "higher_differentials: d_2 must have 1 columns, has 2"),
+    ("verify-cert", _cert(target={"matrix": [["1", "a"]]}),
+     "certificates[0]: certificate target must be square"),
+    ("verify-cert", _cert(squares=[[["1", "a"]]]),
+     "certificates[0]: square term must have 1 columns, has 2"),
+    ("verify-cert", _cert(witnesses=[{"left": [["1", "1"]], "relator": 0,
+                                      "right": [["1"]]}]),
+     "certificates[0]: witness factors have incompatible inner dimensions"),
 ]
 
 

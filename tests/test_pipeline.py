@@ -12,6 +12,7 @@ Oracles used here and nowhere else in the library:
 
 import math
 import signal
+import time
 import tracemalloc
 from fractions import Fraction
 from random import Random
@@ -58,7 +59,7 @@ from coholap import (
     surface_genus2_complex,
     todd_coxeter,
 )
-from coholap.pipeline import _free_power_traces
+from coholap.pipeline import _free_power_traces, _regular_power_traces
 
 
 def torus_complex():
@@ -339,6 +340,15 @@ class TestUpperBounds:
                                   max_cosets=500)
 
 
+def halved_top_complex(spec):
+    """``spec`` with d = [[1/2 - 1/2 a]] on its one top cell: the operator
+    the upper bounds take has denominators, cleared by c = 4."""
+    presentation = spec.presentation
+    return build_complex(presentation, higher_differentials={
+        len(spec.differentials): GroupRingMatrix.from_element(
+            presentation.element("1/2 - 1/2*a"))})
+
+
 class TestUpperBoundsOracle:
     """One trace sequence assembled binomially, against today's three
     routes (``slow_upper_bounds``): powers of R - Delta and of d* d over
@@ -357,6 +367,10 @@ class TestUpperBoundsOracle:
         ("S4 degree 1", s4_complex(), 1, {"m_max": 6}),
         ("S4 degree 2", s4_complex(), 2,
          {"m_max": 6, "norm_bound": Fraction(157, 3), "gap_hint": 3.0}),
+        ("F1 degree 1 rational d_1", halved_top_complex(free_group_complex(1)),
+         1, {"m_max": 8, "gap_hint": 0.5}),
+        ("Z/5 degree 2 rational d_2",
+         halved_top_complex(cyclic_group_complex(5)), 2, {"m_max": 10}),
     ])
     def test_matches_three_routes(self, name, spec, degree, kwargs):
         report = l2_betti_upper_bounds(spec, degree, **kwargs)
@@ -396,6 +410,17 @@ class TestUpperBoundsOracle:
             seen.add((len(values), cutoff))
         assert (8, False) in seen and (2, True) in seen
 
+    def test_term_budget_bounds_the_work_not_m_max(self):
+        # the budget stops F2 at 8 terms whatever m_max asks for; no
+        # width check may form a power that grows with m_max
+        spec = free_group_complex(2)
+        small = l2_betti_upper_bounds(spec, 1, m_max=30, term_budget=200)
+        start = time.perf_counter()
+        huge = l2_betti_upper_bounds(spec, 1, m_max=10**12, term_budget=200)
+        assert time.perf_counter() - start < 2.0
+        assert (huge.values, huge.cutoff) == (small.values, small.cutoff)
+        assert len(small.values) == 8 and small.cutoff
+
     def test_gap_hint_checked_before_enumeration(self):
         # the torus does not enumerate within 500 cosets; a bad gap hint
         # is reported before the enumeration is tried
@@ -420,6 +445,19 @@ def element_matrix(terms):
     return GroupRingMatrix.from_element(GroupRingElement(terms))
 
 
+def cleared_free_power_traces(matrix, m_max, term_budget):
+    """``_free_power_traces`` on cM, c clearing the denominators of M: its
+    traces T_j are ints, read back as tau(M^j) = T_j / c^j."""
+    clear = math.lcm(*(coeff.denominator for i in range(matrix.rows)
+                       for j in range(matrix.cols)
+                       for _w, coeff in matrix.entry(i, j).terms()))
+    traces, cutoff = _free_power_traces(matrix.scale(clear), m_max,
+                                        term_budget)
+    assert all(type(t) is int for t in traces)
+    return [Fraction(t, clear ** j)
+            for j, t in enumerate(traces, start=1)], cutoff
+
+
 class TestFreePowerTracesOracle:
     """The word-code power traces against dicts of words multiplied term
     by term (``slow_free_power_traces``)."""
@@ -433,11 +471,10 @@ class TestFreePowerTracesOracle:
          6),
     ])
     def test_matches_dict_convolution(self, name, matrix, m_max):
-        traces, cutoff = _free_power_traces(matrix, m_max, 2_000_000)
+        traces, cutoff = cleared_free_power_traces(matrix, m_max, 2_000_000)
         assert (traces, cutoff) == slow_free_power_traces(
             matrix, m_max, 2_000_000)
         assert len(traces) == m_max and not cutoff
-        assert all(isinstance(t, Fraction) for t in traces)
 
     def test_rational_coefficients(self):
         rng = Random(7)
@@ -446,14 +483,14 @@ class TestFreePowerTracesOracle:
             matrix = GroupRingMatrix.from_element(x.star() * x)
             assert any(c.denominator > 1 for _w, c in matrix.entry(0, 0)
                        .terms())
-            assert _free_power_traces(matrix, 6, 10**6) == \
+            assert cleared_free_power_traces(matrix, 6, 10**6) == \
                 slow_free_power_traces(matrix, 6, 10**6)
         # a 2x2 matrix X* X with rational entries in every position
         x = GroupRingMatrix(2, 2, [
             [random_element(rng, 2, terms=2, max_length=2)
              for _ in range(2)] for _ in range(2)])
         matrix = x.adjoint() @ x
-        assert _free_power_traces(matrix, 5, 10**6) == \
+        assert cleared_free_power_traces(matrix, 5, 10**6) == \
             slow_free_power_traces(matrix, 5, 10**6)
 
     def test_every_term_budget(self):
@@ -535,6 +572,16 @@ class TestFreePowerTracesOracle:
     def test_rejects_non_self_adjoint(self, matrix):
         with pytest.raises(InvariantError, match="self-adjoint"):
             _free_power_traces(matrix, 4, 10**6)
+
+
+def test_power_traces_refuse_a_matrix_with_denominators():
+    matrix = element_matrix({Word((1,)): Fraction(1, 2),
+                             Word((-1,)): Fraction(1, 2), Word(): 1})
+    with pytest.raises(InvariantError, match="free-ring.*integral"):
+        _free_power_traces(matrix, 4, 10**6)
+    table = todd_coxeter(cyclic_presentation(5), ())
+    with pytest.raises(InvariantError, match="finite-regular.*integral"):
+        _regular_power_traces(matrix, 4, table)
 
 
 class TestLambdaRingMembership:
