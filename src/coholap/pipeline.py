@@ -240,25 +240,36 @@ def _right_multiply(codes: np.ndarray, digits: tuple[int, ...],
     return codes
 
 
-def _times_base(power, base, radix: int):
-    """M^(j+1) = M^j M; every entry is a (sorted codes, coefficients) pair."""
+def _times_base(power, base, radix: int, code_type, coeff_type):
+    """M^(j+1) = M^j M in the given dtypes, one sorted buffer per entry."""
     out = [[] for _ in power]
     for row, products in zip(power, out):
+        row = [(c.astype(code_type, copy=False), v) for c, v in row]
         for column in zip(*base):
-            # empty slices carry the dtypes when no term contributes
-            codes, coeffs = [row[0][0][:0]], [row[0][1][:0]]
+            size = sum(c.size * len(entry) for (c, _), entry in zip(row, column))
+            codes, coeffs = np.empty(size, code_type), np.empty(size, coeff_type)
+            end = 0
             for (left_codes, left_coeffs), entry in zip(row, column):
                 for digits, coeff in entry:
-                    codes.append(_right_multiply(left_codes, digits, radix))
-                    coeffs.append(left_coeffs * coeff)
-            codes, coeffs = np.concatenate(codes), np.concatenate(coeffs)
+                    start, end = end, end + left_codes.size
+                    codes[start:end] = _right_multiply(left_codes, digits, radix)
+                    np.multiply(left_coeffs, coeff, out=coeffs[start:end],
+                                dtype=coeff_type)
             order = np.argsort(codes, kind="stable")
-            codes, coeffs = codes[order], coeffs[order]
+            codes = codes[order]
+            coeffs = coeffs[order]
+            del order  # free each temporary before the next is made
             starts = np.flatnonzero(np.diff(codes, prepend=-1))
-            merged, summed = codes[starts], np.add.reduceat(coeffs, starts)
-            keep = summed != 0
-            products.append((merged[keep], summed[keep]))
+            codes = codes[starts]
+            coeffs = np.add.reduceat(coeffs, starts, dtype=coeff_type)
+            keep = coeffs != 0
+            products.append((codes[keep], coeffs[keep]))
     return out
+
+
+def _int_type(bound: int):
+    """int32, else int64, else object (Python ints) for |values| < bound."""
+    return np.int32 if bound < 2**31 else np.int64 if bound < 2**63 else object
 
 
 def _paired_trace(a, b, dtype) -> int:
@@ -269,10 +280,12 @@ def _paired_trace(a, b, dtype) -> int:
         for (codes_a, coeffs_a), (codes_b, coeffs_b) in zip(row_a, row_b):
             if not codes_a.size:
                 continue
-            where = np.searchsorted(codes_a, codes_b).clip(0, codes_a.size - 1)
-            hit = codes_a[where] == codes_b
-            total += int(coeffs_a[where[hit]].astype(dtype)
-                         @ coeffs_b[hit].astype(dtype))
+            if codes_b is not codes_a:  # else every code meets itself
+                where = np.searchsorted(codes_a, codes_b).clip(0, codes_a.size - 1)
+                coeffs_b = np.where(codes_a[where] == codes_b, coeffs_b, 0)
+                coeffs_a = coeffs_a[where]
+            total += int(coeffs_a.astype(dtype, copy=False)
+                         @ coeffs_b.astype(dtype, copy=False))
     return total
 
 
@@ -337,7 +350,8 @@ def l2_betti_upper_bounds(spec: CochainComplexSpec, degree: int,
         backend = "finite-regular"
 
     k = bundle.cell_count
-    a, b = -norm_bound.denominator, clear * norm_bound.numerator
+    # R = 0 only when Delta_n = 0: then every T_j is 0 and u_M = k
+    a, b = -norm_bound.denominator, clear * norm_bound.numerator or 1
     values = tuple(
         Fraction(k * b ** m + sum(math.comb(m, j) * a ** j * b ** (m - j) * t
                                   for j, t in enumerate(traces[:m], 1)),
@@ -361,11 +375,11 @@ def _free_power_traces(matrix: GroupRingMatrix, m_max: int, term_budget: int
 
     A reduced word over n generators is an integer code in base 2n + 1,
     its last letter the least significant digit (s_i is 2i - 1, s_i^-1 is
-    2i); an entry of M^j is a sorted array of codes with an array of
-    coefficients.  Both are int64 when every code and every partial sum
-    provably fits, else Python ints; so is the pairing tau(M^j) =
-    tau(M^a M^b), a = ceil(j/2), by l1^j < 2**63.  Only powers up to
-    ceil(m_max/2) are multiplied out.
+    2i); an entry of M^a is a sorted array of codes with an array of
+    coefficients, each int32, else int64, when every code and partial sum
+    of M^a provably fits, else Python ints.  M^a gives tau(M^(2a-1)) with
+    M^(a-1) and tau(M^(2a)) with itself, summed in the width l1^j fits;
+    then M^(a-1) is dropped, so at most two powers are held.
     """
     if not matrix.is_self_adjoint() or math.lcm(*_denominators(matrix)) > 1:
         raise InvariantError("free-ring power traces need a self-adjoint "
@@ -376,30 +390,24 @@ def _free_power_traces(matrix: GroupRingMatrix, m_max: int, term_budget: int
               for word, coeff in matrix.entry(i, j).terms()]
              for j in range(k)] for i in range(k)]
     terms = [term for row in base for entry in row for term in entry]
-    top = (m_max + 1) // 2
-    # M^top has words of length at most max_len * top, and the l1 norm
-    # of M^j over all entries is at most l1^j.  Capping an exponent at 64
-    # keeps each answer, as 2**64 passes both limits, and the power small
+    # M^a has words of length at most max_len * a and an l1 norm over all
+    # entries at most l1^a, held with a spare bit.  Capping exponents at
+    # 64 keeps each answer, as 2**64 passes every limit, and powers small
     max_len = max((len(digits) for digits, _ in terms), default=0)
     l1 = sum(abs(coeff) for _, coeff in terms)
-    code_type = np.int64 if radix ** min(max_len * top, 64) < 2**63 else object
-    coeff_type = np.int64 if l1 ** min(top, 64) < 2**62 else object
-
-    identity = [[(np.zeros(int(i == j), dtype=code_type),
-                  np.ones(int(i == j), dtype=coeff_type))
-                 for j in range(k)] for i in range(k)]
-    powers = [identity, _times_base(identity, base, radix)]  # M^0, M^1
-    while len(powers) <= top:
-        nxt = _times_base(powers[-1], base, radix)
-        if sum(codes.size for row in nxt for codes, _ in row) > term_budget:
-            break
-        powers.append(nxt)
-    # tau(M^j) = tau(M^ceil(j/2) M^floor(j/2)) needs M^ceil(j/2)
-    last = min(m_max, 2 * len(powers) - 2)
-    traces = [_paired_trace(powers[(j + 1) // 2], powers[j // 2],
-                            np.int64 if l1 ** min(j, 64) < 2**63 else object)
-              for j in range(1, last + 1)]
-    return traces, len(powers) <= top
+    previous = [[(np.zeros(int(i == j), np.int32), np.ones(int(i == j), np.int32))
+                 for j in range(k)] for i in range(k)]      # M^0
+    traces = []
+    for a in range(1, (m_max + 1) // 2 + 1):
+        power = _times_base(previous, base, radix,
+                            _int_type(radix ** min(max_len * a, 64)),
+                            _int_type(2 * l1 ** min(a, 64)))
+        if a > 1 and sum(c.size for row in power for c, _ in row) > term_budget:
+            return traces, True
+        for j, other in zip(range(2 * a - 1, m_max + 1), (previous, power)):
+            traces.append(_paired_trace(power, other, _int_type(l1 ** min(j, 64))))
+        previous = power
+    return traces, False
 
 
 def _regular_power_traces(matrix: GroupRingMatrix, m_max: int,
@@ -409,20 +417,22 @@ def _regular_power_traces(matrix: GroupRingMatrix, m_max: int,
 
     Every diagonal entry of a regular block of A = pi(M) holds the
     identity coefficient, so tau(M^j) sums the k diagonal entries of A^j
-    at coset 0 (cell i at index i |G|), the only columns carried.
+    at coset 0 (cell i at index i |G|): only A^j's k columns there are held.
     """
     if math.lcm(*_denominators(matrix)) > 1:
         raise InvariantError("finite-regular traces need an integral matrix")
     rep = Representation.from_coset_table(table, label="full-regular")
     base = evaluate(matrix, rep, provenance="cX@full-regular").exact_matrix
     size = table.coset_count
-    columns = [exact.Matrix(base.array[:, ::size])]
-    while len(columns) < m_max:
-        if columns[-1].array.dtype == object:  # cast the base once
-            base = exact.Matrix(base.array.astype(object, copy=False))
-        columns.append(exact.matmul(base, columns[-1]))
+    column = exact.Matrix(base.array[:, ::size])
     # Python ints: int64 could overflow; a base past 2**62 holds rationals
-    return [int(sum(c.array[::size].diagonal().tolist())) for c in columns]
+    traces = [int(sum(column.array[::size].diagonal().tolist()))]
+    while len(traces) < m_max:
+        if column.array.dtype == object:  # cast the base once
+            base = exact.Matrix(base.array.astype(object, copy=False))
+        column = exact.matmul(base, column)
+        traces.append(int(sum(column.array[::size].diagonal().tolist())))
+    return traces
 
 
 # ---------------------------------------------------------------------------

@@ -295,6 +295,21 @@ class TestBetti:
         assert record["quotient_order"] == 1
         assert record["betti"] == 1
 
+    def test_zero_norm_bound_gives_the_cell_count(self, tmp_path, capsys):
+        # d_2 = 0 makes Delta_3 = 0, so its certified norm bound is 0 and
+        # every term u_m = tau(I) is the one cell in degree 3
+        payload = dict(CYCLIC3, higher_differentials={"2": [["0"]]},
+                       degree=3, representation={"kind": "trivial"},
+                       upper_bounds={"m_max": 2})
+        code, stdout, out = run_cli(tmp_path, capsys, "betti", payload)
+        assert code == 0
+        bounds = json.loads(stdout)["upper_bounds"]
+        assert bounds["norm_bound"] == "0"
+        assert bounds["values"] == ["1", "1"]
+        assert bounds["backend"] == "finite-regular"
+        assert bounds["cutoff"] is False
+        assert not (out / "error.json").exists()
+
 
 class TestLuck:
     COMMUTATOR = "a*b*a^-1*b^-1"

@@ -339,14 +339,33 @@ class TestUpperBounds:
             l2_betti_upper_bounds(torus_complex(), 1, m_max=2,
                                   max_cosets=500)
 
+    @pytest.mark.parametrize("spec, backend", [
+        (free_group_complex(1), "free-ring"),
+        (cyclic_group_complex(3), "finite-regular")])
+    def test_zero_laplacian_gives_the_cell_count(self, spec, backend):
+        # d = 0 on a new top cell: Delta = 0 there, its certified norm
+        # bound is 0, and (I - Delta/R)^m = I for every R > 0
+        top = len(spec.differentials) + 1
+        spec = top_complex(spec, "0")
+        report = l2_betti_upper_bounds(spec, top, m_max=5)
+        assert (report.norm_bound, report.backend) == (0, backend)
+        assert report.values == (Fraction(1),) * 5 and not report.cutoff
+        with pytest.raises(MalformedInputError, match="gap hint"):
+            l2_betti_upper_bounds(spec, top, m_max=5, gap_hint=0.5)
+
+
+def top_complex(spec, entry):
+    """``spec`` with d = [[entry]] onto one new top cell."""
+    presentation = spec.presentation
+    return build_complex(presentation, higher_differentials={
+        len(spec.differentials): GroupRingMatrix.from_element(
+            presentation.element(entry))})
+
 
 def halved_top_complex(spec):
     """``spec`` with d = [[1/2 - 1/2 a]] on its one top cell: the operator
     the upper bounds take has denominators, cleared by c = 4."""
-    presentation = spec.presentation
-    return build_complex(presentation, higher_differentials={
-        len(spec.differentials): GroupRingMatrix.from_element(
-            presentation.element("1/2 - 1/2*a"))})
+    return top_complex(spec, "1/2 - 1/2*a")
 
 
 class TestUpperBoundsOracle:
@@ -420,6 +439,56 @@ class TestUpperBoundsOracle:
         assert time.perf_counter() - start < 2.0
         assert (huge.values, huge.cutoff) == (small.values, small.cutoff)
         assert len(small.values) == 8 and small.cutoff
+
+    def test_huge_m_max_keeps_the_widths_of_the_powers_formed(
+            self, monkeypatch):
+        # the budget stops F2 at M^7 whatever m_max asks for, so every
+        # power is sized by its own exponent, never by ceil(m_max / 2)
+        import coholap.pipeline as pipeline
+
+        kinds = set()
+        original = pipeline._times_base
+
+        def spy(power, *args):
+            out = original(power, *args)
+            kinds.update(array.dtype.kind for matrix in (power, out)
+                         for row in matrix for entry in row
+                         for array in entry)
+            return out
+
+        monkeypatch.setattr(pipeline, "_times_base", spy)
+        spec = free_group_complex(2)
+        small = l2_betti_upper_bounds(spec, 1, m_max=30, term_budget=10**4)
+        huge = l2_betti_upper_bounds(spec, 1, m_max=10**9, term_budget=10**4)
+        assert (huge.values, huge.cutoff) == (small.values, small.cutoff)
+        assert len(small.values) == 14 and small.cutoff
+        assert kinds == {"i"}        # fixed-width integers, never objects
+
+    def test_streamed_regular_traces_match_python_columns(self, monkeypatch):
+        # S4 in degree 1 at m_max 400: one exact product per further
+        # term, each trace that of Python-int column products
+        from coholap import exact
+
+        spec = s4_complex()
+        table = todd_coxeter(spec.presentation, ())
+        matrix = build_laplacian(spec, 1).laplacian      # 2 x 2, integral
+        products = []
+        original = exact.matmul
+        monkeypatch.setattr(exact, "matmul",
+                            lambda a, b: products.append(1) or original(a, b))
+        traces = _regular_power_traces(matrix, 400, table)
+        assert len(products) == 399
+        rows = evaluate(matrix, Representation.from_coset_table(table)) \
+            .exact_matrix.array.tolist()
+        size = table.coset_count
+        starts = range(0, len(rows), size)
+        columns = [[row[s] for s in starts] for row in rows]
+        expected = []
+        for _ in range(400):
+            expected.append(sum(columns[s][i] for i, s in enumerate(starts)))
+            columns = [[sum(a * col[c] for a, col in zip(row, columns))
+                        for c in range(len(starts))] for row in rows]
+        assert traces == expected
 
     def test_gap_hint_checked_before_enumeration(self):
         # the torus does not enumerate within 500 cosets; a bad gap hint
@@ -552,6 +621,44 @@ class TestFreePowerTracesOracle:
             sum(math.comb(j, i) * 4 ** (j - i) * (-1) ** i * walks[i]
                 for i in range(j + 1)) for j in range(1, m_max + 1)]
 
+    # (matrix, m_max, the code and coefficient dtypes of M^1 .. M^top)
+    WIDTH_CASES = [
+        # radix 5 and words of length 7: codes fit int32 in M^1, int64 in
+        # M^2 and M^3, not in M^4; l1 = 32770 just passes 2**15, so
+        # l1^a < 2**30 holds only for a = 1 and l1^a < 2**62 up to a = 4
+        (element_matrix({Word((1, 2) * 3 + (1,)): 16000,
+                         Word((-1,) + (-2, -1) * 3): 16000,
+                         Word((2,)): 1, Word((-2,)): 1, Word(): 768}), 10,
+         ["int32 int32", "int64 int64", "int64 int64", "object int64",
+          "object object"]),
+        # words of length 4 and l1 = 2**25 + 2: the coefficients leave
+        # int64 at M^3, before the codes leave int32 at M^4
+        (element_matrix({Word((1, 2, 1, 2)): 2**24,
+                         Word((-2, -1, -2, -1)): 2**24, Word(): 2}), 14,
+         ["int32 int32", "int32 int64", "int32 object", "int64 object",
+          "int64 object", "int64 object", "object object"]),
+    ]
+
+    @pytest.mark.parametrize("matrix, m_max, widths", WIDTH_CASES)
+    def test_widths_change_within_one_sequence(self, monkeypatch, matrix,
+                                               m_max, widths):
+        import coholap.pipeline as pipeline
+
+        seen = []
+        original = pipeline._times_base
+
+        def spy(*args):
+            out = original(*args)
+            codes, coeffs = out[0][0]
+            seen.append(f"{codes.dtype} {coeffs.dtype}")
+            return out
+
+        monkeypatch.setattr(pipeline, "_times_base", spy)
+        traces, cutoff = _free_power_traces(matrix, m_max, 10**6)
+        assert seen == widths
+        assert (traces, cutoff) == slow_free_power_traces(matrix, m_max,
+                                                          10**6)
+
     def test_empty_entries(self):
         # [[0, x], [x*, 0]]: odd powers have an empty diagonal, even ones
         # empty off-diagonal entries, so every odd pairing meets an empty
@@ -562,6 +669,19 @@ class TestFreePowerTracesOracle:
         traces, cutoff = _free_power_traces(matrix, 7, 10**6)
         assert (traces, cutoff) == slow_free_power_traces(matrix, 7, 10**6)
         assert traces[::2] == [0] * 4 and all(traces[1::2])
+
+    def test_two_powers_and_one_buffer_bound_the_memory(self):
+        # M^10 of F2 d0* d0 has 118097 terms; every earlier power and
+        # every spent merge buffer is freed before it is reached
+        matrix = down_square(free_group_complex(2), 1)
+        tracemalloc.start()
+        try:
+            traces, cutoff = _free_power_traces(matrix, 20, 2_000_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(traces) == 20 and not cutoff
+        assert peak < 7 * 2**20
 
     @pytest.mark.parametrize("matrix", [
         element_matrix({Word((1,)): 1, Word(): 2}),
