@@ -268,7 +268,7 @@ def _times_base(power, base, radix: int, code_type, coeff_type):
 
 
 def _int_type(bound: int):
-    """int32, else int64, else object (Python ints) for |values| < bound."""
+    """int32, else int64, else object (Python ints) for |values| <= bound."""
     return np.int32 if bound < 2**31 else np.int64 if bound < 2**63 else object
 
 
@@ -390,9 +390,9 @@ def _free_power_traces(matrix: GroupRingMatrix, m_max: int, term_budget: int
               for word, coeff in matrix.entry(i, j).terms()]
              for j in range(k)] for i in range(k)]
     terms = [term for row in base for entry in row for term in entry]
-    # M^a has words of length at most max_len * a and an l1 norm over all
-    # entries at most l1^a, held with a spare bit.  Capping exponents at
-    # 64 keeps each answer, as 2**64 passes every limit, and powers small
+    # M^a's words have length at most max_len * a; l1^a bounds its l1 norm
+    # and so every product and partial sum.  Capping exponents at 64 keeps
+    # each answer, as 2**64 passes every limit, and powers small
     max_len = max((len(digits) for digits, _ in terms), default=0)
     l1 = sum(abs(coeff) for _, coeff in terms)
     previous = [[(np.zeros(int(i == j), np.int32), np.ones(int(i == j), np.int32))
@@ -401,7 +401,7 @@ def _free_power_traces(matrix: GroupRingMatrix, m_max: int, term_budget: int
     for a in range(1, (m_max + 1) // 2 + 1):
         power = _times_base(previous, base, radix,
                             _int_type(radix ** min(max_len * a, 64)),
-                            _int_type(2 * l1 ** min(a, 64)))
+                            _int_type(l1 ** min(a, 64)))
         if a > 1 and sum(c.size for row in power for c, _ in row) > term_budget:
             return traces, True
         for j, other in zip(range(2 * a - 1, m_max + 1), (previous, power)):

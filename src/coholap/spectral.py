@@ -62,9 +62,8 @@ GAP_RESOLUTION_FACTOR = 10.0
 HEAT_MAX_DOUBLINGS = 64
 
 
-# The trivial quotient Q = 1: no orders, one coset, numbered 0.
-TRIVIAL = ((), np.zeros(1, dtype=np.int64))
-TRIVIAL[1].flags.writeable = False
+# The trivial quotient Q = 1: no orders, one coset, no codes to lay out.
+TRIVIAL = ((), None)
 
 
 class EvaluatedOperator:
@@ -81,11 +80,11 @@ class EvaluatedOperator:
     strictly between -2**53 and 2**53 are held once, as float64, both
     coefficients and shadow.  Any other shadow, and the exact matrix, are
     built when read.  ``rows`` and ``cols`` are total dimensions (ring
-    rows/cols times |Q|).
+    rows/cols times |Q|, the product of the orders).
     """
 
     __slots__ = ("coefficients", "characters", "rows", "cols", "provenance",
-                 "_shadow", "_floats", "_eigenvalues", "_gap", "_symmetric")
+                 "_floats", "_eigenvalues", "_gap", "_symmetric")
 
     def __init__(self, coefficients: np.ndarray, characters: tuple = TRIVIAL,
                  provenance: str = ""):
@@ -93,10 +92,9 @@ class EvaluatedOperator:
                 and exact.max_abs(coefficients) < exact.FLOAT_EXACT_LIMIT):
             coefficients = exact.to_float(exact.Matrix(coefficients))
         self.coefficients, self.characters = coefficients, characters
-        self.rows, self.cols = (side * characters[1].size
+        self.rows, self.cols = (side * math.prod(characters[0])
                                 for side in coefficients.shape[:2])
         self.provenance = provenance
-        self._shadow = coefficients if coefficients.dtype == np.float64 else None
         self._floats = self._eigenvalues = self._gap = self._symmetric = None
 
     @property
@@ -104,18 +102,18 @@ class EvaluatedOperator:
         return "characters" if self.characters[0] else "dense"
 
     def _numeric_coefficients(self) -> np.ndarray:
-        """The kernels, rationals as floats converted once, int64 uncast;
-        a dense operator's shadow."""
+        """The kernels as held, rationals converted to float64 once."""
         if self._floats is None:
-            v = self.coefficients if self.characters[0] else self.shadow
+            v = self.coefficients
             self._floats = v.astype(np.float64) if v.dtype == object else v
         return self._floats
 
     @property
     def shadow(self) -> np.ndarray:
-        if self._shadow is None:
-            self._shadow = exact.to_float(self.exact_matrix)
-        return self._shadow
+        """The dense float64 matrix: the held coefficients themselves for
+        a dense float64 operator, else laid out when read."""
+        return _circulant(self._numeric_coefficients(), self.characters[1],
+                          self.provenance).astype(np.float64, copy=False)
 
     @property
     def exact_matrix(self) -> exact.Matrix:
@@ -145,9 +143,9 @@ class EvaluatedOperator:
         """Whether this operator times ``right`` is exactly zero.
 
         Checked on the product's coset-0 columns, which fix an operator
-        that commutes with translation: (a * b)_il = sum over the pairs
-        (j, y) with a_ij[y] != 0 of a_ij[y] roll(b_jl, y), one exact
-        product of a k x S matrix with an S x k|Q| matrix.  Both operators
+        that commutes with translation: (a * b)_il = sum over the S pairs
+        (j, y) with some a_ij[y] != 0 of a_ij[y] roll(b_jl, y), one exact
+        product of a k x S matrix with an S x k'|Q| matrix.  Both operators
         must live over one quotient, as two evaluations on one stage do.
         """
         if self.cols != right.rows:
@@ -156,18 +154,16 @@ class EvaluatedOperator:
         if right.characters is not self.characters:
             raise ShapeMismatchError(
                 "cannot multiply operators over different quotients")
-        a, b = self.coefficients, right.coefficients
-        orders, axes = a.shape[2:], tuple(range(2, b.ndim))
-        size = self.characters[1].size
+        a, b = self.coefficients, _exact(right.coefficients)
+        axes = tuple(range(1, b.ndim - 1))  # the orders' axes of a b_j
         flat = a.reshape(a.shape[0], -1)  # column j |Q| + y holds a_ij[y]
-        ys, js = np.nonzero(flat.any(axis=0).reshape(-1, size).T)  # y-major
-        # one roll per shift y; b[:0] gives the shape when a is zero
-        shifted = np.concatenate([_exact(b[:0]), *(
-            _exact(_roll(b[js[ys == y]], np.unravel_index(y, orders), axes))
-            for y in sorted(set(ys.tolist())))])
+        pairs = np.flatnonzero(flat.any(axis=0))
+        # pair (j, y)'s row is b_j rolled by y; the dtype types no pairs
+        shifted = np.array([_roll(b[j], y, axes) for j, *y in zip(
+            *np.unravel_index(pairs, a.shape[1:]))], dtype=b.dtype)
         return exact.is_zero(exact.matmul(
-            exact.Matrix(_exact(np.take(flat, js * size + ys, axis=1))),
-            exact.Matrix(shifted.reshape(len(js), right.cols))))
+            exact.Matrix(_exact(flat[:, pairs])),
+            exact.Matrix(shifted.reshape(len(pairs), right.cols))))
 
     def eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues of the symbols, computed once."""

@@ -90,12 +90,7 @@ def parse_element(text: str, names: NamesLike) -> GroupRingElement:
             letters.extend([-gen if minus else gen] * exponent)
         word = Word(letters)
         terms[word] = terms.get(word, Fraction(0)) + coeff
-    element = GroupRingElement(terms)
-    if isinstance(names, Presentation):
-        if element.max_generator() > names.generator_count:
-            raise UnknownGeneratorError(
-                f"element {text!r} uses a generator outside the presentation")
-    return element
+    return GroupRingElement(terms)
 
 
 def parse_word(text: str, names: NamesLike) -> Word:

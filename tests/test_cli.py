@@ -14,7 +14,7 @@ import pytest
 
 import coholap
 from coholap import SeparationWarning
-from coholap.cli import main
+from coholap.cli import _json, main
 
 CYCLIC3 = {
     "presentation": {"generators": ["a"], "relators": ["a*a*a"]},
@@ -752,6 +752,13 @@ MALFORMED = [
                                       "right": [["1"]]}]),
      "certificates[0]: witness factors have incompatible inner dimensions"),
 ]
+
+
+@pytest.mark.parametrize("value, expected", [
+    (float("nan"), "nan"), (float("inf"), "inf"), (float("-inf"), "-inf"),
+], ids=["nan", "inf", "minus-inf"])
+def test_non_finite_floats_become_strings(value, expected):
+    assert _json(value) == expected
 
 
 class TestErrorHandling:

@@ -6,6 +6,7 @@ from coholap import (
     ChainIdentityError,
     GroupRingElement,
     GroupRingMatrix,
+    InvariantError,
     MalformedInputError,
     Presentation,
     Representation,
@@ -25,6 +26,7 @@ from coholap import (
     todd_coxeter,
     validate_chain_identity,
 )
+from coholap.complexes import LaplacianBundle
 
 
 def torus_presentation():
@@ -193,6 +195,12 @@ class TestLaplacianBundle:
         plus = bundle.plus_part
         jac_a = p.element("1 - a*b*a^-1")
         assert plus.entry(0, 0) == jac_a.star() * jac_a
+
+    def test_parts_that_do_not_sum_are_refused(self):
+        bundle = build_laplacian(torus_complex(), 1)
+        with pytest.raises(InvariantError, match="do not sum"):
+            LaplacianBundle(1, bundle.cell_count, bundle.laplacian,
+                            bundle.plus_part, bundle.plus_part)
 
     def test_top_degree_has_no_plus_part(self):
         bundle = build_laplacian(torus_complex(), 2)

@@ -246,6 +246,15 @@ class TestRepresentation:
         assert not sign.word_is_identity(Word([1]))
         assert sign.word_is_identity(Word([1, 1]))
 
+    @pytest.mark.parametrize("rep, text", [
+        (Representation(2, perms=[[1, 0]], label="swap"),
+         "Representation(perm, dim=2, label='swap')"),
+        (Representation(1, matrices=[[[-1]]], label="sign"),
+         "Representation(orth, dim=1, label='sign')"),
+    ], ids=["permutation", "orthogonal"])
+    def test_repr_names_the_kind(self, rep, text):
+        assert repr(rep) == text
+
 
 class TestQuotientChain:
     def test_chain_orders_and_labels(self):

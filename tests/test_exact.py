@@ -82,6 +82,13 @@ class TestMatrix:
         assert m != [[8, 0], [0]]
         assert m != 8
 
+    @pytest.mark.parametrize("rows, text", [
+        (np.array([[1, 2]]), "Matrix(array([[1, 2]]))"),
+        ([["1/2"]], "Matrix(array([[Fraction(1, 2)]], dtype=object))"),
+    ], ids=["int64", "rationals"])
+    def test_repr_shows_the_storage(self, rows, text):
+        assert repr(exact.Matrix(rows)) == text
+
     def test_ragged_rows_rejected(self):
         for rows in ([[0, 1], [1, 0, 0]], [[1, 0], [0]], [[[1]]]):
             with pytest.raises(ShapeMismatchError):

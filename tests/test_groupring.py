@@ -450,9 +450,35 @@ class TestPresentation:
      "at least one generator"),
     (lambda: Presentation(("a",), ()).check_word(Word([1, -2])),
      UnknownGeneratorError, r"word \(1, -2\) uses a generator outside"),
+    (lambda: GroupRingElement.one() + 1, TypeError, "unsupported operand"),
+    (lambda: GroupRingElement.one() * 2.5, TypeError, "unsupported operand"),
+    (lambda: 2.5 * GroupRingElement.one(), TypeError, "unsupported operand"),
 ], ids=["word-letter-0", "generator-word-0", "fox-derivative-0",
         "negative-dimensions", "grid-shape", "trace-not-square",
-        "no-generators", "word-beyond-generators"])
+        "no-generators", "word-beyond-generators", "element-plus-int",
+        "element-times-float", "float-times-element"])
 def test_malformed_input_raises(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+def sample_element():
+    return GroupRingElement({Word((1, -2)): Fraction(3, 2), Word(): -1})
+
+
+@pytest.mark.parametrize("value, expected", [
+    (lambda: repr(Word((1, -2))), "Word((1, -2))"),
+    (lambda: repr(sample_element()), "GroupRingElement('-1 + 3/2*g1*g2^-1')"),
+    (lambda: repr(GroupRingMatrix(2, 3)), "GroupRingMatrix(2x3)"),
+    (lambda: hash(sample_element()) == hash(
+        GroupRingElement({Word(): -1, Word((1, -2)): Fraction(3, 2)})), True),
+    (lambda: hash(GroupRingMatrix.from_element(sample_element())) == hash(
+        GroupRingMatrix.from_element(sample_element())), True),
+    (lambda: sample_element() == 3, False),
+    (lambda: GroupRingMatrix.identity(1) == 3, False),
+    (lambda: GroupRingMatrix(0, 2).l1_operator_bound(), 0),
+], ids=["word-repr", "element-repr", "matrix-repr", "element-hash",
+        "matrix-hash", "element-equals-int", "matrix-equals-int",
+        "empty-matrix-bound"])
+def test_dunder_methods_and_edge_values(value, expected):
+    assert value() == expected

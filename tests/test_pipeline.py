@@ -193,6 +193,14 @@ class TestKazhdanProjections:
         with pytest.raises(MalformedInputError):
             higher_kazhdan_projection(spec, 1, rep, method="newton")
 
+    def test_a_non_complex_fails_the_product_check(self):
+        # d_2 = [[1]] after d_1 = [[1 + a]] on <a | a^2>: d_2 d_1 != 0, so
+        # Delta_2^+ Delta_2^- = (1 + a)(1 + a^-1) does not vanish
+        spec = top_complex(cyclic_group_complex(2), "1")
+        rep = regular_rep(spec.presentation, ["a^2"])
+        with pytest.raises(InvariantError, match="nonzero under 'regular"):
+            higher_kazhdan_projection(spec, 2, rep)
+
 
 class TestLuckApproximation:
     def test_free_group_ratios(self):
@@ -624,12 +632,12 @@ class TestFreePowerTracesOracle:
     # (matrix, m_max, the code and coefficient dtypes of M^1 .. M^top)
     WIDTH_CASES = [
         # radix 5 and words of length 7: codes fit int32 in M^1, int64 in
-        # M^2 and M^3, not in M^4; l1 = 32770 just passes 2**15, so
-        # l1^a < 2**30 holds only for a = 1 and l1^a < 2**62 up to a = 4
+        # M^2 and M^3, not in M^4; l1 = 32770, so l1^a < 2**31 holds up to
+        # a = 2 (l1^2 = 1073872900) and l1^a < 2**63 up to a = 4
         (element_matrix({Word((1, 2) * 3 + (1,)): 16000,
                          Word((-1,) + (-2, -1) * 3): 16000,
                          Word((2,)): 1, Word((-2,)): 1, Word(): 768}), 10,
-         ["int32 int32", "int64 int64", "int64 int64", "object int64",
+         ["int32 int32", "int64 int32", "int64 int64", "object int64",
           "object object"]),
         # words of length 4 and l1 = 2**25 + 2: the coefficients leave
         # int64 at M^3, before the codes leave int32 at M^4

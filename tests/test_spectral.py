@@ -165,6 +165,16 @@ def test_malformed_operands_raise(call, error, match):
         call()
 
 
+@pytest.mark.parametrize("rep, text", [
+    (regular_f2(), "EvaluatedOperator(9x9, backend='characters', "
+                   "provenance='1x1@regular[9]')"),
+    (Representation(9, perms=regular_f2().perms, label="twin"),
+     "EvaluatedOperator(9x9, backend='dense', provenance='1x1@twin')"),
+], ids=["characters", "dense"])
+def test_repr_names_size_backend_and_provenance(rep, text):
+    assert repr(laplacian_operator(F2, rep)) == text
+
+
 class TestEigenvalueOracles:
     """Closed-form circulant spectra versus the numerical path."""
 
@@ -339,6 +349,12 @@ class TestProjections:
         assert projection_distance(eigen, heat) < 1e-6
         assert heat.method == "heat"
         assert eigen.method == "eigen"
+
+    def test_heat_that_cannot_converge_raises(self, monkeypatch):
+        monkeypatch.setattr(spectral, "HEAT_MAX_DOUBLINGS", 1)
+        op = laplacian_operator(F2, regular_f2())
+        with pytest.raises(UnresolvedGapError, match="failed to converge"):
+            heat_projection(op)
 
     def test_heat_on_zero_operator_is_identity(self):
         rep = regular_rep(F1, ["a^3"])

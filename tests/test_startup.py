@@ -92,6 +92,12 @@ def test_public_names_are_pinned():
     assert len(PUBLIC_NAMES) == 76
 
 
+def test_dir_lists_every_public_name_in_order():
+    listed = dir(coholap)
+    assert listed == sorted(listed)
+    assert set(coholap.__all__) <= set(listed)
+
+
 def test_each_name_is_its_defining_modules_object():
     fresh_interpreter("""
         import importlib
