@@ -226,18 +226,32 @@ def _denominators(matrix: GroupRingMatrix) -> list[int]:
             for _w, coeff in matrix.entry(i, j).terms()]
 
 
-def _right_multiply(codes: np.ndarray, digits: tuple[int, ...],
-                    radix: int) -> np.ndarray:
-    """Codes of w * v for every code w; v is given by its letter digits.
+def _right_multiply(codes: np.ndarray, coeffs: np.ndarray,
+                    digits: tuple[int, ...], radix: int) -> list:
+    """(codes of w * v, coefficients) for every code w, in sorted runs; v
+    is given by its letter digits.
 
     Both words are reduced, so each letter either cancels the last digit
-    or becomes the new last digit.
+    or becomes the new last digit.  Either way sorted codes stay sorted,
+    and a run the last letter extended cannot cancel the next one.
     """
+    runs = [(codes, coeffs, False)]
     for digit in digits:
         inverse = digit + 1 if digit % 2 else digit - 1
-        codes = np.where(codes % radix == inverse, codes // radix,
-                         codes * radix + digit)
-    return codes
+        split = []
+        for codes, coeffs, extended in runs:
+            if extended:
+                split.append((codes * radix + digit, coeffs, True))
+                continue
+            quotient = codes // radix     # a division, not the slower %
+            cancel = codes - quotient * radix == inverse
+            keep = ~cancel                # np.compress beats mask indexing
+            split += [(np.compress(cancel, quotient),
+                       np.compress(cancel, coeffs), False),
+                      (np.compress(keep, codes) * radix + digit,
+                       np.compress(keep, coeffs), True)]
+        runs = split
+    return [(codes, coeffs) for codes, coeffs, _ in runs]
 
 
 def _times_base(power, base, radix: int, code_type, coeff_type):
@@ -251,10 +265,12 @@ def _times_base(power, base, radix: int, code_type, coeff_type):
             end = 0
             for (left_codes, left_coeffs), entry in zip(row, column):
                 for digits, coeff in entry:
-                    start, end = end, end + left_codes.size
-                    codes[start:end] = _right_multiply(left_codes, digits, radix)
-                    np.multiply(left_coeffs, coeff, out=coeffs[start:end],
-                                dtype=coeff_type)
+                    for run_codes, run_coeffs in _right_multiply(
+                            left_codes, left_coeffs, digits, radix):
+                        start, end = end, end + run_codes.size
+                        codes[start:end] = run_codes
+                        np.multiply(run_coeffs, coeff, out=coeffs[start:end],
+                                    dtype=coeff_type)
             order = np.argsort(codes, kind="stable")
             codes = codes[order]
             coeffs = coeffs[order]
@@ -272,21 +288,70 @@ def _int_type(bound: int):
     return np.int32 if bound < 2**31 else np.int64 if bound < 2**63 else object
 
 
-def _paired_trace(a, b, dtype) -> int:
-    """tau(A B) = sum_{i,j} <A[i][j], B[i][j]> for self-adjoint B, since
-    B[j][i](w^-1) = B[i][j](w); B codes searched in A's, summed in dtype."""
-    total = 0
-    for row_a, row_b in zip(a, b):
-        for (codes_a, coeffs_a), (codes_b, coeffs_b) in zip(row_a, row_b):
-            if not codes_a.size:
+def _exact_dot(x, y, x_bound: int, y_bound: int) -> int:
+    """sum x * y exactly, for sum |x| <= x_bound and sum |y| <= y_bound.
+
+    One int64 dot when x_bound y_bound < 2**63 bounds every partial sum.
+    Else |x| is cut into limbs of ``bits`` bits and each limb is dotted in
+    int64 with y carrying the sign of x: a limb below 2**bits times
+    sum |y| < 2**(63 - bits) fits, and Python ints combine the limb sums.
+    Arrays of objects, or a y_bound that leaves no bits, dot as Python ints.
+    """
+    if x_bound * y_bound < 2**63:
+        return int(x.astype(np.int64, copy=False) @ y.astype(np.int64, copy=False))
+    bits = 63 - y_bound.bit_length()
+    if bits < 1 or object in (x.dtype, y.dtype):
+        return int(x.astype(object) @ y.astype(object))
+    y = np.where(x < 0, -y, y)
+    x = np.abs(x.astype(np.int64, copy=False))
+    mask = (1 << bits) - 1
+    return sum(int(((x >> shift) & mask) @ y) << shift
+               for shift in range(0, x_bound.bit_length(), bits))
+
+
+def _paired_traces(left, right, middles, radix: int, code_type,
+                   bounds: tuple[int, int]) -> list[int]:
+    """tau(L W R) for each self-adjoint W in ``middles``, R self-adjoint.
+
+    A middle maps each term (j, l, digits of w) to its coefficient c, and
+    tau(L W R) = sum c S(j, l, w), S(j, l, w) = sum_i <L[i][j] w, R[i][l]>
+    since R[l][i](v^-1) = R[i][l](v): L[i][j]'s codes, cast to
+    ``code_type``, are right-multiplied by w and searched in R[i][l]'s.
+    Each S is found once for all middles; when L is R, a term and its
+    adjoint (l, j, w^-1) give equal S, so one of each pair is found and
+    counted twice.  ``bounds`` bound the l1 norms of L and R.
+    """
+    same = left is right
+    weights = {}
+    for n, middle in enumerate(middles):
+        for (j, l, digits), coeff in middle.items():
+            if same:
+                adjoint = (l, j, tuple(d + 1 if d % 2 else d - 1
+                                       for d in reversed(digits)))
+                if adjoint < (j, l, digits):
+                    continue
+                if adjoint > (j, l, digits):
+                    coeff *= 2
+            weights.setdefault((j, l, digits), [0] * len(middles))[n] += coeff
+    totals = [0] * len(middles)
+    for (j, l, digits), coeffs in weights.items():
+        s = 0
+        for row_l, row_r in zip(left, right):
+            (codes, x), (codes_r, y) = row_l[j], row_r[l]
+            if not (codes.size and codes_r.size):
                 continue
-            if codes_b is not codes_a:  # else every code meets itself
-                where = np.searchsorted(codes_a, codes_b).clip(0, codes_a.size - 1)
-                coeffs_b = np.where(codes_a[where] == codes_b, coeffs_b, 0)
-                coeffs_a = coeffs_a[where]
-            total += int(coeffs_a.astype(dtype, copy=False)
-                         @ coeffs_b.astype(dtype, copy=False))
-    return total
+            if same and j == l and not digits:  # every code meets itself
+                s += _exact_dot(x, y, *bounds)
+                continue
+            for codes, x in _right_multiply(codes.astype(code_type, copy=False),
+                                            x, digits, radix):
+                where = np.searchsorted(codes_r, codes).clip(0, codes_r.size - 1)
+                hit = codes_r[where] == codes
+                s += _exact_dot(np.compress(hit, x), y[np.compress(hit, where)],
+                                *bounds)
+        for n, coeff in enumerate(coeffs):
+            totals[n] += coeff * s
+    return totals
 
 
 def l2_betti_upper_bounds(spec: CochainComplexSpec, degree: int,
@@ -377,9 +442,13 @@ def _free_power_traces(matrix: GroupRingMatrix, m_max: int, term_budget: int
     its last letter the least significant digit (s_i is 2i - 1, s_i^-1 is
     2i); an entry of M^a is a sorted array of codes with an array of
     coefficients, each int32, else int64, when every code and partial sum
-    of M^a provably fits, else Python ints.  M^a gives tau(M^(2a-1)) with
-    M^(a-1) and tau(M^(2a)) with itself, summed in the width l1^j fits;
-    then M^(a-1) is dropped, so at most two powers are held.
+    of M^a provably fits, else Python ints.  With h = ceil(m_max / 2),
+    each M^a, a < h, gives tau(M^(2a-1)) with M^(a-1) and tau(M^(2a))
+    with itself, and then M^(a-1) is dropped.  M^h is never multiplied
+    out: P = M^(h-1) gives tau(M^(2h-1)) = tau(P M P) and tau(M^(2h)) =
+    tau(P M^2 P) against the words of M and M^2.  M^h's support is
+    bounded by its product count, and M^h is formed to count it only
+    when that bound passes the budget.
     """
     if not matrix.is_self_adjoint() or math.lcm(*_denominators(matrix)) > 1:
         raise InvariantError("free-ring power traces need a self-adjoint "
@@ -395,18 +464,61 @@ def _free_power_traces(matrix: GroupRingMatrix, m_max: int, term_budget: int
     # each answer, as 2**64 passes every limit, and powers small
     max_len = max((len(digits) for digits, _ in terms), default=0)
     l1 = sum(abs(coeff) for _, coeff in terms)
-    previous = [[(np.zeros(int(i == j), np.int32), np.ones(int(i == j), np.int32))
-                 for j in range(k)] for i in range(k)]      # M^0
+
+    def code_type(a):
+        return _int_type(radix ** min(max_len * a, 64))
+
+    def norm(a):
+        return l1 ** min(a, 64)
+
+    def times_base(power, a):           # M^a from M^(a-1)
+        return _times_base(power, base, radix, code_type(a),
+                           _int_type(norm(a)))
+
+    def size(power):
+        return sum(codes.size for row in power for codes, _ in row)
+
+    identity = [{(j, j, ()): 1 for j in range(k)}]
+    h = (m_max + 1) // 2
+    power = [[(np.zeros(int(i == j), np.int32), np.ones(int(i == j), np.int32))
+              for j in range(k)] for i in range(k)]        # M^0
+    square = None
     traces = []
-    for a in range(1, (m_max + 1) // 2 + 1):
-        power = _times_base(previous, base, radix,
-                            _int_type(radix ** min(max_len * a, 64)),
-                            _int_type(l1 ** min(a, 64)))
-        if a > 1 and sum(c.size for row in power for c, _ in row) > term_budget:
+    for a in range(1, h):
+        previous, power = power, times_base(power, a)
+        if a > 1 and size(power) > term_budget:
             return traces, True
-        for j, other in zip(range(2 * a - 1, m_max + 1), (previous, power)):
-            traces.append(_paired_trace(power, other, _int_type(l1 ** min(j, 64))))
-        previous = power
+        traces += _paired_traces(previous, power, identity, radix,
+                                 code_type(a), (norm(a - 1), norm(a)))
+        traces += _paired_traces(power, power, identity, radix,
+                                 code_type(a), (norm(a), norm(a)))
+        if a == 2:
+            square = power
+    previous = None                      # only P = M^(h-1) is held on
+    if h <= 2:                           # M^2 from M
+        square = times_base(power if h == 2 else times_base(power, 1), 2)
+    products = sum(codes.size * sum(map(len, base[j]))
+                   for row in power for j, (codes, _) in enumerate(row))
+    if h > 1 and products > term_budget and size(
+            square if h == 2 else times_base(power, h)) > term_budget:
+        return traces, True
+
+    def decode(code):
+        digits = ()
+        while code:
+            code, digit = divmod(code, radix)
+            digits = (digit,) + digits
+        return digits
+
+    middles = [{(j, l, word): coeff for j, row in enumerate(base)
+                for l, entry in enumerate(row) for word, coeff in entry}]
+    if 2 * h <= m_max:
+        middles.append({(j, l, decode(code)): coeff
+                        for j, row in enumerate(square)
+                        for l, (codes, coeffs) in enumerate(row)
+                        for code, coeff in zip(codes.tolist(), coeffs.tolist())})
+    traces += _paired_traces(power, power, middles, radix, code_type(h + 1),
+                             (norm(h - 1), norm(h - 1)))
     return traces, False
 
 

@@ -17,6 +17,7 @@ import tracemalloc
 from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -59,7 +60,8 @@ from coholap import (
     surface_genus2_complex,
     todd_coxeter,
 )
-from coholap.pipeline import _free_power_traces, _regular_power_traces
+from coholap.pipeline import (_exact_dot, _free_power_traces,
+                              _regular_power_traces)
 
 
 def torus_complex():
@@ -535,6 +537,18 @@ def cleared_free_power_traces(matrix, m_max, term_budget):
             for j, t in enumerate(traces, start=1)], cutoff
 
 
+def rational_gram():
+    """X* X for a 2x2 X with rational entries in every position."""
+    rng = Random(11)
+    x = GroupRingMatrix(2, 2, [
+        [random_element(rng, 2, terms=2, max_length=2) for _ in range(2)]
+        for _ in range(2)])
+    gram = x.adjoint() @ x
+    assert any(c.denominator > 1 for i in range(2) for j in range(2)
+               for _w, c in gram.entry(i, j).terms())
+    return gram
+
+
 class TestFreePowerTracesOracle:
     """The word-code power traces against dicts of words multiplied term
     by term (``slow_free_power_traces``)."""
@@ -629,20 +643,21 @@ class TestFreePowerTracesOracle:
             sum(math.comb(j, i) * 4 ** (j - i) * (-1) ** i * walks[i]
                 for i in range(j + 1)) for j in range(1, m_max + 1)]
 
-    # (matrix, m_max, the code and coefficient dtypes of M^1 .. M^top)
+    # (matrix, m_max, the code and coefficient dtypes of the powers formed,
+    # M^1 .. M^(h-1) with h = ceil(m_max / 2))
     WIDTH_CASES = [
         # radix 5 and words of length 7: codes fit int32 in M^1, int64 in
         # M^2 and M^3, not in M^4; l1 = 32770, so l1^a < 2**31 holds up to
         # a = 2 (l1^2 = 1073872900) and l1^a < 2**63 up to a = 4
         (element_matrix({Word((1, 2) * 3 + (1,)): 16000,
                          Word((-1,) + (-2, -1) * 3): 16000,
-                         Word((2,)): 1, Word((-2,)): 1, Word(): 768}), 10,
+                         Word((2,)): 1, Word((-2,)): 1, Word(): 768}), 12,
          ["int32 int32", "int64 int32", "int64 int64", "object int64",
           "object object"]),
         # words of length 4 and l1 = 2**25 + 2: the coefficients leave
         # int64 at M^3, before the codes leave int32 at M^4
         (element_matrix({Word((1, 2, 1, 2)): 2**24,
-                         Word((-2, -1, -2, -1)): 2**24, Word(): 2}), 14,
+                         Word((-2, -1, -2, -1)): 2**24, Word(): 2}), 16,
          ["int32 int32", "int32 int64", "int32 object", "int64 object",
           "int64 object", "int64 object", "object object"]),
     ]
@@ -679,8 +694,9 @@ class TestFreePowerTracesOracle:
         assert traces[::2] == [0] * 4 and all(traces[1::2])
 
     def test_two_powers_and_one_buffer_bound_the_memory(self):
-        # M^10 of F2 d0* d0 has 118097 terms; every earlier power and
-        # every spent merge buffer is freed before it is reached
+        # M^9 of F2 d0* d0 (39365 terms) is the largest power formed, as
+        # M^10 is never multiplied out; every earlier power and every
+        # spent merge buffer is freed before the top traces are read
         matrix = down_square(free_group_complex(2), 1)
         tracemalloc.start()
         try:
@@ -691,6 +707,97 @@ class TestFreePowerTracesOracle:
         assert len(traces) == 20 and not cutoff
         assert peak < 7 * 2**20
 
+    @pytest.mark.parametrize("m_max, mib", [(20, 2.5), (24, 25)])
+    def test_the_top_power_is_never_formed(self, m_max, mib):
+        # M^(m_max / 2) would hold 118097 terms at m_max 20 and 1062881 at
+        # 24; the top traces read M^(m_max / 2 - 1) against M and M^2, and
+        # from tau(M^21) on they pass 2**63 and sum in int64 limbs
+        matrix = down_square(free_group_complex(2), 1)
+        tracemalloc.start()
+        try:
+            traces, cutoff = _free_power_traces(matrix, m_max, 2_000_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < mib * 2**20
+        walks = tree_walk_counts(4, m_max)
+        assert not cutoff and traces == [
+            sum(math.comb(j, i) * 4 ** (j - i) * (-1) ** i * walks[i]
+                for i in range(j + 1)) for j in range(1, m_max + 1)]
+
+    @pytest.mark.parametrize("name,matrix", [
+        ("F2 d0* d0", down_square(free_group_complex(2), 1)),
+        ("F2 2x2 R - Delta_1", shifted_laplacian(free_group_complex(2), 1)),
+        ("F3 d0* d0", down_square(free_group_complex(3), 1)),
+        ("[[0, x], [x*, 0]]", GroupRingMatrix(2, 2, [
+            [GroupRingElement.zero(),
+             GroupRingElement({Word(): 1, Word((1,)): 1, Word((2,)): 2})],
+            [GroupRingElement({Word(): 1, Word((-1,)): 1, Word((-2,)): 2}),
+             GroupRingElement.zero()]])),
+        ("rational 2x2 X* X", rational_gram()),
+    ])
+    def test_every_m_max_reads_its_top_traces(self, name, matrix):
+        # h = ceil(m_max / 2) runs from 1 to 6: P = M^(h-1) is the
+        # identity, M itself and larger powers, and the top is
+        # tau(P M P) alone (m_max odd) or with tau(P M^2 P)
+        for m_max in range(1, 13):
+            traces, cutoff = cleared_free_power_traces(matrix, m_max,
+                                                       2_000_000)
+            assert (traces, cutoff) == slow_free_power_traces(
+                matrix, m_max, 2_000_000)
+            assert len(traces) == m_max and not cutoff
+
+    @pytest.mark.parametrize("m_max", [9, 10])
+    def test_the_top_power_is_formed_only_to_count(self, monkeypatch, m_max):
+        # F2 d0* d0 at h = 5: P = M^4 has 161 terms, M^5 has 485, and
+        # M^5's product count is 161 * 5 = 805
+        import coholap.pipeline as pipeline
+
+        formed = []
+        original = pipeline._times_base
+
+        def spy(*args):
+            out = original(*args)
+            formed.append(sum(codes.size for row in out for codes, _ in row))
+            return out
+
+        monkeypatch.setattr(pipeline, "_times_base", spy)
+        matrix = down_square(free_group_complex(2), 1)
+        for budget, length, top_formed in ((805, m_max, False),  # above
+                                           (804, m_max, True),   # between
+                                           (485, m_max, True),
+                                           (484, 8, True)):      # below
+            formed.clear()
+            traces, cutoff = _free_power_traces(matrix, m_max, budget)
+            assert (traces, cutoff) == slow_free_power_traces(matrix, m_max,
+                                                              budget)
+            assert (len(traces), cutoff) == (length, length < m_max)
+            assert formed == [5, 17, 53, 161] + [485] * top_formed
+
+    @pytest.mark.parametrize("m_max", [3, 4, 9, 10])
+    def test_budgets_around_the_top_power(self, m_max):
+        # h = 2: M^2 has 17 terms and a product count of 25; h = 5: M^5
+        # has 485 terms and a product count of 805
+        matrix = down_square(free_group_complex(2), 1)
+        for budget in (1, 5, 16, 17, 24, 25, 26, 160, 161, 484, 485, 804,
+                       805, 806):
+            assert _free_power_traces(matrix, m_max, budget) == \
+                slow_free_power_traces(matrix, m_max, budget)
+
+    def test_top_traces_cross_the_int64_bound(self):
+        # 100 d0* d0 of F2: l1 = 800, so P = M^4 holds int64 coefficients
+        # while tau(M^9) and tau(M^10) pass 2**63, summed in int64 limbs
+        matrix = down_square(free_group_complex(2), 1).scale(100)
+        walks = tree_walk_counts(4, 10)
+        for m_max in (9, 10):
+            assert self.pairing_bound_crossed(matrix, m_max)
+            traces, cutoff = _free_power_traces(matrix, m_max, 10**6)
+            assert (traces, cutoff) == slow_free_power_traces(matrix, m_max,
+                                                              10**6)
+            assert traces[-1] == 100 ** m_max * sum(
+                math.comb(m_max, i) * 4 ** (m_max - i) * (-1) ** i * walks[i]
+                for i in range(m_max + 1)) > 2**63
+
     @pytest.mark.parametrize("matrix", [
         element_matrix({Word((1,)): 1, Word(): 2}),
         GroupRingMatrix(2, 2, [
@@ -700,6 +807,23 @@ class TestFreePowerTracesOracle:
     def test_rejects_non_self_adjoint(self, matrix):
         with pytest.raises(InvariantError, match="self-adjoint"):
             _free_power_traces(matrix, 4, 10**6)
+
+
+@pytest.mark.parametrize("x_bits, y_bits, dtype", [
+    (20, 9, np.int32),     # l1 bounds whose product fits: one int64 dot
+    (40, 30, np.int64),    # three limbs of 24 bits
+    (62, 1, np.int64),     # two limbs of 52 bits
+    (30, 30, np.int32),    # int32 factors: two limbs of 24 bits
+    (61, 61, np.int64),    # y's l1 bound leaves no bits: Python ints
+])
+def test_exact_dot_matches_python_ints(x_bits, y_bits, dtype):
+    rng = np.random.default_rng(x_bits * 64 + y_bits)
+    x, y = (rng.integers(-2**bits, 2**bits, 1000, endpoint=True,
+                         dtype=np.int64).astype(dtype)
+            for bits in (x_bits, y_bits))
+    x_bound, y_bound = (sum(abs(v) for v in a.tolist()) for a in (x, y))
+    expected = sum(a * b for a, b in zip(x.tolist(), y.tolist()))
+    assert _exact_dot(x, y, x_bound, y_bound) == expected
 
 
 def test_power_traces_refuse_a_matrix_with_denominators():
