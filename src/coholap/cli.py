@@ -24,10 +24,10 @@ derived from them (the CSV reads its columns out of the JSON records).
 
 from __future__ import annotations
 
-# The layers are imported where they are called, and argparse, csv,
-# datetime and platform where they are used.  csv, datetime and platform
-# come after numpy: loaded before it, they raise peak RSS on the
-# project-chain workload.
+# The layers are imported where they are called, and argparse, csv and
+# datetime where they are used.  csv comes after numpy: loaded before it,
+# it raises peak RSS on the project-chain workload.  numpy itself loads
+# datetime and platform.
 import io
 import json
 import math
@@ -477,7 +477,6 @@ def _write_text(path: str, text: str) -> None:
 
 def _write_outputs(args, report_text: str, csv_text: str) -> None:
     import datetime
-    import platform
 
     import numpy as np
 
@@ -495,7 +494,7 @@ def _write_outputs(args, report_text: str, csv_text: str) -> None:
             "out_dir": os.path.abspath(args.out_dir),
         },
         "package_version": VERSION,
-        "python_version": platform.python_version(),
+        "python_version": sys.version.split()[0],
         "numpy_version": np.__version__,
         # a dense eigensolve's low bits depend on the BLAS thread count
         "blas_threads": {name: os.environ.get(name) for name in (

@@ -212,17 +212,19 @@ def evaluate(matrix: GroupRingMatrix, rep: Representation,
 
     A *-homomorphism: products, sums, and adjoints commute with
     evaluation, and self-adjoint inputs give exactly symmetric outputs.
-    Under a representation whose coset table carries characters the
-    matrix is held in character form: each term adds its coefficient to
-    v_ij at coset 0 * word^-1, which ``rep.word_perm(word, 0)`` walks
-    through the table layout.  Under any other (no table included) it is
-    dense, over the trivial quotient: each term is one scatter into the
-    grid, which raises SizeBudgetError, before allocating, when its larger
-    side exceeds ``DENSE_EIG_CUTOFF``.  An entry of a permutation
-    evaluation is a sum of coefficients, so with integer coefficients of
-    absolute sum below 2**62 either form is int64; otherwise it holds
-    Python rationals.  A generator the representation lacks raises
-    UnknownGeneratorError before any walk or scatter.
+    The stage picks the form: over the abelian quotient of a coset table
+    that carries characters, else dense over the trivial quotient (no
+    table included), a grid refused with SizeBudgetError, before it is
+    allocated, when its larger side exceeds ``DENSE_EIG_CUTOFF``.  On a
+    permutation stage one walk fills either form: each term walks its
+    word, ``rep.word_perm(word, start)``, from coset 0 on a character stage
+    and from every coset on a dense one, and adds its coefficient where
+    each start x lands, at x * word^-1: the kernel index of v_ij, or the
+    row of column x.  ``_scatter`` adds orthogonal images.
+    An entry of a permutation evaluation is a sum of coefficients, so with
+    integer coefficients of absolute sum below 2**62 either form is int64;
+    otherwise it holds Python rationals.  A generator the representation
+    lacks raises UnknownGeneratorError before any walk or scatter.
     """
     provenance = provenance or f"{matrix.rows}x{matrix.cols}@{rep.label or 'rep'}"
     count = len(rep.matrices if rep.perms is None else rep.perms)
@@ -236,40 +238,34 @@ def evaluate(matrix: GroupRingMatrix, rep: Representation,
                 and all(coeff.denominator == 1 for *_, coeff in terms)
                 and sum(abs(coeff) for *_, coeff in terms) < 2**62)
     characters = (rep.table and rep.table.characters) or TRIVIAL
-    if characters is TRIVIAL:
-        v = _scatter(matrix, rep, terms, integral, provenance)
+    orders, codes = characters
+    start = 0 if orders else np.arange(rep.dimension)
+    width = np.size(start)
+    if not orders:
+        _check_budget(max(matrix.rows, matrix.cols) * width, provenance)
+    v = np.zeros((matrix.rows * width, matrix.cols * width, math.prod(orders)),
+                 dtype=np.int64 if integral else object)
+    if rep.perms is None:
+        _scatter(v, rep, terms)
     else:
-        orders, codes = characters
-        v = np.zeros((matrix.rows, matrix.cols, rep.dimension),
-                     dtype=np.int64 if integral else object)
         for i, j, word, coeff in terms:
-            v[i, j, codes[rep.word_perm(word, 0)]] += (
-                coeff.numerator if integral else coeff)
-        v = v.reshape(matrix.rows, matrix.cols, *orders)
-    result = EvaluatedOperator(v, characters, provenance)
+            x = rep.word_perm(word, start)
+            v[i * width + (0 if orders else x), j * width + start,
+              codes[x] if orders else 0] += coeff.numerator if integral else coeff
+    result = EvaluatedOperator(v.reshape(*v.shape[:2], *orders), characters,
+                               provenance)
     if matrix.is_self_adjoint() and not result.is_symmetric_exact():
         raise InvariantError(
             "self-adjoint input evaluated to a non-symmetric matrix")
     return result
 
 
-def _scatter(matrix: GroupRingMatrix, rep: Representation, terms: list,
-             integral: bool, provenance: str) -> np.ndarray:
-    """The dense exact grid, int64 when ``integral``."""
+def _scatter(grid: np.ndarray, rep: Representation, terms: list) -> None:
+    """Add each term's orthogonal image into the dense grid's block (i, j)."""
     dim = rep.dimension
-    _check_budget(max(matrix.rows, matrix.cols) * dim, provenance)
-    grid = np.zeros((matrix.rows * dim, matrix.cols * dim),
-                    dtype=np.int64 if integral else object)
-    columns = np.arange(dim)
     for i, j, word, coeff in terms:
-        row0, col0 = i * dim, j * dim
-        if rep.perms is not None:
-            grid[row0 + rep.word_perm(word), col0 + columns] += (
-                coeff.numerator if integral else coeff)
-        else:
-            grid[row0:row0 + dim, col0:col0 + dim] += (
-                coeff * rep.word_matrix(word).array)
-    return grid
+        grid[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim, 0] += (
+            coeff * rep.word_matrix(word).array)
 
 
 def _circulant(v: np.ndarray, codes: np.ndarray,

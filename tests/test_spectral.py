@@ -292,6 +292,26 @@ class TestSizeBudget:
         assert report.resolved
         assert evaluate(matrix, rep).shadow.shape == (400, 400)
 
+    def test_dense_walk_refused_before_the_grid_exists(self, monkeypatch):
+        # the same stage as bare permutations carries no characters, so
+        # evaluate itself would walk every coset into a dense 400 x 400 grid
+        table = regular_rep(F2, ["a^20", "b^20", "a*b*a^-1*b^-1"])
+        rep = Representation(table.dimension, perms=table.perms)
+        matrix = GroupRingMatrix.from_element(F2.degree_zero_laplacian())
+        monkeypatch.setattr(spectral, "DENSE_EIG_CUTOFF", 399)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeBudgetError, match="400"):
+                evaluate(matrix, rep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 400**2
+        monkeypatch.setattr(spectral, "DENSE_EIG_CUTOFF", 400)
+        op = evaluate(matrix, rep)
+        assert op.backend == "dense"
+        assert spectral_gap(op).kernel_dim == 1
+
 
 class TestGapPolicy:
     def test_unresolved_when_tolerance_swamps_gap(self):
