@@ -134,10 +134,11 @@ class _Run:
         self.payload = payload
         self.presentation = parse_presentation(payload)
         self.complex = parse_complex(payload, self.presentation)
+        top = self.complex.top_degree
         if degree_key == "degree":
-            self.degree = parse_degree(payload, args.command)
+            self.degree = parse_degree(payload, args.command, top)
         elif degree_key == "degrees":
-            self.degrees = parse_degrees(payload, args.command)
+            self.degrees = parse_degrees(payload, args.command, top)
         self.tol = parse_tolerance(payload, args.tol)
         self.chain = None  # the QuotientChain, set by _chain
 

@@ -161,21 +161,25 @@ def parse_representation(block, presentation: Presentation,
     return table.coset_count, Representation.from_coset_table(table, label)
 
 
-def parse_degree(payload: dict, command: str) -> int:
-    return _integer(_require(payload, "degree", command), 0,
-                    "'degree' must be a nonnegative integer")
+def parse_degree(payload: dict, command: str, top: int) -> int:
+    """The 'degree', one of the complex's degrees 0..top."""
+    degree = _integer(_require(payload, "degree", command), 0,
+                      "'degree' must be a nonnegative integer")
+    if degree > top:
+        raise MalformedInputError(f"degree {degree} out of range 0..{top}")
+    return degree
 
 
-def parse_degrees(payload: dict, command: str) -> list[int]:
+def parse_degrees(payload: dict, command: str, top: int) -> list[int]:
     """The 'degrees' list, else the single 'degree'."""
     if "degrees" not in payload:
-        return [parse_degree(payload, command)]
+        return [parse_degree(payload, command, top)]
     degrees = payload["degrees"]
     if (not isinstance(degrees, list) or not degrees
             or not all(_is_int(d) and d >= 0 for d in degrees)):
         raise MalformedInputError(
             "'degrees' must be a nonempty list of nonnegative integers")
-    return degrees
+    return [parse_degree({"degree": d}, command, top) for d in degrees]
 
 
 def parse_tolerance(payload: dict, override: float | None) -> float:

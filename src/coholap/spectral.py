@@ -13,10 +13,10 @@ rationals otherwise (dense int64 entries strictly between -2**53 and
 2**53 held once, as floats).  The exact-to-float boundary sits
 immediately before eigenvalue computation.
 
-Eigenvalues, kernel and heat projections, rank checks and the exact
-Delta^+ Delta^- = 0 check run on the symbols and on the arrays of
-convolution kernels, so ``betti``, ``spectrum``, ``luck``, ``project``
-and ``ghost`` on an abelian stage meet no dense size budget.  Only a
+Eigenvalues, kernel and heat projections and the exact d_n d_(n-1) = 0
+check run on the symbols and on the arrays of convolution kernels, so
+``betti``, ``spectrum``, ``luck``, ``project`` and ``ghost`` on an
+abelian stage meet no dense size budget.  Only a
 non-abelian or orthogonal stage, and the ``shadow``, ``exact_matrix`` or
 projection ``matrix`` of a character form when read, build the dense
 grid, refused with SizeBudgetError before allocation when wider than
@@ -74,7 +74,7 @@ class EvaluatedOperator:
     convolution x -> v_ij * x on C[Q], v_ij being the exact array
     ``coefficients[i, j]`` of shape Q's orders.  Its symbols are
     fftn(v)(chi), one k x k matrix per character chi, so the checks,
-    norm, eigenvalues, projections and rank need no n x n array.  A dense
+    norm, eigenvalues and projections need no n x n array.  A dense
     operator lives over the trivial quotient ``TRIVIAL``: no orders, one
     character, and its one symbol is the whole matrix.  Its int64 entries
     strictly between -2**53 and 2**53 are held once, as float64, both
@@ -177,12 +177,6 @@ class EvaluatedOperator:
         v = self._numeric_coefficients()
         columns = np.abs(v).sum(axis=(0, *range(2, v.ndim)))
         return float(columns.max()) if v.size else 0.0
-
-    def rank(self, threshold: float) -> int:
-        """Numerical rank: singular values above sqrt(threshold), summed
-        over the symbols."""
-        return int(np.linalg.matrix_rank(self.symbols(),
-                                         tol=math.sqrt(threshold)).sum())
 
     def __repr__(self) -> str:
         return (f"EvaluatedOperator({self.rows}x{self.cols}, "

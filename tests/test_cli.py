@@ -702,6 +702,11 @@ MALFORMED = [
     ("spectrum", {"presentation": {"generators": ["a"], "relators": [3]},
                   "degree": 0}, "presentation.relators"),
     ("spectrum", dict(CYCLIC3, degree="0"), "'degree'"),
+    # refused before F2 or F2 / <<a^2>>, both infinite, is enumerated
+    ("spectrum", dict(FREE2, degree=5), "degree 5 out of range 0..1"),
+    ("spectrum", dict(FREE2, degree=5, chain=[["a^2"]]), "out of range 0..1"),
+    ("betti", dict(FREE2, degrees=[0, 5], chain=[["a^2"]]),
+     "degree 5 out of range"),
     ("betti", dict(CYCLIC3, degrees=[0, -1]), "'degrees'"),
     ("betti", dict(CYCLIC3, degrees=[]), "'degrees'"),
     ("spectrum", dict(CYCLIC3, higher_differentials={"2": []}),
@@ -726,6 +731,9 @@ MALFORMED = [
      "'finite_subgroup_orders'"),
     ("obstruct", dict(CYCLIC3, chain=[[]], beta_ref={"provenance": "cited"}),
      "'beta_ref'"),
+    ("obstruct", dict(CYCLIC3, chain=[[]], beta_ref={
+        "value": "0", "provenance": "user-cited", "citation": {"x": [1, 2]}}),
+     "beta_ref citation"),
     ("verify-cert", {"presentation": CYCLIC3["presentation"],
                      "certificates": ["rotation-gap"]},
      "certificates[0] must be an object"),

@@ -60,6 +60,7 @@ from coholap import (
     surface_genus2_complex,
     todd_coxeter,
 )
+from coholap import pipeline, spectral
 from coholap.pipeline import (_exact_dot, _free_power_traces,
                               _regular_power_traces)
 
@@ -196,11 +197,25 @@ class TestKazhdanProjections:
             higher_kazhdan_projection(spec, 1, rep, method="newton")
 
     def test_a_non_complex_fails_the_product_check(self):
-        # d_2 = [[1]] after d_1 = [[1 + a]] on <a | a^2>: d_2 d_1 != 0, so
-        # Delta_2^+ Delta_2^- = (1 + a)(1 + a^-1) does not vanish
+        # d_2 = [[1]] after d_1 = [[1 + a]] on <a | a^2>: d_2 d_1 = 1 + a
+        # does not vanish
         spec = top_complex(cyclic_group_complex(2), "1")
         rep = regular_rep(spec.presentation, ["a^2"])
         with pytest.raises(InvariantError, match="nonzero under 'regular"):
+            higher_kazhdan_projection(spec, 2, rep)
+
+    def test_a_non_complex_is_refused_before_any_eigenvalue(self,
+                                                             monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an eigenvalue was computed")
+
+        for module, name in ((pipeline, "spectral_gap"),
+                             (spectral, "spectral_gap"),
+                             (np.linalg, "eigvalsh"), (np.linalg, "eigh")):
+            monkeypatch.setattr(module, name, refuse)
+        spec = top_complex(cyclic_group_complex(2), "1")
+        rep = regular_rep(spec.presentation, ["a^2"])
+        with pytest.raises(InvariantError, match="d_2 d_1 is nonzero"):
             higher_kazhdan_projection(spec, 2, rep)
 
 
@@ -984,6 +999,12 @@ class TestObstructionReport:
     def test_provenance_validated(self):
         with pytest.raises(MalformedInputError):
             BetaRef(Fraction(1), "guessed")
+
+    @pytest.mark.parametrize("citation", [{"x": [1, 2]}, 3, ["a"]])
+    def test_citation_must_be_a_string_or_absent(self, citation):
+        with pytest.raises(MalformedInputError, match="citation"):
+            BetaRef(Fraction(1), "user-cited", citation=citation)
+        assert BetaRef(Fraction(1), "user-cited").citation is None
 
     def test_verified_claim_certifies_uniform_gap(self):
         spec, chain = self.chain_f2()
