@@ -19,6 +19,7 @@ ideal terms, hence PSD wherever the relators vanish.  Coefficients
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -178,6 +179,13 @@ class GapClaim(NamedTuple):
     verified: bool
     polynomial_form: tuple[Fraction, Fraction]
 
+    def float_epsilon(self) -> float | None:
+        """epsilon as a float; one past the float range reads as inf."""
+        try:
+            return None if self.epsilon is None else float(self.epsilon)
+        except OverflowError:
+            return math.inf
+
 
 def certificate_gap_claim(certificate: Certificate,
                           report: CertificateReport) -> GapClaim:
@@ -229,14 +237,13 @@ def check_claim_soundness(claim: GapClaim, operator: EvaluatedOperator,
     values = operator.eigenvalues()
     threshold = zero_tolerance * max(1.0, operator.one_norm())
     bad = values < -threshold
-    if claim.kind == "spectral-gap" and claim.verified and \
-            claim.epsilon is not None:
-        bad |= ((threshold < values)
-                & (values < float(claim.epsilon) - SOUNDNESS_SLACK))
+    epsilon = claim.float_epsilon()
+    if claim.kind == "spectral-gap" and claim.verified and epsilon is not None:
+        bad |= (threshold < values) & (values < epsilon - SOUNDNESS_SLACK)
     # eigenvalues() is ascending, so this is the lowest offending eigenvalue
     offender = float(values[bad][0]) if bad.any() else None
     return SoundnessCheck(
         holds=offender is None,
         offending_eigenvalue=offender,
         zero_threshold=threshold,
-        epsilon=float(claim.epsilon) if claim.epsilon is not None else None)
+        epsilon=epsilon)

@@ -124,7 +124,8 @@ def _csv_cell(cell) -> str:
 class _Run:
     """One invocation: its options, its description, and the parts of the
     description every subcommand reads, parsed once in a fixed order (so a
-    description with several faults always reports the same one)."""
+    description with several faults always reports the same one).  Each
+    handler parses the other keys it reads before it builds a stage."""
 
     def __init__(self, args, payload: dict, degree_key: str | None):
         from .description import (parse_complex, parse_degree, parse_degrees,
@@ -157,17 +158,18 @@ def _check_cochain(run: _Run, representations) -> None:
             validate_chain_identity(run.complex, rep)
 
 
-def _chain(run: _Run):
-    """The description's quotient chain, kept on ``run`` so that main adds
-    its separation summary to the report."""
+def _chain(run: _Run, relators=None):
+    """The quotient chain of ``relators``, else of the description's
+    'chain' block, kept on ``run`` so that main adds its separation
+    summary to the report."""
     from .cosets import SeparationWarning, quotient_chain
     from .description import parse_chain
 
+    if relators is None:
+        relators = parse_chain(run.payload, run.presentation, run.args.command)
     chain = run.chain = quotient_chain(
-        run.presentation,
-        parse_chain(run.payload, run.presentation, run.args.command),
-        ball_radius=run.args.ball_radius, max_cosets=run.args.max_cosets,
-        warn=False)
+        run.presentation, relators, ball_radius=run.args.ball_radius,
+        max_cosets=run.args.max_cosets, warn=False)
     if not chain.separation.separated:
         # the description's chain fails to separate: point at its line
         with open(run.args.spec, encoding="utf-8") as handle:
@@ -264,16 +266,14 @@ def _cmd_betti(run: _Run) -> dict:
             yield {"degree": degree, "betti": betti,
                    "normalized": Fraction(betti, order),
                    **_pick(gap_report, "gap resolved backend")}
-    report = _per_stage(run, "records", records)
+    # the bounds need only the complex, so their faults come before a stage's
     block = run.payload.get("upper_bounds")
-    if block is not None:
-        bounds = l2_betti_upper_bounds(
-            run.complex, run.degrees[0], **parse_upper_bounds(block),
-            max_cosets=run.args.max_cosets)
-        report["upper_bounds"] = _pick(
-            bounds, "degree norm_bound values lower_bounds cutoff backend "
-                    "gap_hint")
-    return report
+    bounds = {} if block is None else {"upper_bounds": _pick(
+        l2_betti_upper_bounds(run.complex, run.degrees[0],
+                              **parse_upper_bounds(block),
+                              max_cosets=run.args.max_cosets),
+        "degree norm_bound values lower_bounds cutoff backend gap_hint")}
+    return {**_per_stage(run, "records", records), **bounds}
 
 
 @_command("luck", "normalized Betti sequence along a chain of quotients",
@@ -282,16 +282,16 @@ def _cmd_luck(run: _Run) -> dict:
     from .description import parse_subgroup_orders
     from .pipeline import lambda_ring_membership, luck_approximation
 
+    orders = parse_subgroup_orders(run.payload)
     luck = luck_approximation(run.complex, run.degree, _chain(run), run.tol)
     report = {
         "records": [_pick(r, "position quotient_order betti ratio gap")
                     for r in luck.records],
         **_pick(luck, "tail_estimates extrapolated extrapolation_note"),
     }
-    orders = run.payload.get("finite_subgroup_orders")
     if orders is not None and luck.extrapolated is not None:
         report["extrapolated_in_lambda_ring"] = lambda_ring_membership(
-            luck.extrapolated, parse_subgroup_orders(orders))
+            luck.extrapolated, orders)
     return report
 
 
@@ -332,10 +332,11 @@ def _cmd_project(run: _Run) -> dict:
           "degree", "records",
           "position quotient_order kernel_dim lifted_value discrepancy gap")
 def _cmd_obstruct(run: _Run) -> dict:
-    from .description import parse_beta_ref
+    from .description import parse_beta_ref, parse_chain
     from .pipeline import box_obstruction_report
 
-    chain = _chain(run)
+    # a missing chain is reported before a missing beta_ref
+    relators = parse_chain(run.payload, run.presentation, run.args.command)
     beta_ref = parse_beta_ref(run.payload, run.args.command)
 
     gap_claim = None
@@ -349,8 +350,8 @@ def _cmd_obstruct(run: _Run) -> dict:
                                           verify_certificate(certificate))
 
     obstruction = box_obstruction_report(
-        run.complex, run.degree, chain, beta_ref, gap_claim=gap_claim,
-        zero_tolerance=run.tol)
+        run.complex, run.degree, _chain(run, relators), beta_ref,
+        gap_claim=gap_claim, zero_tolerance=run.tol)
     return {
         "beta_ref": _pick(beta_ref, "value provenance citation"),
         "records": [_pick(r, "position quotient_order kernel_dim=d_star_value "
@@ -539,8 +540,17 @@ def main(argv=None) -> int:
         if command.degree_key is not None:
             # _Run keeps the parsed degree input under the report key's name
             report[command.degree_key] = getattr(run, command.degree_key)
-        report = _json(report)
-        report_text = _dump_json(report)
+        # exact values may pass the int-to-str digit limit (Python 3.10.7
+        # and later), which guards only the reading of untrusted input
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            report = _json(report)
+            report_text = _dump_json(report)
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
         _write_outputs(args, report_text,
                        _csv_text(command.columns, report[command.records_key]))
     except (CoholapError, OSError) as exc:

@@ -29,15 +29,13 @@ def load_payload(path: str) -> dict:
         raise MalformedInputError(f"no such experiment file: {path}")
     except IsADirectoryError:
         raise MalformedInputError(f"{path} is a directory, not a JSON file")
-    except json.JSONDecodeError as exc:
-        raise MalformedInputError(f"{path} is not valid JSON: {exc}")
     except UnicodeDecodeError as exc:
         raise MalformedInputError(f"{path} is not UTF-8 text: {exc}")
+    except ValueError as exc:  # also an integer past the digit limit
+        raise MalformedInputError(f"{path} is not valid JSON: {exc}")
     except RecursionError:
         raise MalformedInputError(f"{path} nests JSON too deeply to read")
-    if not isinstance(payload, dict):
-        raise MalformedInputError("experiment description must be a JSON object")
-    return payload
+    return _object(payload, "experiment description")
 
 
 def _require(payload: dict, key: str, command: str):
@@ -56,6 +54,23 @@ def _is_int(value) -> bool:
 def _integer(value, minimum: int | None, message: str) -> int:
     if not _is_int(value) or (minimum is not None and value < minimum):
         raise MalformedInputError(message)
+    return value
+
+
+def _number(value, what: str) -> float:
+    """A JSON number (or numeric text) as a float; JSON booleans and
+    numbers past the float range are refused."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise MalformedInputError(f"{what} must be a number")
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise MalformedInputError(f"{what} must be an object")
     return value
 
 
@@ -78,11 +93,7 @@ def _words(value, presentation: Presentation, what: str) -> list:
 
 
 def parse_presentation(payload: dict) -> Presentation:
-    block = payload.get("presentation")
-    if not isinstance(block, dict):
-        raise MalformedInputError(
-            "experiment description needs a 'presentation' object with "
-            "'generators' and 'relators'")
+    block = _object(payload.get("presentation"), "'presentation'")
     names = _string_list(block.get("generators", []),
                          "presentation.generators")
     relator_texts = _string_list(block.get("relators", []),
@@ -117,11 +128,8 @@ def parse_complex(payload: dict,
     higher = None
     block = payload.get("higher_differentials")
     if block is not None:
-        if not isinstance(block, dict):
-            raise MalformedInputError(
-                "higher_differentials must map degree strings to matrices")
         higher = {}
-        for key, value in block.items():
+        for key, value in _object(block, "higher_differentials").items():
             try:
                 degree = int(key)
             except (TypeError, ValueError):
@@ -141,9 +149,7 @@ def parse_complex(payload: dict,
 def parse_representation(block, presentation: Presentation,
                          max_cosets: int) -> tuple[int, Representation]:
     """(quotient order, representation) from a 'representation' block."""
-    if not isinstance(block, dict):
-        raise MalformedInputError("'representation' must be an object")
-    kind = block.get("kind", "regular")
+    kind = _object(block, "'representation'").get("kind", "regular")
     if kind == "trivial":
         return 1, Representation.trivial(presentation.generator_count)
     if kind == "regular":
@@ -184,14 +190,8 @@ def parse_degrees(payload: dict, command: str, top: int) -> list[int]:
 
 def parse_tolerance(payload: dict, override: float | None) -> float:
     """The zero tolerance: ``override`` (the --tol option) when given."""
-    if override is not None:
-        value = override
-    else:
-        value = payload.get("zero_tolerance", DEFAULT_ZERO_TOLERANCE)
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise MalformedInputError("'zero_tolerance' must be a number")
+    value = _number(payload.get("zero_tolerance", DEFAULT_ZERO_TOLERANCE)
+                    if override is None else override, "'zero_tolerance'")
     if not 0 < value < 1:
         raise MalformedInputError("zero tolerance must lie in (0, 1)")
     return value
@@ -230,8 +230,7 @@ def parse_certificates(payload: dict, presentation: Presentation,
     parsed = []
     for i, block in enumerate(blocks):
         where = f"certificates[{i}]"
-        if not isinstance(block, dict):
-            raise MalformedInputError(f"{where} must be an object")
+        _object(block, where)
         target_block = block.get("target")
         if isinstance(target_block, dict) and "laplacian" in target_block:
             degree = _integer(target_block["laplacian"], None,
@@ -270,9 +269,7 @@ def parse_certificates(payload: dict, presentation: Presentation,
         witnesses = []
         for j, w in enumerate(_list(block, "witnesses", where)):
             at = f"{where}.witnesses[{j}]"
-            if not isinstance(w, dict):
-                raise MalformedInputError(f"{at} must be an object")
-            relator = _integer(w.get("relator"), None,
+            relator = _integer(_object(w, at).get("relator"), None,
                                f"{at}.relator must be an index into the "
                                "ideal generators")
             witnesses.append(IdealWitness(
@@ -296,8 +293,8 @@ def parse_certificates(payload: dict, presentation: Presentation,
         except ShapeMismatchError as exc:
             raise MalformedInputError(f"{where}: {exc}") from exc
         soundness = block.get("soundness")
-        if soundness is not None and not isinstance(soundness, dict):
-            raise MalformedInputError(f"{where}.soundness must be an object")
+        if soundness is not None:
+            _object(soundness, f"{where}.soundness")
         parsed.append((certificate, soundness))
     return parsed
 
@@ -316,8 +313,7 @@ def parse_chain(payload: dict, presentation: Presentation,
 def parse_upper_bounds(block) -> dict:
     """Keyword arguments of ``l2_betti_upper_bounds`` from the
     'upper_bounds' block."""
-    if not isinstance(block, dict):
-        raise MalformedInputError("'upper_bounds' must be an object")
+    block = _object(block, "'upper_bounds'")
     m_max = _integer(block.get("m_max", 8), 1,
                     "upper_bounds.m_max must be a positive integer")
     norm_bound = block.get("norm_bound")
@@ -325,12 +321,7 @@ def parse_upper_bounds(block) -> dict:
         norm_bound = parse_scalar(norm_bound, "upper_bounds.norm_bound")
     gap_hint = block.get("gap_hint")
     if gap_hint is not None:
-        try:
-            if isinstance(gap_hint, bool):  # JSON true loads as 1
-                raise TypeError
-            gap_hint = float(gap_hint)
-        except (TypeError, ValueError):
-            raise MalformedInputError("upper_bounds.gap_hint must be a number")
+        gap_hint = _number(gap_hint, "upper_bounds.gap_hint")
     term_budget = _integer(block.get("term_budget", 2_000_000), 1,
                           "upper_bounds.term_budget must be a positive integer")
     return {"m_max": m_max, "norm_bound": norm_bound, "gap_hint": gap_hint,
@@ -338,19 +329,19 @@ def parse_upper_bounds(block) -> dict:
 
 
 def parse_beta_ref(payload: dict, command: str) -> BetaRef:
-    block = _require(payload, "beta_ref", command)
-    if not isinstance(block, dict) or "value" not in block:
-        raise MalformedInputError(
-            "'beta_ref' must be an object with 'value' and 'provenance'")
+    block = _object(_require(payload, "beta_ref", command), "'beta_ref'")
+    if "value" not in block:
+        raise MalformedInputError("'beta_ref' needs a 'value'")
     return BetaRef(value=parse_scalar(block["value"], "beta_ref.value"),
                    provenance=block.get("provenance", "user-cited"),
                    citation=block.get("citation"))
 
 
-def parse_subgroup_orders(value) -> list[int]:
-    """The 'finite_subgroup_orders' list."""
-    if not isinstance(value, list) or not all(_is_int(o) and o > 0
-                                              for o in value):
+def parse_subgroup_orders(payload: dict) -> list[int] | None:
+    """The 'finite_subgroup_orders' list, None when absent."""
+    value = payload.get("finite_subgroup_orders")
+    if value is not None and not (isinstance(value, list) and all(
+            _is_int(o) and o > 0 for o in value)):
         raise MalformedInputError(
             "'finite_subgroup_orders' must be a list of positive integers")
     return value

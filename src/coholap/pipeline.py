@@ -363,7 +363,9 @@ def l2_betti_upper_bounds(spec: CochainComplexSpec, degree: int,
     denominators are cleared once, c their lcm, and both backends take
     the integer traces T_j = tau((cX)^j).  This is the only place that
     divides: with R = p/q, a = -q and b = cp, each term is one fraction
-    u_M = k + (sum_j C(M, j) a^j b^(M-j) T_j) / b^M, k the cell count.
+    u_M = ((b + aE)^M T)_0 / b^M, T = (k, T_1, T_2, ...), k the cell
+    count and E the left shift: M steps that each replace consecutive
+    entries s, t of T by b s + a t.
 
     Support growth beyond ``term_budget`` stops the sequence early and
     sets the ``cutoff`` flag instead of raising.
@@ -405,18 +407,17 @@ def l2_betti_upper_bounds(spec: CochainComplexSpec, degree: int,
     k = bundle.cell_count
     # R = 0 only when Delta_n = 0: then every T_j is 0 and u_M = k
     a, b = -norm_bound.denominator, clear * norm_bound.numerator or 1
-    values = tuple(
-        Fraction(k * b ** m + sum(math.comb(m, j) * a ** j * b ** (m - j) * t
-                                  for j, t in enumerate(traces[:m], 1)),
-                 b ** m)
-        for m in range(1, len(traces) + 1))
+    level, values = [k, *traces], []
+    for m in range(1, len(traces) + 1):
+        level = [b * s + a * t for s, t in zip(level, level[1:])]
+        values.append(Fraction(level[0], b ** m))
     lower = None
     if gap_hint is not None:
         shrink = 1.0 - gap_hint / float(norm_bound)
         lower = tuple(float(u) - k * shrink ** (m + 1)
                       for m, u in enumerate(values))
     return UpperBoundReport(
-        degree=degree, norm_bound=norm_bound, values=values,
+        degree=degree, norm_bound=norm_bound, values=tuple(values),
         lower_bounds=lower, cutoff=cutoff, backend=backend,
         term_budget=term_budget, gap_hint=gap_hint)
 
@@ -710,7 +711,7 @@ def box_obstruction_report(spec: CochainComplexSpec, degree: int,
         verdict=verdict, gap_decay=decaying,
         min_gap=min(gaps) if gaps else math.inf,
         uniform_gap_certified=certified,
-        certified_epsilon=float(gap_claim.epsilon) if certified else None)
+        certified_epsilon=gap_claim.float_epsilon() if certified else None)
 
 
 class GhostRecord(NamedTuple):

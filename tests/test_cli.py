@@ -7,13 +7,18 @@ files in the output directory, and the frozen CSV column layout.
 
 import csv
 import json
+import sys
 import time
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from conftest import slow_upper_bounds
+
 import coholap
-from coholap import SeparationWarning
+from coholap import SeparationWarning, cyclic_group_complex
 from coholap.cli import _json, main
 
 CYCLIC3 = {
@@ -900,6 +905,122 @@ class TestErrorHandling:
     def test_error_json_not_left_behind_on_success(self, tmp_path, capsys):
         _, _, out = run_cli(tmp_path, capsys, "spectrum", CYCLIC3)
         assert not (out / "error.json").exists()
+
+
+class TestInputFaults:
+    """Numbers past Python's limits and keys a subcommand reads beyond the
+    shared preamble: a fault is refused with the error JSON before any
+    stage is built, and a valid input gives its exact report."""
+
+    # F2 / <<a^2>> is infinite, so building its chain would fail
+    INFINITE = dict(FREE2, degree=0, chain=[["a^2"]])
+    BETA_REF = {"value": "0", "provenance": "user-cited"}
+    # (command, description or raw JSON text, text the message must hold)
+    FAULTS = {
+        "betti-m_max": ("betti", dict(INFINITE, upper_bounds={"m_max": 0}),
+                        "upper_bounds.m_max"),
+        "betti-norm_bound": ("betti", dict(INFINITE,
+                                           upper_bounds={"norm_bound": "1"}),
+                             "below the certified l1 bound"),
+        "luck-orders": ("luck", dict(INFINITE, finite_subgroup_orders=[0]),
+                        "'finite_subgroup_orders'"),
+        "obstruct-citation": ("obstruct", dict(INFINITE, beta_ref=dict(
+            BETA_REF, citation={"x": [1, 2]})), "beta_ref citation"),
+        "obstruct-certificate": ("obstruct", dict(
+            INFINITE, beta_ref=BETA_REF,
+            certificate=dict(ROTATION_CERT, witnesses=["a"])),
+            "certificates[0].witnesses[0] must be an object"),
+        "obstruct-chain-first": ("obstruct", dict(FREE2, degree=0),
+                                 "'chain'"),
+        # json.dumps itself refuses an integer past the digit limit
+        "long-degree": ("spectrum", json.dumps(CYCLIC3).replace(
+            '"degree": 0', '"degree": 1' + "0" * 4999), "not valid JSON"),
+        "huge-tolerance": ("spectrum", dict(CYCLIC3, zero_tolerance=10**400),
+                           "'zero_tolerance'"),
+        "boolean-tolerance": ("spectrum", dict(CYCLIC3, zero_tolerance=True),
+                              "'zero_tolerance'"),
+        "huge-gap-hint": ("betti", dict(CYCLIC3,
+                                        upper_bounds={"gap_hint": 10**400}),
+                          "upper_bounds.gap_hint must be a number"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(FAULTS))
+    def test_refused_before_any_stage(self, tmp_path, capsys, monkeypatch,
+                                      case):
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("a stage was built")
+
+        from coholap import cosets, description, pipeline
+
+        for module in (cosets, description, pipeline):
+            monkeypatch.setattr(module, "todd_coxeter", no_enumeration)
+        command, payload, message = self.FAULTS[case]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stdout, out = run_cli(tmp_path, capsys, command, payload,
+                                        "--max-cosets", "50")
+        assert not [w for w in caught
+                    if issubclass(w.category, SeparationWarning)]
+        assert code == 2
+        error = json.loads(stdout)["error"]
+        assert error["type"] == "MalformedInputError"
+        assert message in error["message"], error["message"]
+        assert not out.exists()
+
+    def test_report_values_past_the_digit_limit(self, tmp_path, capsys):
+        # u_8 over (10^600)^8 has some 4800 digits; the limit is lifted
+        # only while the report is written
+        limit = sys.get_int_max_str_digits()
+        norm_bound = 10**600
+        payload = dict(CYCLIC3, degrees=[0],
+                       upper_bounds={"m_max": 8, "norm_bound": str(norm_bound)})
+        code, stdout, _ = run_cli(tmp_path, capsys, "betti", payload)
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit
+        values = json.loads(stdout)["upper_bounds"]["values"]
+        assert max(map(len, values)) > 4300
+        expected, _, _ = slow_upper_bounds(cyclic_group_complex(3), 0, 8,
+                                           norm_bound=Fraction(norm_bound))
+        sys.set_int_max_str_digits(0)
+        try:
+            assert [Fraction(v) for v in values] == list(expected)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    # 0^2 - 10^400 * 0 = 0 verifies, whatever epsilon
+    HUGE_EPSILON = {"target": {"matrix": [["0"]]}, "epsilon": "1e400"}
+
+    def test_huge_epsilon_in_a_soundness_check(self, tmp_path, capsys):
+        payload = {"presentation": CYCLIC3["presentation"],
+                   "certificates": [dict(self.HUGE_EPSILON,
+                                         soundness={"kind": "regular"})]}
+        code, stdout, _ = run_cli(tmp_path, capsys, "verify-cert", payload)
+        assert code == 0
+        (result,) = json.loads(stdout)["certificates"]
+        assert result["claim"]["epsilon"] == "1" + "0" * 400
+        assert result["claim"]["verified"] is True
+        assert result["soundness"]["holds"] is True
+
+    def test_huge_epsilon_certifies_an_infinite_gap(self, tmp_path, capsys):
+        payload = dict(CYCLIC3, chain=[[]], beta_ref=self.BETA_REF,
+                       certificate=self.HUGE_EPSILON)
+        code, stdout, _ = run_cli(tmp_path, capsys, "obstruct", payload,
+                                  "--ball-radius", "0")
+        assert code == 0
+        report = json.loads(stdout)
+        assert report["uniform_gap_certified"] is True
+        assert report["certified_epsilon"] == "inf"
+
+    def test_failure_with_an_unusable_out_dir(self, tmp_path, capsys):
+        # the enumeration fails, and so does writing error.json
+        (tmp_path / "out").write_text("taken")
+        code, stdout, out = run_cli(tmp_path, capsys, "spectrum",
+                                    dict(FREE2, degree=0),
+                                    "--max-cosets", "50")
+        assert code == 1
+        error = json.loads(stdout)["error"]
+        assert error["type"] == "EnumerationOverflowError"
+        assert out.read_text() == "taken"
 
 
 class TestChainSeparationBlock:

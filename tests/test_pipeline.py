@@ -352,6 +352,17 @@ class TestUpperBounds:
         # the kernel fraction 1/3 between the bounds
         assert report.lower_bounds[-1] <= 1 / 3 <= float(report.values[-1])
 
+    def test_long_sequence_closed_form(self):
+        # spectrum {0, 6, 6}, R = 8: u_m = (1 + 2 / 4^m) / 3.  The terms
+        # take quadratic big-integer work; a binomial sum per term took
+        # over 3 s here
+        start = time.perf_counter()
+        report = l2_betti_upper_bounds(cyclic_group_complex(3), 0, m_max=800)
+        elapsed = time.perf_counter() - start
+        assert report.values == tuple((1 + Fraction(2, 4 ** m)) / 3
+                                      for m in range(1, 801))
+        assert elapsed < 2
+
     def test_gap_hint_validation(self):
         spec = cyclic_group_complex(3)
         with pytest.raises(MalformedInputError):
@@ -394,7 +405,7 @@ def halved_top_complex(spec):
 
 
 class TestUpperBoundsOracle:
-    """One trace sequence assembled binomially, against today's three
+    """One trace sequence assembled by the shift recurrence, against three
     routes (``slow_upper_bounds``): powers of R - Delta and of d* d over
     the free group ring, and powers of c(R - Delta) in the regular
     representation of a finite group."""
