@@ -10,6 +10,7 @@ grammar of :mod:`coholap.textform` (``3/2*a*b^-1 - 1``).
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .complexes import CochainComplexSpec, build_complex, build_laplacian
@@ -58,14 +59,14 @@ def _integer(value, minimum: int | None, message: str) -> int:
 
 
 def _number(value, what: str) -> float:
-    """A JSON number (or numeric text) as a float; JSON booleans and
-    numbers past the float range are refused."""
+    """A JSON number (or numeric text) as a finite float; JSON booleans and
+    numbers past the float range (JSON reads 1e400 as inf) are refused."""
     try:
-        if isinstance(value, bool):
-            raise TypeError
-        return float(value)
+        if not isinstance(value, bool) and math.isfinite(x := float(value)):
+            return x
     except (TypeError, ValueError, OverflowError):
-        raise MalformedInputError(f"{what} must be a number")
+        pass
+    raise MalformedInputError(f"{what} must be a number")
 
 
 def _object(value, what: str) -> dict:

@@ -48,7 +48,9 @@ class UnresolvedGapError(CoholapError):
 
 
 class SizeBudgetError(CoholapError):
-    """An evaluated operator would exceed the dense size budget."""
+    """An evaluated operator exceeds one of two budgets: its dense grid
+    would be wider than ``DENSE_EIG_CUTOFF``, or its ||M||_1 passes the
+    float range, so its floats would overflow."""
 
 
 class IncompleteComplexError(CoholapError):

@@ -3,8 +3,11 @@
 A :class:`Matrix` holds ``int64`` entries when they are integers and the
 arithmetic that made them provably fits, and ``object`` entries (Python
 ``int`` and ``fractions.Fraction``) otherwise, so every result is exact.
-Every routine is a whole-array operation; floating point enters only
-through :func:`to_float`.
+Every routine is a whole-array operation.  Floats appear here only where
+they are exact: :func:`matmul` multiplies int64 matrices in float64 when
+every partial sum stays below 2**53, and :func:`to_float` is used on
+such integers.  Rational kernels are rounded to floats in
+``spectral.EvaluatedOperator._numeric_coefficients``.
 """
 
 from __future__ import annotations

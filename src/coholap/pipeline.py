@@ -13,6 +13,7 @@ a lifted reference value along the chain.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
@@ -378,9 +379,10 @@ def l2_betti_upper_bounds(spec: CochainComplexSpec, degree: int,
                                   f"certified l1 bound {l1_bound}")
     if m_max < 1:
         raise MalformedInputError("m_max must be at least 1")
-    if gap_hint is not None and not (0 < gap_hint <= float(norm_bound)):
-        raise MalformedInputError(
-            f"gap hint {gap_hint} outside (0, {float(norm_bound)}]")
+    # R past the float range reads as inf: its shrink 1 - gap_hint/R is 1
+    r = math.inf if norm_bound > sys.float_info.max else float(norm_bound)
+    if gap_hint is not None and not (0 < gap_hint <= r):
+        raise MalformedInputError(f"gap hint {gap_hint} outside (0, {r}]")
 
     down = spec.differential(degree - 1)
     if down is None or not bundle.plus_part.is_zero():
@@ -413,7 +415,7 @@ def l2_betti_upper_bounds(spec: CochainComplexSpec, degree: int,
         values.append(Fraction(level[0], b ** m))
     lower = None
     if gap_hint is not None:
-        shrink = 1.0 - gap_hint / float(norm_bound)
+        shrink = 1.0 - gap_hint / r
         lower = tuple(float(u) - k * shrink ** (m + 1)
                       for m, u in enumerate(values))
     return UpperBoundReport(
@@ -703,15 +705,14 @@ def box_obstruction_report(spec: CochainComplexSpec, degree: int,
     gaps = [r.gap for r in records]
     decaying = len(gaps) >= 2 and all(
         later < earlier for earlier, later in zip(gaps, gaps[1:]))
-    certified = bool(gap_claim is not None and
-                     getattr(gap_claim, "verified", False) and
-                     getattr(gap_claim, "epsilon", None) is not None)
+    epsilon = (gap_claim.float_epsilon()
+               if gap_claim is not None and gap_claim.verified else None)
     return ObstructionReport(
         degree=degree, beta_ref=beta_ref, records=tuple(records),
         verdict=verdict, gap_decay=decaying,
         min_gap=min(gaps) if gaps else math.inf,
-        uniform_gap_certified=certified,
-        certified_epsilon=gap_claim.float_epsilon() if certified else None)
+        uniform_gap_certified=epsilon is not None,
+        certified_epsilon=epsilon)
 
 
 class GhostRecord(NamedTuple):

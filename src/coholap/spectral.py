@@ -10,8 +10,8 @@ trivial quotient Q = 1, whose one symbol is the whole (k * dim) x
 (k * dim) block matrix, block (i, j) being ``sum_w coeff * pi(w)``.
 Either form is int64 for integer coefficients under permutations, Python
 rationals otherwise (dense int64 entries strictly between -2**53 and
-2**53 held once, as floats).  The exact-to-float boundary sits
-immediately before eigenvalue computation.
+2**53 held once, as floats).  Rationals become floats in one place,
+``_numeric_coefficients``, which refuses ||M||_1 past the float range.
 
 Eigenvalues, kernel and heat projections and the exact d_n d_(n-1) = 0
 check run on the symbols and on the arrays of convolution kernels, so
@@ -40,6 +40,7 @@ discrete heat semigroup), which the tests require to agree.  Both take
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -102,10 +103,18 @@ class EvaluatedOperator:
         return "characters" if self.characters[0] else "dense"
 
     def _numeric_coefficients(self) -> np.ndarray:
-        """The kernels as held, rationals converted to float64 once."""
+        """The kernels as held, rationals converted to float64 once, and
+        refused when ||M||_1 (exact), which bounds every entry, eigenvalue
+        and the zero threshold, passes the float range."""
         if self._floats is None:
             v = self.coefficients
-            self._floats = v.astype(np.float64) if v.dtype == object else v
+            if v.dtype == object:
+                columns = np.abs(v).sum(axis=(0, *range(2, v.ndim)))
+                if columns.max(initial=0) > sys.float_info.max:
+                    raise SizeBudgetError(f"operator {self.provenance!r} "
+                                          "has ||M||_1 past the float range")
+                v = v.astype(np.float64)
+            self._floats = v
         return self._floats
 
     @property
@@ -306,60 +315,10 @@ class GapReport(NamedTuple):
         return self
 
 
-def lanczos_lowest(shadow: np.ndarray, count: int,
-                   iterations: int | None = None) -> np.ndarray:
-    """Lowest eigenvalues of a large symmetric matrix, with multiplicity.
-
-    Rayleigh-Ritz on a block Krylov subspace whose block width equals the
-    number of requested values.  The width matters: a single-vector
-    Krylov space carries at most one copy of each eigenvalue, so a block
-    at least as wide as the largest expected cluster is required to count
-    multiplicities correctly.  Full reorthogonalization keeps the basis
-    orthonormal, and a fixed-seed start block makes every run identical.
-
-    ``iterations`` bounds the number of block expansions; the default
-    grows the subspace to roughly four blocks (or the full space when
-    that is smaller) and stops early once the requested values stop
-    moving.  No kernel dimension is read from it: nothing certifies that
-    its lowest Ritz values have converged to a zero cluster.
-    """
-    n = shadow.shape[0]
-    count = min(count, n)
-    if count <= 0:
-        return np.array([])
-    scale = float(np.abs(shadow).sum(axis=0).max()) + 1.0
-    block = min(n, max(count, 2))
-    if iterations is None:
-        target = min(n, max(8 * block, 256))
-        iterations = max(1, -(-target // block))
-
-    start = np.random.Generator(np.random.PCG64(20080514))
-    basis, _ = np.linalg.qr(start.standard_normal((n, block)))
-
-    def ritz_lowest(q: np.ndarray) -> np.ndarray:
-        projected = q.T @ (shadow @ q)
-        projected = 0.5 * (projected + projected.T)
-        return np.linalg.eigvalsh(projected)[:count]
-
-    q = basis
-    lowest = None
-    for _ in range(iterations):
-        w = shadow @ q[:, -block:]
-        w = w - q @ (q.T @ w)
-        w = w - q @ (q.T @ w)  # second pass for numerical orthogonality
-        w, r = np.linalg.qr(w)
-        alive = np.abs(np.diag(r)) > 1e-10 * scale
-        w = w[:, alive]
-        if w.shape[1] == 0:
-            break  # invariant subspace: Ritz values there are exact
-        block = w.shape[1]
-        q = np.concatenate([q, w], axis=1)
-        current = ritz_lowest(q)
-        if (lowest is not None and len(current) == len(lowest)
-                and np.all(np.abs(current - lowest) <= 1e-13 * scale)):
-            return current
-        lowest = current
-    return ritz_lowest(q) if lowest is None else lowest
+def lanczos_lowest(shadow: np.ndarray, count: int) -> np.ndarray:
+    """The ``count`` lowest eigenvalues of a symmetric matrix, with
+    multiplicity, by one dense solve."""
+    return np.linalg.eigvalsh(shadow)[:max(count, 0)]
 
 
 def spectral_gap(op: EvaluatedOperator,

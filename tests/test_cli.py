@@ -7,6 +7,7 @@ files in the output directory, and the frozen CSV column layout.
 
 import csv
 import json
+import re
 import sys
 import time
 import warnings
@@ -1021,6 +1022,123 @@ class TestInputFaults:
         error = json.loads(stdout)["error"]
         assert error["type"] == "EnumerationOverflowError"
         assert out.read_text() == "taken"
+
+
+class TestFloatRange:
+    """Values past the float range: an operator whose ||M||_1 passes it is
+    refused with SizeBudgetError, and every other slot either computes
+    or is refused, always with the error JSON and never a traceback."""
+
+    HUGE = 10**400
+    # Delta_2 is C^2 (2 - a - a^-1) plus a part that does not grow with C
+    D2 = {"2": [["C - C*a"]]}
+
+    @staticmethod
+    def huge(payload, c):
+        """``payload`` with the coefficient C written out as ``c``."""
+        return json.loads(re.sub(r"\bC\b", str(c), json.dumps(payload)))
+
+    @pytest.mark.parametrize("command, payload, c", [
+        # ||Delta_2||_1 = 4c^2 = 1.96e308 is past it, although each entry
+        # is a float: the zero threshold was inf and beta_2 read 3
+        ("betti", dict(CYCLIC3, degrees=[2], higher_differentials=D2),
+         7 * 10**153),
+        # c itself is past the float range
+        ("betti", dict(CYCLIC3, degrees=[2], higher_differentials=D2), HUGE),
+        ("verify-cert", _cert(target={"matrix": [["2*C - C*a - C*a^-1"]]},
+                              epsilon=None, witnesses=None,
+                              soundness={"kind": "regular"}), HUGE),
+    ], ids=["column-sum", "entries", "certificate-target"])
+    def test_an_operator_past_the_range_is_refused(self, tmp_path, capsys,
+                                                   command, payload, c):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stdout, out = run_cli(tmp_path, capsys, command,
+                                        self.huge(payload, c))
+        assert not caught
+        assert code == 1
+        error = json.loads(stdout)["error"]
+        assert error["type"] == "SizeBudgetError"
+        assert "float range" in error["message"]
+        assert json.loads((out / "error.json").read_text()) == {"error": error}
+
+    def test_a_norm_bound_past_the_range_shrinks_by_one(self, tmp_path,
+                                                        capsys):
+        payload = dict(CYCLIC3, upper_bounds={
+            "m_max": 2, "norm_bound": "1e400", "gap_hint": 1})
+        code, stdout, _ = run_cli(tmp_path, capsys, "betti", payload)
+        assert code == 0
+        bounds = json.loads(stdout)["upper_bounds"]
+        assert bounds["norm_bound"] == str(self.HUGE)
+        # one cell in degree 0, and (1 - 1/R)^m reads as 1
+        assert bounds["lower_bounds"] == [float(Fraction(u)) - 1
+                                          for u in bounds["values"]]
+        # a gap hint past the float range is not a number, whatever R is
+        code, stdout, _ = run_cli(tmp_path, capsys, "betti", json.dumps(
+            payload).replace('"gap_hint": 1', '"gap_hint": 1e400'))
+        assert code == 2
+        assert "upper_bounds.gap_hint must be a number" in stdout
+
+    REF = {"value": "1", "provenance": "user-cited"}
+    EPSILON = {"target": {"matrix": [["0"]]}, "epsilon": "1e400"}
+    CHAIN = {"chain": [[]], "beta_ref": REF}
+    # (command, keys beside the presentation); C is a 401-digit
+    # coefficient and "HUGE" a JSON number past the float range
+    SWEEP = {
+        "spectrum-coefficient": ("spectrum", {}),
+        "betti-coefficient": ("betti", {}),
+        "project-coefficient": ("project", {}),
+        "luck-coefficient": ("luck", CHAIN),
+        "ghost-coefficient": ("ghost", CHAIN),
+        "euler-coefficient": ("euler", dict(CHAIN, aspherical=True)),
+        "obstruct-coefficient": ("obstruct", CHAIN),
+        "betti-norm-bound": ("betti", {"degree": 0, "upper_bounds": {
+            "m_max": 2, "norm_bound": "1e400", "gap_hint": 1}}),
+        "betti-gap-hint": ("betti", {"degree": 0, "upper_bounds": {
+            "m_max": 2, "gap_hint": "HUGE"}}),
+        "verify-cert-target": ("verify-cert", {"certificates": [{
+            "target": {"matrix": [["2*C - C*a - C*a^-1"]]},
+            "soundness": {"kind": "regular"}}]}),
+        "verify-cert-epsilon": ("verify-cert", {"certificates": [dict(
+            EPSILON, soundness={"kind": "regular"})]}),
+        "obstruct-epsilon": ("obstruct", dict(CHAIN, degree=0,
+                                              certificate=EPSILON)),
+        "obstruct-beta-ref": ("obstruct", dict(
+            CHAIN, degree=0, beta_ref=dict(REF, value="1e400"))),
+    }
+
+    def test_every_subcommand_survives_huge_values(self, tmp_path, capsys):
+        start = time.perf_counter()
+        tolerance = dict(self.CHAIN, degree=0, certificates=[self.EPSILON],
+                         zero_tolerance="HUGE")
+        sweep = dict(self.SWEEP, **{
+            f"{command}-tolerance": (command, tolerance)
+            for command in coholap.cli._COMMANDS})
+        for case, (command, keys) in sorted(sweep.items()):
+            payload = self.huge(dict(
+                {"degree": 2, "higher_differentials": self.D2}, **keys,
+                presentation=CYCLIC3["presentation"]), self.HUGE)
+            text = json.dumps(payload).replace('"HUGE"', "1e400")
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, stdout, _ = run_cli(tmp_path, capsys, command, text,
+                                          "--ball-radius", "0",
+                                          out_name=case)
+            assert not caught, case
+            assert code in (0, 1, 2), case
+            assert ("error" in json.loads(stdout)) == (code != 0), case
+        assert time.perf_counter() - start < 5.0
+
+    def test_a_failed_invariant_gives_error_json(self, tmp_path, capsys,
+                                                 monkeypatch):
+        monkeypatch.setattr(coholap.EvaluatedOperator, "is_symmetric_exact",
+                            lambda self: False)
+        code, stdout, out = run_cli(tmp_path, capsys, "betti", CYCLIC3)
+        assert code == 1
+        error = json.loads(stdout)["error"]
+        assert error["type"] == "InvariantError"
+        assert "non-symmetric" in error["message"]
+        assert json.loads((out / "error.json").read_text()) == {"error": error}
 
 
 class TestChainSeparationBlock:

@@ -557,6 +557,14 @@ class TestEnumerationOracle:
                            match="contradict the coset table"):
             todd_coxeter(F2, words(F2, ["a^2", "b^6", "a*b*a*b^-1"]))
 
+    def test_a_scan_and_fill_table_that_is_not_transitive(self,
+                                                          monkeypatch):
+        walk = cosets._breadth_first
+        monkeypatch.setattr(cosets, "_breadth_first", lambda columns: (
+            walk(columns)[0][:-1], walk(columns)[1]))
+        with pytest.raises(InvariantError, match="not transitive"):
+            todd_coxeter(F2, words(F2, ["a^3", "b^2", "a*b*a*b"]))
+
     def test_columns_are_one_read_only_int64_array(self):
         for name, p, extras, order in _enumeration_corpus():
             columns = todd_coxeter(p, extras).columns

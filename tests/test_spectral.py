@@ -6,7 +6,9 @@ regular representation of an abelian quotient is a circulant (or a
 tensor product of circulants), so its spectrum is known in closed form.
 """
 
+import inspect
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 from random import Random
@@ -20,6 +22,7 @@ from coholap import (
     EvaluatedOperator,
     GroupRingElement,
     GroupRingMatrix,
+    InvariantError,
     NotPositiveSemidefiniteError,
     Presentation,
     Representation,
@@ -268,6 +271,66 @@ class TestLanczos:
         dense = np.linalg.eigvalsh(op.shadow)
         low = lanczos_lowest(op.shadow, 6)
         assert np.allclose(low, dense[:6], atol=1e-6)
+
+    def test_is_the_dense_solve(self):
+        rep = regular_rep(F2, ["a^8", "b^8", "a*b*a^-1*b^-1"])
+        shadow = laplacian_operator(F2, rep).shadow
+        dense = np.linalg.eigvalsh(shadow)
+        for count in (-1, 0, 6, len(dense) + 5):
+            assert np.array_equal(lanczos_lowest(shadow, count),
+                                  dense[:max(count, 0)])
+        assert list(inspect.signature(lanczos_lowest).parameters) == [
+            "shadow", "count"]
+
+
+class TestFloatRange:
+    """Rationals become floats only while ||M||_1, computed exactly, is in
+    the float range: it bounds every entry, eigenvalue and the zero
+    threshold."""
+
+    @staticmethod
+    def scaled_laplacian(c):
+        # c (4 - 2a - 2a^-1) over Z/3 has ||M||_1 = 8c; with c >= 2**62
+        # the kernels are Python integers
+        matrix = GroupRingMatrix.from_element(F1.degree_zero_laplacian())
+        return evaluate(matrix.scale(c), regular_rep(F1, ["a^3"]))
+
+    @pytest.mark.parametrize("c", [225 * 10**305, 10**400,
+                                   Fraction(10**400, 3)],
+                             ids=["sum", "entries", "rationals"])
+    def test_a_column_sum_past_the_range_is_refused(self, c):
+        # at 2.25e307 every entry is a float, but 8c is not
+        op = self.scaled_laplacian(c)
+        for read in (lambda: op.shadow, op.symbols, op.one_norm,
+                     op.eigenvalues, lambda: spectral_gap(op)):
+            with pytest.raises(SizeBudgetError, match="float range"):
+                read()
+        assert op.exact_matrix.array[0, 0] == 4 * c
+
+    def test_a_column_sum_inside_the_range_converts(self):
+        op = self.scaled_laplacian(22 * 10**306)
+        assert op.coefficients.dtype == object
+        assert op.one_norm() == pytest.approx(176e306)
+        assert op.one_norm() <= sys.float_info.max
+        assert spectral_gap(op).kernel_dim == 1
+
+
+class TestInvariants:
+    def test_a_self_adjoint_input_that_evaluates_non_symmetric(
+            self, monkeypatch):
+        monkeypatch.setattr(EvaluatedOperator, "is_symmetric_exact",
+                            lambda self: False)
+        with pytest.raises(InvariantError, match="non-symmetric"):
+            laplacian_operator(F1, regular_rep(F1, ["a^3"]))
+
+    def test_eigenvectors_that_miss_the_kernel_dimension(self, monkeypatch):
+        op = laplacian_operator(F1, regular_rep(F1, ["a^3"]))
+        gap = spectral.spectral_gap
+        monkeypatch.setattr(spectral, "spectral_gap", lambda op, tol: (
+            gap(op, tol)._replace(kernel_dim=2)))
+        with pytest.raises(InvariantError, match="1 eigenvectors .* which "
+                                                 "has 2 eigenvalues"):
+            kernel_projection(op)
 
 
 class TestSizeBudget:
