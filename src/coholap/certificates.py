@@ -19,7 +19,6 @@ ideal terms, hence PSD wherever the relators vanish.  Coefficients
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -31,7 +30,7 @@ from .groupring import (
     Presentation,
     Word,
 )
-from .spectral import DEFAULT_ZERO_TOLERANCE, EvaluatedOperator
+from .spectral import DEFAULT_ZERO_TOLERANCE, EvaluatedOperator, float_or_inf
 
 # eigenvalues down to epsilon - SOUNDNESS_SLACK still honour a gap claim
 SOUNDNESS_SLACK = 1e-6
@@ -181,10 +180,7 @@ class GapClaim(NamedTuple):
 
     def float_epsilon(self) -> float | None:
         """epsilon as a float; one past the float range reads as inf."""
-        try:
-            return None if self.epsilon is None else float(self.epsilon)
-        except OverflowError:
-            return math.inf
+        return None if self.epsilon is None else float_or_inf(self.epsilon)
 
 
 def certificate_gap_claim(certificate: Certificate,

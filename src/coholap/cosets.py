@@ -105,11 +105,13 @@ def todd_coxeter(presentation: Presentation,
     built from the diagonal form, ``max_cosets`` bounding |Q|; otherwise
     scan-and-fill enumerates it, ``max_cosets`` bounding the cosets it
     defines, and commuting columns must equal the diagonal form's.  An
-    abelian table carries the form's ``characters``, certified exactly:
-    U R V = diag(orders) over zero rows, R the exponent sums.  As the
-    relators act trivially and the translations reach every coset, the
-    table is then Q's own.  Raises :class:`EnumerationOverflowError` past
-    the budget or on an infinite quotient.
+    abelian table carries the form's ``characters``, proved from R, the
+    exponent sums, with no relator walked: its columns translate by the rows
+    of V, so R V = 0 (mod orders) makes every relator act trivially, and
+    U R V = diag(orders) over zero rows certifies the orders, not the
+    relators, as U is not checked unimodular.  Reaching every coset, the
+    table is Q's own.  Raises :class:`EnumerationOverflowError` past the
+    budget or on an infinite quotient.
     """
     extras = _coerce_words(presentation, extra_relators)
     relators = (*presentation.relators, *extras)
@@ -129,15 +131,16 @@ def todd_coxeter(presentation: Presentation,
         if columns is not None and not np.array_equal(built, columns):
             raise InvariantError(
                 "abelian coordinates contradict the coset table")
+        if ((moves := np.array(rows, dtype=object) @ v) % orders).any():
+            raise InvariantError("a relator fails to act as the identity")
+        if not np.array_equal(abs(np.array(u, dtype=object) @ moves),
+                              np.eye(len(rows), n, dtype=int) * orders):
+            raise InvariantError(f"the relators do not certify the abelian "
+                                 f"invariants {orders}: U R V != diag(orders)")
         codes.flags.writeable = False
         columns, characters = built, (tuple(orders), codes)
     result = CosetTable(presentation, extras, columns, characters)
     _validate_table(result)
-    if characters is not None and not np.array_equal(
-            abs(np.array(u, dtype=object) @ rows @ np.array(v, dtype=object)),
-            np.eye(len(rows), n, dtype=int) * orders):
-        raise InvariantError(f"the relators do not certify the abelian "
-                             f"invariants {orders}: U R V != diag(orders)")
     return result
 
 
@@ -298,15 +301,16 @@ def _walk(columns: np.ndarray, word: Iterable[int], x):
 
 
 def _validate_table(table: CosetTable) -> None:
-    """Check every coset: each inverse column undoes its generator column
-    (so both are bijections) and every relator, walked, is the identity."""
+    """Check every coset: inverse columns undo generator columns (so both
+    are bijections) and, lacking characters, relators walk to the identity."""
     columns = table.columns
     identity = np.arange(table.coset_count)
     for i in range(table.presentation.generator_count):
         if not np.array_equal(columns[2 * i + 1][columns[2 * i]], identity):
             raise InvariantError(
                 f"generator {i + 1} and its inverse column disagree")
-    for relator in (*table.presentation.relators, *table.extra_relators):
+    relators = (*table.presentation.relators, *table.extra_relators)
+    for relator in relators if table.characters is None else ():
         if not np.array_equal(_walk(columns, relator, identity), identity):
             raise InvariantError("a relator fails to act as the identity")
 

@@ -13,7 +13,6 @@ a lifted reference value along the chain.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
@@ -38,6 +37,7 @@ from .spectral import (
     GapReport,
     ProjectionMatrix,
     evaluate,
+    float_or_inf,
     heat_projection,
     kernel_projection,
     product_defect,
@@ -380,7 +380,7 @@ def l2_betti_upper_bounds(spec: CochainComplexSpec, degree: int,
     if m_max < 1:
         raise MalformedInputError("m_max must be at least 1")
     # R past the float range reads as inf: its shrink 1 - gap_hint/R is 1
-    r = math.inf if norm_bound > sys.float_info.max else float(norm_bound)
+    r = float_or_inf(norm_bound)
     if gap_hint is not None and not (0 < gap_hint <= r):
         raise MalformedInputError(f"gap hint {gap_hint} outside (0, {r}]")
 

@@ -11,7 +11,8 @@ trivial quotient Q = 1, whose one symbol is the whole (k * dim) x
 Either form is int64 for integer coefficients under permutations, Python
 rationals otherwise (dense int64 entries strictly between -2**53 and
 2**53 held once, as floats).  Rationals become floats in one place,
-``_numeric_coefficients``, which refuses ||M||_1 past the float range.
+``_numeric_coefficients``, once ``one_norm``, where ||M||_1 is summed,
+has refused it past the float range.
 
 Eigenvalues, kernel and heat projections and the exact d_n d_(n-1) = 0
 check run on the symbols and on the arrays of convolution kernels, so
@@ -67,6 +68,11 @@ HEAT_MAX_DOUBLINGS = 64
 TRIVIAL = ((), None)
 
 
+def float_or_inf(value) -> float:
+    """A rational as a float, or inf when it passes the float range."""
+    return math.inf if value > sys.float_info.max else float(value)
+
+
 class EvaluatedOperator:
     """A group-ring matrix pushed through a representation, held over a
     finite abelian quotient Q.
@@ -85,7 +91,7 @@ class EvaluatedOperator:
     """
 
     __slots__ = ("coefficients", "characters", "rows", "cols", "provenance",
-                 "_floats", "_eigenvalues", "_gap", "_symmetric")
+                 "_floats", "_eigenvalues", "_gap", "_symmetric", "_norm")
 
     def __init__(self, coefficients: np.ndarray, characters: tuple = TRIVIAL,
                  provenance: str = ""):
@@ -95,7 +101,7 @@ class EvaluatedOperator:
         self.coefficients, self.characters = coefficients, characters
         self.rows, self.cols = (side * math.prod(characters[0])
                                 for side in coefficients.shape[:2])
-        self.provenance = provenance
+        self.provenance, self._norm = provenance, None
         self._floats = self._eigenvalues = self._gap = self._symmetric = None
 
     @property
@@ -103,19 +109,13 @@ class EvaluatedOperator:
         return "characters" if self.characters[0] else "dense"
 
     def _numeric_coefficients(self) -> np.ndarray:
-        """The kernels as held, rationals converted to float64 once, and
-        refused when ||M||_1 (exact), which bounds every entry, eigenvalue
-        and the zero threshold, passes the float range."""
-        if self._floats is None:
-            v = self.coefficients
-            if v.dtype == object:
-                columns = np.abs(v).sum(axis=(0, *range(2, v.ndim)))
-                if columns.max(initial=0) > sys.float_info.max:
-                    raise SizeBudgetError(f"operator {self.provenance!r} "
-                                          "has ||M||_1 past the float range")
-                v = v.astype(np.float64)
-            self._floats = v
-        return self._floats
+        """The kernels as held, rationals converted to float64 once, after
+        ``one_norm`` has refused them past the float range."""
+        v = self.coefficients
+        if v.dtype == object and self._floats is None:
+            self.one_norm()
+            self._floats = v.astype(np.float64)
+        return self._floats if v.dtype == object else v
 
     @property
     def shadow(self) -> np.ndarray:
@@ -182,10 +182,17 @@ class EvaluatedOperator:
         return self._eigenvalues
 
     def one_norm(self) -> float:
-        """Largest column sum of absolute values; 0.0 when empty."""
-        v = self._numeric_coefficients()
-        columns = np.abs(v).sum(axis=(0, *range(2, v.ndim)))
-        return float(columns.max()) if v.size else 0.0
+        """||M||_1, the largest absolute column sum, summed once as held and
+        rounded once; 0.0 when empty.  It bounds every entry, eigenvalue and
+        the zero threshold; past the float range it raises SizeBudgetError."""
+        if self._norm is None:
+            v = self.coefficients
+            columns = np.abs(v).sum(axis=(0, *range(2, v.ndim)))
+            self._norm = float_or_inf(columns.max(initial=0))
+        if self._norm == math.inf:
+            raise SizeBudgetError(f"operator {self.provenance!r} "
+                                  "has ||M||_1 past the float range")
+        return self._norm
 
     def __repr__(self) -> str:
         return (f"EvaluatedOperator({self.rows}x{self.cols}, "

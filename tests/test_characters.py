@@ -183,6 +183,22 @@ def test_float_kernels_are_converted_once():
     assert integral._numeric_coefficients() is integral.coefficients
 
 
+def test_a_rational_one_norm_is_the_exact_column_sum_rounded_once():
+    """Each column of (a + b + ab)/10 holds three tenths: summed as
+    floats they give 0.30000000000000004, rounded once 0.3."""
+    rep = quotient(TORUS, ["a^3", "b^4"])
+    a, b = GroupRingElement.generator(1), GroupRingElement.generator(2)
+    matrix = GroupRingMatrix.from_element(a + b + a * b).scale(
+        Fraction(1, 10))
+    fast, slow = evaluate(matrix, rep), evaluate(matrix, dense_twin(rep))
+    assert (fast.backend, slow.backend) == ("characters", "dense")
+    assert fast.coefficients.dtype == slow.coefficients.dtype == object
+    exact_max = max(sum(abs(x) for x in column)
+                    for column in slow.exact_matrix.array.T)
+    assert exact_max == Fraction(3, 10)
+    assert fast.one_norm() == slow.one_norm() == float(exact_max) == 0.3
+
+
 def test_checks_see_asymmetric_and_nonzero_operators():
     rep = quotient(TORUS, ["a^3", "b^4"])
     dense = dense_twin(rep)

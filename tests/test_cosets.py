@@ -543,6 +543,36 @@ class TestEnumerationOracle:
             todd_coxeter(F2, extras)
         assert time.perf_counter() - start < 1.0
 
+    def test_a_form_certified_through_a_non_unimodular_u_is_refused(
+            self, monkeypatch):
+        """U = diag(2, 1, 1) and V = I give U R V = diag(4, 4) for the
+        relators a^2, b^4 and [a, b], yet a^2 moves Z/4 x Z/4: the
+        certificate does not check that U is unimodular, so R V = 0
+        (mod orders) must refuse it."""
+        u, identity = [[2, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0], [0, 1]]
+        extras = words(F2, ["a^2", "b^4", "a*b*a^-1*b^-1"])
+        rows = cosets._exponent_sums(extras, 2)
+        assert slow_matmul(slow_matmul(u, rows), identity) == (
+            (4, 0), (0, 4), (0, 0))
+        monkeypatch.setattr(cosets, "_diagonal_form",
+                            lambda rows, n: ([4, 4], u, identity))
+        with pytest.raises(InvariantError, match="relator"):
+            todd_coxeter(F2, extras)
+
+    def test_only_tables_without_characters_walk_their_relators(
+            self, monkeypatch):
+        """Abelian tables are proved from their exponent sums; the
+        non-abelian ones walk each relator once, over every coset."""
+        walk, walked = cosets._walk, []
+        monkeypatch.setattr(cosets, "_walk", lambda columns, word, x: (
+            walked.append(word) or walk(columns, word, x)))
+        for name, p, extras, order in _enumeration_corpus():
+            walked.clear()
+            table = todd_coxeter(p, extras)
+            assert (table.characters is None) == (name in NON_ABELIAN), name
+            assert walked == (list(p.relators) if name in NON_ABELIAN
+                              else []), name
+
     @pytest.mark.parametrize("orders, v", [
         ([2, 6], [[1, 1], [0, 1]]),  # a of order 6: the columns differ
         ([2, 6], [[1, 0], [0, 2]]),  # reaches 6 of 12 cosets

@@ -12,6 +12,7 @@ Oracles used here and nowhere else in the library:
 
 import math
 import signal
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -362,6 +363,27 @@ class TestUpperBounds:
         assert report.values == tuple((1 + Fraction(2, 4 ** m)) / 3
                                       for m in range(1, 801))
         assert elapsed < 2
+
+    def test_one_float_range_rule_for_epsilon_and_norm_bound(self):
+        """A claim's epsilon and the norm bound R are read by one rule:
+        the largest float stays itself, and any rational above it reads
+        as inf, even within half an ulp, where float() rounds down."""
+        top = Fraction(sys.float_info.max)
+        assert float(top + 1) == sys.float_info.max
+        spec = cyclic_group_complex(3)  # degree 0: one cell
+        for value, read in ((top, sys.float_info.max), (top + 1, math.inf)):
+            claim = GapClaim(label="sos", kind="spectral-gap", epsilon=value,
+                             scope="quotients", verified=True,
+                             polynomial_form=(Fraction(1), -value))
+            assert claim.float_epsilon() == read
+            report = l2_betti_upper_bounds(spec, 0, m_max=3, norm_bound=value,
+                                           gap_hint=sys.float_info.max)
+            # shrink 1 - gap_hint/R: 0 at R = max, 1 once R reads as inf
+            shrink = 1.0 - sys.float_info.max / read
+            assert shrink == (0.0 if read < math.inf else 1.0)
+            assert report.lower_bounds == tuple(
+                float(u) - shrink ** (m + 1)
+                for m, u in enumerate(report.values))
 
     def test_gap_hint_validation(self):
         spec = cyclic_group_complex(3)
