@@ -162,8 +162,8 @@ def _translations(orders: Sequence[int], v: Sequence[Sequence[int]]
     size = math.prod(orders)
     digits = np.unravel_index(np.arange(size), orders)
     columns = np.array([np.ravel_multi_index(
-        [(x + sign * a % d) % d for x, a, d in zip(digits, row, orders)],
-        orders) for row in v for sign in (1, -1)])
+        [x + sign * a % d for x, a, d in zip(digits, row, orders)],
+        orders, mode="wrap") for row in v for sign in (1, -1)])
     order, columns = _breadth_first(columns)
     if order.size != size:
         raise InvariantError("abelian coordinates contradict the coset "

@@ -40,7 +40,6 @@ from .spectral import (
     float_or_inf,
     heat_projection,
     kernel_projection,
-    product_defect,
     spectral_gap,
 )
 
@@ -85,10 +84,36 @@ class KazhdanProjections(NamedTuple):
     gap: GapReport
     gap_plus: GapReport
     gap_minus: GapReport
-    product_defect: float
+
+    @property
+    def product_defect(self) -> float:
+        """||p - p^+ p^-||_2, symbol by symbol, by SVD: it is not Hermitian.
+        Computed from the symbols each time it is read."""
+        return float(np.linalg.norm(
+            self.projection.symbols - self.plus.symbols @ self.minus.symbols,
+            2, (1, 2)).max())
 
     def traces(self) -> tuple[float, float, float]:
         return (self.projection.trace(), self.plus.trace(), self.minus.trace())
+
+
+def _checked_projection(spec: CochainComplexSpec, degree: int,
+                        rep: Representation, method: str):
+    """``kernel_projection`` or ``heat_projection``, as ``method`` "eigen"
+    or "heat" names it, once d_n d_(n-1) = 0 holds exactly on the
+    evaluated differentials (skipped in degree 0 and the top degree,
+    where one of them is missing)."""
+    if method not in ("eigen", "heat"):
+        raise MalformedInputError(f"unknown projection method {method!r}")
+    tag = rep.label or "rep"
+    up, down = spec.differential(degree), spec.differential(degree - 1)
+    if (up is not None and down is not None
+            and not evaluate(up, rep, f"d_{degree}@{tag}").product_is_zero_exact(
+                evaluate(down, rep, f"d_{degree - 1}@{tag}"))):
+        raise InvariantError(
+            f"d_{degree} d_{degree - 1} is nonzero under {tag!r}; the chain "
+            "identity must have failed upstream")
+    return heat_projection if method == "heat" else kernel_projection
 
 
 def higher_kazhdan_projection(spec: CochainComplexSpec, degree: int,
@@ -100,38 +125,22 @@ def higher_kazhdan_projection(spec: CochainComplexSpec, degree: int,
     d_n d_(n-1) = 0 is checked exactly on the evaluated differentials
     before any eigenvalue is computed (skipped in degree 0 and the top
     degree, where one of them is missing); it gives Delta^+ Delta^- = 0,
-    so the factorization p = p^+ p^- holds and is recorded as a defect
-    norm.  All three gaps must resolve.  ``method`` "eigen" or "heat"
-    picks ``kernel_projection`` or ``heat_projection``; each reads its
-    gap from ``spectral_gap``.  Every step runs on the operators'
-    symbols: one k x k block per character on an abelian stage, the
-    n x n shadow otherwise.
+    so the factorization p = p^+ p^- holds, and the record's
+    ``product_defect`` measures it as a defect norm when read.  All three
+    gaps must resolve.  ``method`` "eigen" or "heat" picks
+    ``kernel_projection`` or ``heat_projection``; each reads its gap from
+    ``spectral_gap``.  Every step runs on the operators' symbols: one
+    k x k block per character on an abelian stage, the n x n shadow
+    otherwise.  No defect norm is computed here.
     """
-    if method not in ("eigen", "heat"):
-        raise MalformedInputError(f"unknown projection method {method!r}")
-    bundle = build_laplacian(spec, degree)
-    tag = rep.label or "rep"
-    up, down = spec.differential(degree), spec.differential(degree - 1)
-    if (up is not None and down is not None
-            and not evaluate(up, rep, f"d_{degree}@{tag}").product_is_zero_exact(
-                evaluate(down, rep, f"d_{degree - 1}@{tag}"))):
-        raise InvariantError(
-            f"d_{degree} d_{degree - 1} is nonzero under {tag!r}; the chain "
-            "identity must have failed upstream")
-    ops = {
-        "": evaluate(bundle.laplacian, rep, f"Delta_{degree}@{tag}"),
-        "+": evaluate(bundle.plus_part, rep, f"Delta_{degree}^+@{tag}"),
-        "-": evaluate(bundle.minus_part, rep, f"Delta_{degree}^-@{tag}"),
-    }
-    gaps = {key: spectral_gap(op, zero_tolerance).require_resolved()
-            for key, op in ops.items()}
-
-    project = heat_projection if method == "heat" else kernel_projection
-    p, p_plus, p_minus = (project(op, zero_tolerance) for op in ops.values())
+    project = _checked_projection(spec, degree, rep, method)
+    bundle, tag = build_laplacian(spec, degree), rep.label or "rep"
+    parts = ((bundle.laplacian, ""), (bundle.plus_part, "^+"),
+             (bundle.minus_part, "^-"))
+    ops = [evaluate(m, rep, f"Delta_{degree}{s}@{tag}") for m, s in parts]
+    gaps = [spectral_gap(op, zero_tolerance).require_resolved() for op in ops]
     return KazhdanProjections(
-        degree=degree, projection=p, plus=p_plus, minus=p_minus,
-        gap=gaps[""], gap_plus=gaps["+"], gap_minus=gaps["-"],
-        product_defect=product_defect(p, p_plus, p_minus))
+        degree, *(project(op, zero_tolerance) for op in ops), *gaps)
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +377,10 @@ def l2_betti_upper_bounds(spec: CochainComplexSpec, degree: int,
     count and E the left shift: M steps that each replace consecutive
     entries s, t of T by b s + a t.
 
-    Support growth beyond ``term_budget`` stops the sequence early and
-    sets the ``cutoff`` flag instead of raising.
+    ``term_budget`` bounds the free ring's support and, since powers over
+    a finite group never grow, the L(L+1)/2 big-integer steps of the
+    recurrence for L finite-regular terms; past it the sequence stops
+    early and sets the ``cutoff`` flag instead of raising.
     """
     bundle = build_laplacian(spec, degree)
     l1_bound = bundle.laplacian.l1_operator_bound()
@@ -377,8 +388,8 @@ def l2_betti_upper_bounds(spec: CochainComplexSpec, degree: int,
     if norm_bound < l1_bound:
         raise MalformedInputError(f"norm bound {norm_bound} is below the "
                                   f"certified l1 bound {l1_bound}")
-    if m_max < 1:
-        raise MalformedInputError("m_max must be at least 1")
+    if m_max < 1 or term_budget < 1:
+        raise MalformedInputError("m_max and term_budget must be at least 1")
     # R past the float range reads as inf: its shrink 1 - gap_hint/R is 1
     r = float_or_inf(norm_bound)
     if gap_hint is not None and not (0 < gap_hint <= r):
@@ -403,8 +414,9 @@ def l2_betti_upper_bounds(spec: CochainComplexSpec, degree: int,
                 "exact traces are available only for free presentations "
                 "(free-ring backend) or finite groups (regular backend); "
                 "this group did not enumerate within the coset budget") from exc
-        traces, cutoff = _regular_power_traces(x, m_max, table), False
-        backend = "finite-regular"
+        terms = (math.isqrt(8 * term_budget + 1) - 1) // 2
+        traces = _regular_power_traces(x, min(m_max, terms), table)
+        cutoff, backend = m_max > terms, "finite-regular"
 
     k = bundle.cell_count
     # R = 0 only when Delta_n = 0: then every T_j is 0 and u_M = k
@@ -733,21 +745,21 @@ def ghost_diagnostic(spec: CochainComplexSpec, degree: int,
                      chain: QuotientChain,
                      zero_tolerance: float = DEFAULT_ZERO_TOLERANCE,
                      method: str = "eigen") -> GhostReport:
-    """Largest matrix entry of the kernel projection along the chain.
+    """Largest matrix entry of the kernel projection p_n along the chain.
 
     Entry decay (strictly decreasing maxima) is the finite-dimensional
     shadow of a ghost projection: blockwise the operator vanishes
-    entrywise while staying a nonzero projection.
+    entrywise while staying a nonzero projection.  Each stage passes the
+    method and exact d_n d_(n-1) = 0 checks of
+    ``higher_kazhdan_projection``, then evaluates and projects Delta_n
+    alone, so only its gap must resolve.
     """
     records = []
     for position, order, _table, rep in chain.stages():
-        projections = higher_kazhdan_projection(
-            spec, degree, rep, zero_tolerance, method=method)
-        records.append(GhostRecord(
-            position=position, quotient_order=order,
-            max_abs_entry=projections.projection.max_abs_entry(),
-            trace=projections.projection.trace(),
-            backend=projections.projection.backend))
+        project = _checked_projection(spec, degree, rep, method)
+        p = project(laplacian_operator(spec, degree, rep), zero_tolerance)
+        records.append(GhostRecord(position, order, p.max_abs_entry(),
+                                   p.trace(), p.backend))
     maxima = [r.max_abs_entry for r in records]
     ghost_like = (len(maxima) >= 2
                   and all(later <= earlier * (1 - 1e-9)

@@ -35,7 +35,9 @@ Spectral quantities follow one convention throughout:
 Kernel projections come from two independent routes, eigenvector outer
 products and repeated squaring of I - M/s with s = max(1, ||M||_1) (a
 discrete heat semigroup), which the tests require to agree.  Both take
-``(op, zero_tolerance)`` and read the gap from ``spectral_gap``.
+``(op, zero_tolerance)`` and read the gap from ``spectral_gap``.  A
+projection holds only its symbols: its defect norms are computed from
+them when a report reads them.
 """
 
 from __future__ import annotations
@@ -371,19 +373,17 @@ def spectral_gap(op: EvaluatedOperator,
 
 
 class ProjectionMatrix(NamedTuple):
-    """A numerical spectral projection with its invariant defects.
+    """A numerical spectral projection, held as its symbols.
 
     ``symbols`` is the projection as a stack of blocks, one per symbol of
     the operator it projects for, and ``characters`` is that operator's
     quotient: ``TRIVIAL`` for a dense one, whose one block is the matrix.
-    Each defect is the 2-norm of the block-diagonal operator: the largest
-    over the stack.
+    Each defect is the 2-norm of the block-diagonal operator, the largest
+    over the stack, computed from the symbols each time it is read.
     """
 
     symbols: np.ndarray
     method: str
-    idempotency_defect: float
-    selfadjoint_defect: float
     provenance: str
     characters: tuple = TRIVIAL
 
@@ -394,6 +394,18 @@ class ProjectionMatrix(NamedTuple):
     @property
     def dimension(self) -> int:
         return self.symbols.shape[0] * self.symbols.shape[1]
+
+    @property
+    def idempotency_defect(self) -> float:
+        """||P^2 - P||_2; P^2 - P is Hermitian, so by one eigvalsh."""
+        return _stack_norm(self.symbols @ self.symbols - self.symbols)
+
+    @property
+    def selfadjoint_defect(self) -> float:
+        """||P - P*||_2 by SVD; 0.0, with no SVD, when P = P* exactly."""
+        adjoint = _adjoint(self.symbols)
+        return (0.0 if np.array_equal(self.symbols, adjoint) else float(
+            np.linalg.norm(self.symbols - adjoint, 2, (1, 2)).max()))
 
     def trace(self) -> float:
         return float(np.trace(self.symbols, axis1=1, axis2=2).real.sum())
@@ -426,20 +438,6 @@ def _stack_norm(stack: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvalsh(stack)).max())
 
 
-def _projection_from_array(symbols: np.ndarray, method: str,
-                           provenance: str,
-                           characters: tuple = TRIVIAL) -> ProjectionMatrix:
-    idem = _stack_norm(symbols @ symbols - symbols)
-    adjoint = _adjoint(symbols)
-    # an exactly self-adjoint stack has defect 0.0 without an SVD
-    sym = (0.0 if np.array_equal(symbols, adjoint)
-           else float(np.linalg.norm(symbols - adjoint, 2, (1, 2)).max()))
-    return ProjectionMatrix(
-        symbols=symbols, method=method,
-        idempotency_defect=idem, selfadjoint_defect=sym,
-        provenance=provenance, characters=characters)
-
-
 def kernel_projection(op: EvaluatedOperator,
                       zero_tolerance: float = DEFAULT_ZERO_TOLERANCE) -> ProjectionMatrix:
     """Orthogonal projection onto the zero cluster via eigenvectors.
@@ -461,8 +459,8 @@ def kernel_projection(op: EvaluatedOperator,
             f"cluster, which has {report.kernel_dim} eigenvalues")
     width = kept.max()
     basis = vectors[..., :width] * (np.arange(width) < kept[:, None, None])
-    return _projection_from_array(basis @ _adjoint(basis), "eigen",
-                                  f"ker[{op.provenance}]", op.characters)
+    return ProjectionMatrix(basis @ _adjoint(basis), "eigen",
+                            f"ker[{op.provenance}]", op.characters)
 
 
 def heat_projection(op: EvaluatedOperator,
@@ -482,9 +480,8 @@ def heat_projection(op: EvaluatedOperator,
     identity = np.eye(symbols.shape[1])
     if report.gap == math.inf:
         # every eigenvalue is in the zero cluster: the projection is I
-        return _projection_from_array(
-            np.broadcast_to(identity, symbols.shape), "heat", provenance,
-            op.characters)
+        return ProjectionMatrix(np.broadcast_to(identity, symbols.shape),
+                                "heat", provenance, op.characters)
     current = identity - symbols / report.scale
     bound = max(0.0, 1.0 - report.gap / report.scale)
     half = zero_tolerance / 2
@@ -499,11 +496,4 @@ def heat_projection(op: EvaluatedOperator,
     else:
         raise UnresolvedGapError(
             f"heat iteration failed to converge for {op.provenance!r}")
-    return _projection_from_array(current, "heat", provenance, op.characters)
-
-
-def product_defect(p: ProjectionMatrix, plus: ProjectionMatrix,
-                   minus: ProjectionMatrix) -> float:
-    """||p - p^+ p^-||_2, symbol by symbol, by SVD: it is not Hermitian."""
-    return float(np.linalg.norm(p.symbols - plus.symbols @ minus.symbols, 2,
-                                (1, 2)).max())
+    return ProjectionMatrix(current, "heat", provenance, op.characters)

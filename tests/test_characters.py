@@ -21,6 +21,7 @@ from coholap import (
     GroupRingMatrix,
     InvariantError,
     Presentation,
+    QuotientChain,
     Representation,
     ShapeMismatchError,
     SizeBudgetError,
@@ -29,6 +30,7 @@ from coholap import (
     build_laplacian,
     evaluate,
     free_group_complex,
+    ghost_diagnostic,
     heat_projection,
     higher_kazhdan_projection,
     kernel_projection,
@@ -36,7 +38,7 @@ from coholap import (
     surface_genus2_complex,
     todd_coxeter,
 )
-from coholap import cosets, exact
+from coholap import cosets, exact, pipeline
 
 TORUS = build_complex(Presentation(("a", "b"), (Word((1, 2, -1, -2)),)),
                       aspherical=True)
@@ -333,6 +335,43 @@ def test_projections_of_rational_operators_match_the_dense_path(name, spec,
             assert (a.backend, b.backend) == ("characters", "dense")
             assert abs(a.trace() - b.trace()) <= 1e-9
             assert abs(a.max_abs_entry() - b.max_abs_entry()) <= 1e-9
+
+
+GHOST_CORPUS = [case for case in CORPUS if case[0] in (
+    "genus2-(Z/2)^4", "genus2-(Z/3)^4", "free2-(Z/3)^2", "torus-Z/2xZ/6",
+    "torus-trivial", "free2-klein-enumerated")]
+
+
+@pytest.mark.parametrize("method", ["eigen", "heat"])
+@pytest.mark.parametrize("name, spec, extra", GHOST_CORPUS,
+                         ids=[name for name, *_ in GHOST_CORPUS])
+def test_ghost_projects_delta_n_alone(monkeypatch, name, spec, extra,
+                                      method):
+    """One quotient as two stages, one per form: each ghost record is the
+    p_n of ``higher_kazhdan_projection``, and ghost evaluates d_n and
+    d_(n-1) for the exact check, then Delta_n, and no Delta_n^+-."""
+    rep = quotient(spec, extra)
+    chain = QuotientChain(spec.presentation, ((), ()), (rep.table,) * 2,
+                          (rep, dense_twin(rep)), None)
+    evaluated, evaluate = [], pipeline.evaluate
+
+    def spy(matrix, rep, provenance=""):
+        evaluated.append(provenance.split("@")[0])
+        return evaluate(matrix, rep, provenance)
+
+    monkeypatch.setattr(pipeline, "evaluate", spy)
+    for degree in range(spec.top_degree + 1):
+        evaluated.clear()
+        ghost = ghost_diagnostic(spec, degree, chain, method=method)
+        checked = 0 < degree < len(spec.differentials)
+        assert evaluated == ([f"d_{degree}", f"d_{degree - 1}"] * checked
+                             + [f"Delta_{degree}"]) * 2
+        assert [r.backend for r in ghost.records] == ["characters", "dense"]
+        for record, stage in zip(ghost.records, chain.representations):
+            p = higher_kazhdan_projection(spec, degree, stage,
+                                          method=method).projection
+            assert (record.max_abs_entry, record.trace, record.backend) == (
+                p.max_abs_entry(), p.trace(), p.backend)
 
 
 @pytest.mark.parametrize("name, spec, extra", CORPUS,

@@ -587,6 +587,22 @@ class TestEnumerationOracle:
                            match="contradict the coset table"):
             todd_coxeter(F2, words(F2, ["a^2", "b^6", "a*b*a*b^-1"]))
 
+    @pytest.mark.parametrize("orders, v", [
+        ([4, 6], [[-1, -5], [-3, -4]]),               # negative entries
+        ([4, 6], [[7, 13], [2**70 + 1, 6 * 2**70 + 2]]),  # past the orders
+        ([3, 1, 5], [[-4, 9, 2**64 + 3], [0, 1, 0], [-2**65, -1, 7]]),
+    ])
+    def test_translations_reduce_any_entry_of_v(self, orders, v):
+        # the reference reduces every sum explicitly, in Python ints
+        digits = np.unravel_index(np.arange(math.prod(orders)), orders)
+        reference = np.array([np.ravel_multi_index(
+            [((x.astype(object) + sign * a) % d).astype(np.int64)
+             for x, a, d in zip(digits, row, orders)], orders)
+            for row in v for sign in (1, -1)])
+        order, columns = cosets._breadth_first(reference)
+        built, codes = cosets._translations(orders, v)
+        assert np.array_equal(built, columns) and np.array_equal(codes, order)
+
     def test_a_scan_and_fill_table_that_is_not_transitive(self,
                                                           monkeypatch):
         walk = cosets._breadth_first

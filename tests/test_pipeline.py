@@ -219,6 +219,22 @@ class TestKazhdanProjections:
         with pytest.raises(InvariantError, match="d_2 d_1 is nonzero"):
             higher_kazhdan_projection(spec, 2, rep)
 
+    def test_a_dense_stage_solves_once_per_gap(self, monkeypatch):
+        # genus 2 onto S4 in degree 1: Delta, Delta^+ and Delta^- are
+        # all nonzero and dense; no defect is computed until it is read
+        spec = surface_genus2_complex()
+        rep = regular_rep(spec.presentation, ["a*d^-1", "b*c^-1", "a^2",
+                                              "b^3", "a*b*a*b*a*b*a*b"])
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: (
+            shapes.append(m.shape) or eigvalsh(m)))
+        bundle = higher_kazhdan_projection(spec, 1, rep)
+        assert bundle.projection.backend == "dense"
+        assert shapes == [(1, 96, 96)] * 3
+        assert bundle.projection.idempotency_defect < 1e-8
+        assert shapes == [(1, 96, 96)] * 4
+
 
 class TestLuckApproximation:
     def test_free_group_ratios(self):
@@ -341,6 +357,15 @@ class TestUpperBounds:
     def test_m_max_validation(self):
         with pytest.raises(MalformedInputError):
             l2_betti_upper_bounds(free_group_complex(2), 1, m_max=0)
+
+    @pytest.mark.parametrize("spec", [free_group_complex(2),
+                                      cyclic_group_complex(3)],
+                             ids=["free-ring", "finite-regular"])
+    def test_term_budget_validation(self, spec):
+        # refused as input on both backends, before any trace
+        for budget in (0, -1):
+            with pytest.raises(MalformedInputError, match="term_budget"):
+                l2_betti_upper_bounds(spec, 0, m_max=2, term_budget=budget)
 
     def test_gap_hint_lower_bounds(self):
         spec = cyclic_group_complex(3)
@@ -547,6 +572,22 @@ class TestUpperBoundsOracle:
             columns = [[sum(a * col[c] for a, col in zip(row, columns))
                         for c in range(len(starts))] for row in rows]
         assert traces == expected
+
+    def test_finite_regular_terms_honour_the_term_budget(self):
+        # L terms take L(L + 1)/2 steps of the shift recurrence: a budget
+        # of 10 allows 4, and the default budget 1999
+        spec = cyclic_group_complex(3)
+        cut = l2_betti_upper_bounds(spec, 0, m_max=5, term_budget=10)
+        whole = l2_betti_upper_bounds(spec, 0, m_max=4, term_budget=10)
+        assert (len(cut.values), cut.cutoff) == (4, True)
+        assert (len(whole.values), whole.cutoff) == (4, False)
+        assert cut.values == whole.values == slow_upper_bounds(
+            spec, 0, m_max=4)[0]
+        start = time.perf_counter()
+        huge = l2_betti_upper_bounds(spec, 0, m_max=10**400)
+        assert time.perf_counter() - start < 2.0
+        assert (len(huge.values), huge.cutoff) == (1999, True)
+        assert huge.values[:4] == whole.values
 
     def test_gap_hint_checked_before_enumeration(self):
         # the torus does not enumerate within 500 cosets; a bad gap hint
@@ -1092,6 +1133,14 @@ class TestGhostDiagnostic:
         assert abs(maxima[0] - 1 / 4) < 1e-9
         assert abs(maxima[1] - 1 / 16) < 1e-9
         assert report.ghost_like
+
+    def test_a_non_complex_fails_the_product_check(self):
+        # as in higher_kazhdan_projection: d_2 d_1 = 1 + a on <a | a^2>
+        spec = top_complex(cyclic_group_complex(2), "1")
+        chain = quotient_chain(spec.presentation, [["a^2"]], ball_radius=1,
+                               warn=False)
+        with pytest.raises(InvariantError, match="d_2 d_1 is nonzero"):
+            ghost_diagnostic(spec, 2, chain)
 
     def test_zero_projections_are_not_ghost_like(self):
         # every kernel along this chain is trivial, so the projections

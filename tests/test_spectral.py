@@ -25,6 +25,7 @@ from coholap import (
     InvariantError,
     NotPositiveSemidefiniteError,
     Presentation,
+    ProjectionMatrix,
     Representation,
     ShapeMismatchError,
     SizeBudgetError,
@@ -40,7 +41,6 @@ from coholap import (
     todd_coxeter,
 )
 from coholap import exact, spectral
-from coholap.spectral import _projection_from_array
 
 F1 = Presentation(("a",), ())
 F2 = Presentation(("a", "b"), ())
@@ -228,7 +228,7 @@ class TestEigenvalueOracles:
         monkeypatch.setattr(np.linalg, "eigvalsh",
                             lambda m: calls.append(m.shape) or eigvalsh(m))
         first = spectral_gap(op)
-        kernel_projection(op)
+        kernel_projection(op).idempotency_defect
         assert spectral_gap(op) == first
         # the operator's eigenvalues once, on its one-symbol stack; the
         # projection's one-block stack P^2 - P once, for its idempotency
@@ -417,10 +417,10 @@ class TestProjections:
 
     def test_selfadjoint_defect(self):
         # one dense symbol each
-        sym = _projection_from_array(
+        sym = ProjectionMatrix(
             np.array([[[1.0, 0.5], [0.5, 0.0]]]), "eigen", "")
         assert sym.selfadjoint_defect == 0.0
-        skew = _projection_from_array(
+        skew = ProjectionMatrix(
             np.array([[[1.0, 0.5], [0.25, 0.0]]]), "eigen", "")
         assert skew.selfadjoint_defect == pytest.approx(0.25)
 
