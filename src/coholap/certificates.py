@@ -30,7 +30,8 @@ from .groupring import (
     Presentation,
     Word,
 )
-from .spectral import DEFAULT_ZERO_TOLERANCE, EvaluatedOperator, float_or_inf
+from .spectral import (DEFAULT_ZERO_TOLERANCE, EvaluatedOperator,
+                       float_or_inf, zero_threshold)
 
 # eigenvalues down to epsilon - SOUNDNESS_SLACK still honour a gap claim
 SOUNDNESS_SLACK = 1e-6
@@ -231,7 +232,7 @@ def check_claim_soundness(claim: GapClaim, operator: EvaluatedOperator,
     must be nonnegative up to the zero threshold.
     """
     values = operator.eigenvalues()
-    threshold = zero_tolerance * max(1.0, operator.one_norm())
+    threshold = zero_threshold(operator, zero_tolerance)
     bad = values < -threshold
     epsilon = claim.float_epsilon()
     if claim.kind == "spectral-gap" and claim.verified and epsilon is not None:

@@ -207,9 +207,14 @@ def parse_method(payload: dict) -> str:
 
 
 def parse_scalar(value, what: str) -> Fraction:
+    """A rational key: text or a JSON number.  A JSON float is the nearest
+    fraction with denominator at most 10**12 when that converts back to
+    the same float (0.1 is 1/10), else the decimal its shortest repr
+    spells (1e-13 is 1/10**13, never 0)."""
     try:
         if isinstance(value, float):
-            return Fraction(value).limit_denominator(10**12)
+            near = Fraction(value).limit_denominator(10**12)
+            return near if float(near) == value else Fraction(repr(value))
         return Fraction(str(value))
     except (ValueError, ZeroDivisionError, OverflowError):
         raise MalformedInputError(f"{what} is not a rational number: {value!r}")

@@ -40,6 +40,7 @@ from .spectral import (
     float_or_inf,
     heat_projection,
     kernel_projection,
+    operator_norm,
     spectral_gap,
 )
 
@@ -87,11 +88,9 @@ class KazhdanProjections(NamedTuple):
 
     @property
     def product_defect(self) -> float:
-        """||p - p^+ p^-||_2, symbol by symbol, by SVD: it is not Hermitian.
-        Computed from the symbols each time it is read."""
-        return float(np.linalg.norm(
-            self.projection.symbols - self.plus.symbols @ self.minus.symbols,
-            2, (1, 2)).max())
+        """||p - p^+ p^-||_2, computed from the symbols each time it is read."""
+        return operator_norm(
+            self.projection.symbols - self.plus.symbols @ self.minus.symbols)
 
     def traces(self) -> tuple[float, float, float]:
         return (self.projection.trace(), self.plus.trace(), self.minus.trace())
@@ -122,14 +121,10 @@ def higher_kazhdan_projection(spec: CochainComplexSpec, degree: int,
                               method: str = "eigen") -> KazhdanProjections:
     """Projections p_n, p_n^+, p_n^- for one representation.
 
-    d_n d_(n-1) = 0 is checked exactly on the evaluated differentials
-    before any eigenvalue is computed (skipped in degree 0 and the top
-    degree, where one of them is missing); it gives Delta^+ Delta^- = 0,
-    so the factorization p = p^+ p^- holds, and the record's
-    ``product_defect`` measures it as a defect norm when read.  All three
-    gaps must resolve.  ``method`` "eigen" or "heat" picks
-    ``kernel_projection`` or ``heat_projection``; each reads its gap from
-    ``spectral_gap``.  Every step runs on the operators' symbols: one
+    ``_checked_projection`` proves d_n d_(n-1) = 0 before any eigenvalue
+    is computed; it gives Delta^+ Delta^- = 0, so p = p^+ p^- holds, and
+    the record's ``product_defect`` measures it when read.  All three
+    gaps must resolve.  Every step runs on the operators' symbols: one
     k x k block per character on an abelian stage, the n x n shadow
     otherwise.  No defect norm is computed here.
     """

@@ -28,16 +28,16 @@ grid, refused with SizeBudgetError before allocation when wider than
 Spectral quantities follow one convention throughout:
 
 * the zero cluster of a PSD operator is every eigenvalue at most
-  ``zero_tolerance * max(1, ||M||_1)``;
+  ``zero_threshold``, ``zero_tolerance * max(1, ||M||_1)``;
 * the spectral gap is the first eigenvalue above that cluster, and it is
-  "resolved" when it exceeds ten times the cluster threshold.
+  "resolved" when it exceeds ten times the cluster threshold;
+* the 2-norm of a stack of blocks, the largest over it, is one Hermitian
+  eigensolve, of the Gram stack A A* when A is not Hermitian.
 
 Kernel projections come from two independent routes, eigenvector outer
 products and repeated squaring of I - M/s with s = max(1, ||M||_1) (a
 discrete heat semigroup), which the tests require to agree.  Both take
-``(op, zero_tolerance)`` and read the gap from ``spectral_gap``.  A
-projection holds only its symbols: its defect norms are computed from
-them when a report reads them.
+``(op, zero_tolerance)`` and read the gap from ``spectral_gap``.
 """
 
 from __future__ import annotations
@@ -330,15 +330,15 @@ def lanczos_lowest(shadow: np.ndarray, count: int) -> np.ndarray:
     return np.linalg.eigvalsh(shadow)[:max(count, 0)]
 
 
+def zero_threshold(op: EvaluatedOperator, zero_tolerance: float) -> float:
+    """``spectral_gap``'s threshold, with none of its checks."""
+    return zero_tolerance * max(1.0, op.one_norm())
+
+
 def spectral_gap(op: EvaluatedOperator,
                  zero_tolerance: float = DEFAULT_ZERO_TOLERANCE) -> GapReport:
-    """Locate the zero cluster of a PSD operator and the gap above it.
-
-    The cluster threshold is ``zero_tolerance * max(1, ||M||_1)``; the
-    report is marked resolved only when the first eigenvalue above the
-    cluster exceeds ten times that threshold.  The report is kept on the
-    operator and returned again for the same tolerance.
-    """
+    """The zero cluster of a PSD operator and the gap above it, by the
+    module's convention; kept on the operator for the same tolerance."""
     if op._gap is not None and op._gap.zero_tolerance == zero_tolerance:
         return op._gap
     if op.rows != op.cols:
@@ -378,8 +378,7 @@ class ProjectionMatrix(NamedTuple):
     ``symbols`` is the projection as a stack of blocks, one per symbol of
     the operator it projects for, and ``characters`` is that operator's
     quotient: ``TRIVIAL`` for a dense one, whose one block is the matrix.
-    Each defect is the 2-norm of the block-diagonal operator, the largest
-    over the stack, computed from the symbols each time it is read.
+    Its defect norms are computed from the symbols each time one is read.
     """
 
     symbols: np.ndarray
@@ -402,10 +401,8 @@ class ProjectionMatrix(NamedTuple):
 
     @property
     def selfadjoint_defect(self) -> float:
-        """||P - P*||_2 by SVD; 0.0, with no SVD, when P = P* exactly."""
-        adjoint = _adjoint(self.symbols)
-        return (0.0 if np.array_equal(self.symbols, adjoint) else float(
-            np.linalg.norm(self.symbols - adjoint, 2, (1, 2)).max()))
+        """||P - P*||_2; 0.0, with no eigensolve, when P = P* exactly."""
+        return operator_norm(self.symbols - _adjoint(self.symbols))
 
     def trace(self) -> float:
         return float(np.trace(self.symbols, axis1=1, axis2=2).real.sum())
@@ -436,6 +433,12 @@ def _adjoint(stack: np.ndarray) -> np.ndarray:
 def _stack_norm(stack: np.ndarray) -> float:
     """2-norm of a stack of Hermitian blocks: the largest |eigenvalue|."""
     return float(np.abs(np.linalg.eigvalsh(stack)).max())
+
+
+def operator_norm(a: np.ndarray) -> float:
+    """2-norm of any stack A: the square root of the Hermitian A A*'s;
+    0.0, with no product or eigensolve, when A = 0."""
+    return math.sqrt(_stack_norm(a @ _adjoint(a))) if a.any() else 0.0
 
 
 def kernel_projection(op: EvaluatedOperator,

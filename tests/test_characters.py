@@ -17,6 +17,7 @@ import pytest
 from conftest import slow_word_perm
 
 from coholap import (
+    GapClaim,
     GroupRingElement,
     GroupRingMatrix,
     InvariantError,
@@ -28,6 +29,7 @@ from coholap import (
     Word,
     build_complex,
     build_laplacian,
+    check_claim_soundness,
     evaluate,
     free_group_complex,
     ghost_diagnostic,
@@ -372,6 +374,22 @@ def test_ghost_projects_delta_n_alone(monkeypatch, name, spec, extra,
                                           method=method).projection
             assert (record.max_abs_entry, record.trace, record.backend) == (
                 p.max_abs_entry(), p.trace(), p.backend)
+
+
+@pytest.mark.parametrize("name, spec, extra", CORPUS,
+                         ids=[name for name, *_ in CORPUS])
+def test_soundness_and_gap_share_one_zero_threshold(name, spec, extra):
+    claim = GapClaim("psd", "psd-only", None, "", True,
+                     (Fraction(0), Fraction(1)))
+    rep = quotient(spec, extra)
+    for degree in range(spec.top_degree + 1):
+        for stage in (rep, dense_twin(rep)):
+            op = evaluate(build_laplacian(spec, degree).laplacian, stage)
+            for tolerance in (1e-8, 1e-6):
+                check = check_claim_soundness(claim, op, tolerance)
+                assert check.holds
+                assert (check.zero_threshold
+                        == spectral_gap(op, tolerance).threshold)
 
 
 @pytest.mark.parametrize("name, spec, extra", CORPUS,

@@ -21,6 +21,7 @@ from conftest import slow_upper_bounds
 import coholap
 from coholap import SeparationWarning, cyclic_group_complex
 from coholap.cli import _json, main
+from coholap.description import parse_scalar
 
 CYCLIC3 = {
     "presentation": {"generators": ["a"], "relators": ["a*a*a"]},
@@ -290,6 +291,20 @@ class TestBetti:
         error = json.loads(stdout)["error"]
         assert error["type"] == "MalformedInputError"
         assert "upper_bounds.norm_bound" in error["message"]
+        assert not out.exists()
+
+    def test_a_float_norm_bound_below_the_l1_bound_is_refused(
+            self, tmp_path, capsys):
+        # Delta_1 of <a | > is 2 - a - a^-1, certified l1 bound 4; the float
+        # 3.9999999999999 is read as written, not rounded up to 4
+        payload = {"presentation": {"generators": ["a"], "relators": []},
+                   "degree": 1, "representation": {"kind": "trivial"},
+                   "upper_bounds": {"m_max": 2, "norm_bound": 3.9999999999999}}
+        code, stdout, out = run_cli(tmp_path, capsys, "betti", payload)
+        assert code == 2
+        error = json.loads(stdout)["error"]
+        assert error["message"] == ("norm bound 39999999999999/10000000000000 "
+                                    "is below the certified l1 bound 4")
         assert not out.exists()
 
     def test_trivial_representation(self, tmp_path, capsys):
@@ -643,6 +658,18 @@ class TestVerifyCert:
         assert "certificates[0].epsilon" in error["message"]
         assert not out.exists()
 
+    def test_a_tiny_float_epsilon_is_not_rounded_to_zero(self, tmp_path,
+                                                         capsys):
+        # 1e-13 is read as 1/10**13: a gap claim that fails to verify, not
+        # an epsilon of 0 and a claim of kind "none"
+        code, stdout, _ = run_cli(tmp_path, capsys, "verify-cert",
+                                  _cert(epsilon=1e-13))
+        assert code == 0
+        (entry,) = json.loads(stdout)["certificates"]
+        assert entry["verified"] is False
+        assert entry["claim"]["kind"] == "spectral-gap"
+        assert entry["claim"]["polynomial_form"] == ["1", "-1/10000000000000"]
+
     def test_certificates_key_is_required(self, tmp_path, capsys):
         code, _, _ = run_cli(tmp_path, capsys, "verify-cert",
                              {"presentation": CYCLIC3["presentation"]})
@@ -773,6 +800,21 @@ MALFORMED = [
 ], ids=["nan", "inf", "minus-inf"])
 def test_non_finite_floats_become_strings(value, expected):
     assert _json(value) == expected
+
+
+@pytest.mark.parametrize("value, expected", [
+    (0.1, Fraction(1, 10)), (1 / 3, Fraction(1, 3)), (0.53, Fraction(53, 100)),
+    (4.0, Fraction(4)), (-2.5, Fraction(-5, 2)),
+    (1e-13, Fraction(1, 10**13)),
+    (3.9999999999999, Fraction(39999999999999, 10**13)),
+    (1 / 7 + 1e-15, Fraction(repr(1 / 7 + 1e-15))),
+], ids=["tenth", "third", "0.53", "integer", "negative", "1e-13",
+        "just-below-4", "near-a-seventh"])
+def test_a_json_float_in_a_rational_key_is_read_as_written(value, expected):
+    # the nearest fraction with denominator at most 10**12 is kept only when
+    # it converts back to the same float; otherwise the shortest repr
+    assert parse_scalar(value, "x") == expected
+    assert float(parse_scalar(value, "x")) == value
 
 
 class TestErrorHandling:

@@ -10,12 +10,14 @@ Oracles used here and nowhere else in the library:
   recursion, which give the free-group trace of adjacency powers.
 """
 
+import json
 import math
 import signal
 import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import numpy as np
@@ -234,6 +236,30 @@ class TestKazhdanProjections:
         assert shapes == [(1, 96, 96)] * 3
         assert bundle.projection.idempotency_defect < 1e-8
         assert shapes == [(1, 96, 96)] * 4
+
+    @pytest.mark.parametrize("method", ["eigen", "heat"])
+    @pytest.mark.parametrize("stage", ["dense-S4", "characters-(Z/2)^4"])
+    def test_no_defect_runs_an_svd(self, monkeypatch, stage, method):
+        # genus 2 onto the first stage of the non-abelian demo chain, and
+        # onto (Z/2)^4; every defect norm is a Hermitian eigensolve
+        spec = surface_genus2_complex()
+        path = Path(__file__).parents[1] / "demos" / "specs"
+        extra = (json.loads((path / "genus2_nonabelian_chain.json").read_text())
+                 ["chain"][0] if stage == "dense-S4" else genus2_abelian_words(2))
+        rep = regular_rep(spec.presentation, extra)
+        # np.linalg.norm reaches the SVD through numpy.linalg's own module
+        inner = sys.modules.get("numpy.linalg._linalg",
+                                sys.modules.get("numpy.linalg.linalg"))
+        svd, calls = np.linalg.svd, []
+        for module in {np.linalg, inner}:
+            monkeypatch.setattr(module, "svd", lambda *args, **kwargs: (
+                calls.append(1) or svd(*args, **kwargs)))
+        bundle = higher_kazhdan_projection(spec, 1, rep, method=method)
+        assert bundle.projection.backend == stage.split("-")[0]
+        assert bundle.product_defect < 1e-8
+        assert bundle.projection.idempotency_defect < 1e-8
+        assert bundle.projection.selfadjoint_defect < 1e-8
+        assert calls == []
 
 
 class TestLuckApproximation:

@@ -264,6 +264,46 @@ class TestEigenvalueOracles:
         assert sum(a is op.coefficients for a in compared) == 1
 
 
+class TestOperatorNorm:
+    """``spectral.operator_norm`` against numpy's SVD 2-norm."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128],
+                             ids=["real", "complex"])
+    def test_matches_the_svd_norm(self, dtype):
+        rng = np.random.default_rng(35)
+
+        def stack(count, k):
+            a = rng.standard_normal((count, k, k))
+            if dtype is np.complex128:
+                a = a + 1j * rng.standard_normal((count, k, k))
+            return a
+
+        a, b = stack(5, 6), stack(4, 7)
+        cases = {
+            "hermitian": a + spectral._adjoint(a),
+            "anti-hermitian": a - spectral._adjoint(a),
+            "non-normal": np.triu(a),
+            "rank-deficient": b[..., :2] @ stack(4, 7)[:, :2],
+            "1x1": stack(3, 1),
+        }
+        for name, case in cases.items():
+            oracle = np.linalg.norm(case, 2, (1, 2)).max()
+            assert spectral.operator_norm(case) == pytest.approx(
+                oracle, rel=1e-12), name
+        hermitian = cases["hermitian"]
+        assert spectral._stack_norm(hermitian) == pytest.approx(
+            np.linalg.norm(hermitian, 2, (1, 2)).max(), rel=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128],
+                             ids=["real", "complex"])
+    def test_a_zero_stack_takes_no_eigensolve(self, monkeypatch, dtype):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an eigenvalue was computed")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        assert spectral.operator_norm(np.zeros((3, 4, 4), dtype)) == 0.0
+
+
 class TestLanczos:
     def test_matches_dense_on_moderate_operator(self):
         rep = regular_rep(F2, ["a^8", "b^8", "a*b*a^-1*b^-1"])

@@ -13,11 +13,14 @@ timestamps and paths and is left out).  Every run happens in a scratch
 directory with relative paths and one BLAS thread, so the output
 depends only on the code, not on the machine's core count.
 
-A JSON stdout or file also gets a ``~9`` digest, taken after rounding
-every float to 9 significant digits and every float below 1e-9 in
-magnitude, which is below every zero-cluster threshold, to 0.  A change
-that only moves float low bits then changes the raw digest but not the
-rounded one.  To compare two commits::
+A JSON stdout or file, and a CSV file, also gets a ``~9`` digest, taken
+after rounding every float to 9 significant digits and every float below
+1e-9 in magnitude, which is below every zero-cluster threshold, to 0.  A
+CSV float is a cell, or a ``;``-separated item of one, that reads as a
+float but not as an integer; ``p/q`` cells, booleans and text are kept.
+A change that only moves float low bits then changes the raw digest but
+not the rounded one.  To compare two commits, with this script copied
+into both checkouts::
 
     python3 tools/report_digests.py > a.txt     # in one checkout
     python3 tools/report_digests.py > b.txt     # in the other
@@ -26,7 +29,9 @@ rounded one.  To compare two commits::
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -56,13 +61,31 @@ def _rounded(value):
     return value
 
 
-def _print_digests(tag: str, data: bytes) -> None:
-    print(f"{tag} {_digest(data)}")
+def _rounded_csv_item(item: str) -> str:
+    """A float item rounded as ``_rounded`` rounds a JSON float; an
+    integer, ``p/q``, boolean or text item as it is."""
     try:
-        parsed = json.loads(data)
+        int(item)
     except ValueError:
-        return
-    rounded = json.dumps(_rounded(parsed), sort_keys=True)
+        try:
+            return repr(_rounded(float(item)))
+        except ValueError:
+            pass
+    return item
+
+
+def _print_digests(tag: str, data: bytes, is_csv: bool = False) -> None:
+    print(f"{tag} {_digest(data)}")
+    if is_csv:
+        rounded = json.dumps([
+            [";".join(map(_rounded_csv_item, cell.split(";"))) for cell in row]
+            for row in csv.reader(io.StringIO(data.decode()))])
+    else:
+        try:
+            parsed = json.loads(data)
+        except ValueError:
+            return
+        rounded = json.dumps(_rounded(parsed), sort_keys=True)
     print(f"{tag}~9 {_digest(rounded.encode())}")
 
 
@@ -102,7 +125,8 @@ def main() -> int:
             written = sorted(out.iterdir()) if out.exists() else []
             for path in written:
                 if path.name != "run_meta.json":
-                    _print_digests(f"{tag} {path.name}", path.read_bytes())
+                    _print_digests(f"{tag} {path.name}", path.read_bytes(),
+                                   path.suffix == ".csv")
         for tour in tours:
             done = subprocess.run(
                 [sys.executable, f"demos/{tour}"],
