@@ -178,7 +178,7 @@ def parse_degree(payload: dict, command: str, top: int) -> int:
 
 
 def parse_degrees(payload: dict, command: str, top: int) -> list[int]:
-    """The 'degrees' list, else the single 'degree'."""
+    """The 'degrees' list, each degree once, else the single 'degree'."""
     if "degrees" not in payload:
         return [parse_degree(payload, command, top)]
     degrees = payload["degrees"]
@@ -186,6 +186,8 @@ def parse_degrees(payload: dict, command: str, top: int) -> list[int]:
             or not all(_is_int(d) and d >= 0 for d in degrees)):
         raise MalformedInputError(
             "'degrees' must be a nonempty list of nonnegative integers")
+    if len(set(degrees)) < len(degrees):
+        raise MalformedInputError(f"'degrees' repeats a degree: {degrees}")
     return [parse_degree({"degree": d}, command, top) for d in degrees]
 
 
@@ -207,14 +209,17 @@ def parse_method(payload: dict) -> str:
 
 
 def parse_scalar(value, what: str) -> Fraction:
-    """A rational key: text or a JSON number.  A JSON float is the nearest
-    fraction with denominator at most 10**12 when that converts back to
-    the same float (0.1 is 1/10), else the decimal its shortest repr
-    spells (1e-13 is 1/10**13, never 0)."""
+    """A rational key: text or a JSON number.  A JSON float that is not
+    integral is the nearest fraction with denominator at most 10**12 when
+    that converts back to the same float (0.1 is 1/10); any other float
+    is the decimal its shortest repr spells (1e-13 is 1/10**13, never 0,
+    and 1e23 is 10**23)."""
     try:
         if isinstance(value, float):
             near = Fraction(value).limit_denominator(10**12)
-            return near if float(near) == value else Fraction(repr(value))
+            if float(near) == value and not value.is_integer():
+                return near
+            return Fraction(repr(value))
         return Fraction(str(value))
     except (ValueError, ZeroDivisionError, OverflowError):
         raise MalformedInputError(f"{what} is not a rational number: {value!r}")

@@ -372,10 +372,11 @@ def l2_betti_upper_bounds(spec: CochainComplexSpec, degree: int,
     count and E the left shift: M steps that each replace consecutive
     entries s, t of T by b s + a t.
 
-    ``term_budget`` bounds the free ring's support and, since powers over
-    a finite group never grow, the L(L+1)/2 big-integer steps of the
-    recurrence for L finite-regular terms; past it the sequence stops
-    early and sets the ``cutoff`` flag instead of raising.
+    ``term_budget`` stops both backends by one rule: at most L terms,
+    whose recurrence takes L(L+1)/2 big-integer steps within the budget,
+    and no power of the free ring whose support is over it.  Past either
+    the sequence stops early and sets the ``cutoff`` flag instead of
+    raising.
     """
     bundle = build_laplacian(spec, degree)
     l1_bound = bundle.laplacian.l1_operator_bound()
@@ -398,8 +399,9 @@ def l2_betti_upper_bounds(spec: CochainComplexSpec, degree: int,
     clear = math.lcm(*_denominators(x))
     x = x.scale(clear)
 
+    terms = min(m_max, (math.isqrt(8 * term_budget + 1) - 1) // 2)
     if not spec.presentation.relators:
-        traces, cutoff = _free_power_traces(x, m_max, term_budget)
+        traces, _ = _free_power_traces(x, terms, term_budget)
         backend = "free-ring"
     else:
         try:
@@ -409,9 +411,8 @@ def l2_betti_upper_bounds(spec: CochainComplexSpec, degree: int,
                 "exact traces are available only for free presentations "
                 "(free-ring backend) or finite groups (regular backend); "
                 "this group did not enumerate within the coset budget") from exc
-        terms = (math.isqrt(8 * term_budget + 1) - 1) // 2
-        traces = _regular_power_traces(x, min(m_max, terms), table)
-        cutoff, backend = m_max > terms, "finite-regular"
+        traces = _regular_power_traces(x, terms, table)
+        backend = "finite-regular"
 
     k = bundle.cell_count
     # R = 0 only when Delta_n = 0: then every T_j is 0 and u_M = k
@@ -427,7 +428,7 @@ def l2_betti_upper_bounds(spec: CochainComplexSpec, degree: int,
                       for m, u in enumerate(values))
     return UpperBoundReport(
         degree=degree, norm_bound=norm_bound, values=tuple(values),
-        lower_bounds=lower, cutoff=cutoff, backend=backend,
+        lower_bounds=lower, cutoff=len(values) < m_max, backend=backend,
         term_budget=term_budget, gap_hint=gap_hint)
 
 
@@ -444,9 +445,9 @@ def _free_power_traces(matrix: GroupRingMatrix, m_max: int, term_budget: int
     each M^a, a < h, gives tau(M^(2a-1)) with M^(a-1) and tau(M^(2a))
     with itself, and then M^(a-1) is dropped.  M^h is never multiplied
     out: P = M^(h-1) gives tau(M^(2h-1)) = tau(P M P) and tau(M^(2h)) =
-    tau(P M^2 P) against the words of M and M^2.  M^h's support is
-    bounded by its product count, and M^h is formed to count it only
-    when that bound passes the budget.
+    tau(P M^2 P) against the words of M and M^2, the reduced products of
+    M's words.  M^h's support is bounded by its product count, and M^h is
+    formed to count it only when that bound passes the budget.
     """
     if not matrix.is_self_adjoint() or math.lcm(*_denominators(matrix)) > 1:
         raise InvariantError("free-ring power traces need a self-adjoint "
@@ -480,7 +481,6 @@ def _free_power_traces(matrix: GroupRingMatrix, m_max: int, term_budget: int
     h = (m_max + 1) // 2
     power = [[(np.zeros(int(i == j), np.int32), np.ones(int(i == j), np.int32))
               for j in range(k)] for i in range(k)]        # M^0
-    square = None
     traces = []
     for a in range(1, h):
         previous, power = power, times_base(power, a)
@@ -490,31 +490,27 @@ def _free_power_traces(matrix: GroupRingMatrix, m_max: int, term_budget: int
                                  code_type(a), (norm(a - 1), norm(a)))
         traces += _paired_traces(power, power, identity, radix,
                                  code_type(a), (norm(a), norm(a)))
-        if a == 2:
-            square = power
     previous = None                      # only P = M^(h-1) is held on
-    if h <= 2:                           # M^2 from M
-        square = times_base(power if h == 2 else times_base(power, 1), 2)
     products = sum(codes.size * sum(map(len, base[j]))
                    for row in power for j, (codes, _) in enumerate(row))
     if h > 1 and products > term_budget and size(
-            square if h == 2 else times_base(power, h)) > term_budget:
+            times_base(power, h)) > term_budget:
         return traces, True
-
-    def decode(code):
-        digits = ()
-        while code:
-            code, digit = divmod(code, radix)
-            digits = (digit,) + digits
-        return digits
 
     middles = [{(j, l, word): coeff for j, row in enumerate(base)
                 for l, entry in enumerate(row) for word, coeff in entry}]
-    if 2 * h <= m_max:
-        middles.append({(j, l, decode(code)): coeff
-                        for j, row in enumerate(square)
-                        for l, (codes, coeffs) in enumerate(row)
-                        for code, coeff in zip(codes.tolist(), coeffs.tolist())})
+    if 2 * h <= m_max:                   # M^2[j][l] = sum_m M[j][m] M[m][l]
+        square = {}
+        for (j, m, u), c in middles[0].items():
+            inverse = tuple(d + 1 if d % 2 else d - 1 for d in reversed(u))
+            for l, entry in enumerate(base[m]):
+                for v, d in entry:      # u v is reduced once n letters cancel
+                    n = 0
+                    while n < min(len(u), len(v)) and inverse[n] == v[n]:
+                        n += 1
+                    key = (j, l, u[:len(u) - n] + v[n:])
+                    square[key] = square.get(key, 0) + c * d
+        middles.append({key: c for key, c in square.items() if c})
     traces += _paired_traces(power, power, middles, radix, code_type(h + 1),
                              (norm(h - 1), norm(h - 1)))
     return traces, False

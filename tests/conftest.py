@@ -458,7 +458,8 @@ def slow_upper_bounds(spec, degree, m_max, gap_hint=None, norm_bound=None,
     k = bundle.cell_count
     shifted = GroupRingMatrix.identity(k).scale(r_bound) - bundle.laplacian
     down = spec.differential(degree - 1)
-    cutoff = False
+    # at most L terms, L(L + 1)/2 <= term_budget, on every route
+    terms = min(m_max, (math.isqrt(8 * term_budget + 1) - 1) // 2)
     if spec.presentation.relators:
         table = todd_coxeter(spec.presentation, (), max_cosets=max_cosets)
         rep = Representation.from_coset_table(table)
@@ -467,17 +468,17 @@ def slow_upper_bounds(spec, degree, m_max, gap_hint=None, norm_bound=None,
                            for _w, coeff in shifted.entry(i, j).terms()))
         t_matrix = evaluate(shifted.scale(clear), rep).exact_matrix
         values, power = [], t_matrix
-        for m in range(1, m_max + 1):
+        for m in range(1, terms + 1):
             trace = sum(power.array.diagonal().tolist())
             values.append(trace / (clear * r_bound) ** m / table.coset_count)
-            if m < m_max:
+            if m < terms:
                 power = exact.matmul(power, t_matrix)
     elif down is None or not bundle.plus_part.is_zero():
-        traces, cutoff = slow_free_power_traces(shifted, m_max, term_budget)
+        traces, _ = slow_free_power_traces(shifted, terms, term_budget)
         values = [t / r_bound ** m for m, t in enumerate(traces, start=1)]
     else:
-        traces, cutoff = slow_free_power_traces(
-            down.adjoint() @ down, m_max, term_budget)
+        traces, _ = slow_free_power_traces(
+            down.adjoint() @ down, terms, term_budget)
         values = []
         for m in range(1, len(traces) + 1):
             total = Fraction(k)
@@ -490,7 +491,7 @@ def slow_upper_bounds(spec, degree, m_max, gap_hint=None, norm_bound=None,
         shrink = 1.0 - gap_hint / float(r_bound)
         lower = tuple(float(u) - k * shrink ** (m + 1)
                       for m, u in enumerate(values))
-    return tuple(values), cutoff, lower
+    return tuple(values), len(values) < m_max, lower
 
 
 # ---------------------------------------------------------------------------

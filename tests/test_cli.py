@@ -742,6 +742,7 @@ MALFORMED = [
      "degree 5 out of range"),
     ("betti", dict(CYCLIC3, degrees=[0, -1]), "'degrees'"),
     ("betti", dict(CYCLIC3, degrees=[]), "'degrees'"),
+    ("betti", dict(CYCLIC3, degrees=[1, 1, 0]), "repeats a degree"),
     ("spectrum", dict(CYCLIC3, higher_differentials={"2": []}),
      "higher_differentials[2]"),
     ("spectrum",
@@ -808,8 +809,9 @@ def test_non_finite_floats_become_strings(value, expected):
     (1e-13, Fraction(1, 10**13)),
     (3.9999999999999, Fraction(39999999999999, 10**13)),
     (1 / 7 + 1e-15, Fraction(repr(1 / 7 + 1e-15))),
+    (1e23, 10**23), (-1e23, -10**23),
 ], ids=["tenth", "third", "0.53", "integer", "negative", "1e-13",
-        "just-below-4", "near-a-seventh"])
+        "just-below-4", "near-a-seventh", "1e23", "minus-1e23"])
 def test_a_json_float_in_a_rational_key_is_read_as_written(value, expected):
     # the nearest fraction with denominator at most 10**12 is kept only when
     # it converts back to the same float; otherwise the shortest repr

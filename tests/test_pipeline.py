@@ -573,6 +573,37 @@ class TestUpperBoundsOracle:
         assert len(small.values) == 14 and small.cutoff
         assert kinds == {"i"}        # fixed-width integers, never objects
 
+    def test_term_budget_caps_a_slowly_growing_free_ring(self):
+        # M^a of F1 in degree 1 has 2a + 1 words, far below the budget;
+        # the budget of 20000 still stops it at L = 199 terms
+        spec = free_group_complex(1)
+        capped = l2_betti_upper_bounds(spec, 1, m_max=400, term_budget=20_000)
+        whole = l2_betti_upper_bounds(spec, 1, m_max=199, term_budget=20_000)
+        assert (len(capped.values), capped.cutoff) == (199, True)
+        assert capped.values == whole.values and not whole.cutoff
+
+    @pytest.mark.parametrize("degree", [0, 1])
+    def test_only_the_paired_powers_are_formed(self, monkeypatch, degree):
+        # h = ceil(m_max / 2): M^1 .. M^(h-1) are multiplied out, and the
+        # words of M^2 come from M's own terms, so no other power is formed
+        import coholap.pipeline as pipeline
+
+        original = pipeline._times_base
+
+        def spy(power, *args):
+            out = original(power, *args)
+            exponents[id(out)] = exponents.get(id(power), 0) + 1
+            formed.append(exponents[id(out)])
+            return out
+
+        monkeypatch.setattr(pipeline, "_times_base", spy)
+        spec = free_group_complex(2)
+        for m_max in range(1, 7):
+            formed, exponents = [], {}    # ids of freed powers are reused
+            report = l2_betti_upper_bounds(spec, degree, m_max=m_max)
+            assert len(report.values) == m_max and not report.cutoff
+            assert formed == list(range(1, (m_max + 1) // 2))
+
     def test_streamed_regular_traces_match_python_columns(self, monkeypatch):
         # S4 in degree 1 at m_max 400: one exact product per further
         # term, each trace that of Python-int column products
@@ -675,6 +706,11 @@ class TestFreePowerTracesOracle:
         ("F3 d0* d0", down_square(free_group_complex(3), 1), 8),
         ("F2 2x2 R - Delta_1", shifted_laplacian(free_group_complex(2), 1),
          6),
+        *((f"F2 2x2 R - Delta_1 at {m_max}",
+           shifted_laplacian(free_group_complex(2), 1), m_max)
+          for m_max in range(1, 5)),
+        *((f"F3 d0* d0 at {m_max}", down_square(free_group_complex(3), 1),
+           m_max) for m_max in range(1, 5)),
     ])
     def test_matches_dict_convolution(self, name, matrix, m_max):
         traces, cutoff = cleared_free_power_traces(matrix, m_max, 2_000_000)
