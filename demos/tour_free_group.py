@@ -41,7 +41,7 @@ def main():
         [abelianized_stage(presentation, m) for m in (2, 3, 4, 5)],
         ball_radius=3)
     print("\nquotient chain (Z/m)^2 for m = 2..5, orders:",
-          [order for _i, order, _t, _r in chain.stages()])
+          list(chain.indices))
     print("separation check: radius", chain.separation.radius,
           "separated:", chain.separation.separated)
 

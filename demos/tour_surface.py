@@ -43,10 +43,10 @@ def main():
         [abelianized_stage(spec.presentation, m) for m in (2, 3)],
         ball_radius=3)
     print("abelianized quotients of order:",
-          [order for _i, order, _t, _r in chain.stages()])
+          list(chain.indices))
 
     print("\n--- Betti numbers per degree ---")
-    for _position, order, _table, rep in chain.stages():
+    for _position, order, rep in chain.stages():
         row = []
         for degree in range(3):
             betti, _gap = betti_report(spec, degree, rep)

@@ -192,14 +192,13 @@ def _per_stage(run: _Run, key: str, records: Callable) -> dict:
     from .description import parse_representation
 
     if "chain" in run.payload:
-        stages = [(position, order, rep)
-                  for position, order, _table, rep in _chain(run).stages()]
+        stages = list(_chain(run).stages())
     else:
-        order, rep = parse_representation(
+        rep = parse_representation(
             run.payload.get("representation", {"kind": "regular"}),
             run.presentation, run.args.max_cosets)
         _check_cochain(run, [rep])
-        stages = [(0, order, rep)]
+        stages = [(0, rep.dimension, rep)]
     return {key: [{"position": position, "quotient_order": order, **record}
                   for position, order, rep in stages
                   for record in records(order, rep)]}
@@ -415,14 +414,14 @@ def _cmd_verify_cert(run: _Run) -> dict:
         if soundness is not None:
             # test the claim against the spectrum of its target under the
             # representation the soundness block names
-            order, rep = parse_representation(soundness, run.presentation,
-                                              run.args.max_cosets)
+            rep = parse_representation(soundness, run.presentation,
+                                       run.args.max_cosets)
             op = evaluate(certificate.target, rep,
                           provenance=f"cert-target@{rep.label}")
             check = check_claim_soundness(claim, op, zero_tolerance=run.tol)
             soundness = {
                 "representation": rep.label,
-                "quotient_order": order,
+                "quotient_order": rep.dimension,
                 **_pick(check, "holds offending_eigenvalue zero_threshold"),
             }
         results.append({

@@ -11,9 +11,9 @@ those coordinates.  Tables are renumbered breadth-first from the identity
 coset in generator order, so identical inputs produce identical tables.
 
 Chains of such quotients, with strictly increasing order, feed the
-spectral pipeline: each stage carries the exact permutation
-representation of G obtained by pulling back the regular representation
-of the quotient.
+spectral pipeline: each stage is the exact permutation representation
+of G obtained by pulling back the regular representation of the
+quotient, and holds the quotient's coset table as ``rep.table``.
 """
 
 from __future__ import annotations
@@ -454,22 +454,21 @@ class SeparationReport(NamedTuple):
 
 @dataclass(eq=False)
 class QuotientChain:
-    """A strictly increasing chain of finite quotients of one group."""
+    """A strictly increasing chain of finite quotients of one group, one
+    regular representation per stage (its coset table is ``rep.table``)."""
 
     presentation: Presentation
-    specs: tuple[tuple[Word, ...], ...]
-    tables: tuple[CosetTable, ...]
     representations: tuple[Representation, ...]
     separation: SeparationReport
 
     @property
     def indices(self) -> tuple[int, ...]:
-        return tuple(t.coset_count for t in self.tables)
+        return tuple(rep.dimension for rep in self.representations)
 
     def stages(self):
-        """Yield (position, quotient order, table, representation)."""
-        for i, (table, rep) in enumerate(zip(self.tables, self.representations)):
-            yield i, table.coset_count, table, rep
+        """Yield (position, quotient order, representation)."""
+        for i, rep in enumerate(self.representations):
+            yield i, rep.dimension, rep
 
 
 def quotient_chain(presentation: Presentation,
@@ -477,21 +476,22 @@ def quotient_chain(presentation: Presentation,
                    ball_radius: int = DEFAULT_BALL_RADIUS,
                    max_cosets: int = DEFAULT_MAX_COSETS,
                    warn: bool = True) -> QuotientChain:
-    """Build the quotients named by successive extra-relator sets.
-
-    Indices must strictly increase along the chain.  A residual
-    separation check walks all nontrivial reduced words of length at most
-    ``ball_radius`` (none at radius 0; a negative radius is malformed);
-    any word that every quotient sends to the identity triggers a
-    :class:`SeparationWarning` (the chain cannot distinguish it), never
-    an error.
+    """Build the quotients named by successive extra-relator sets, one
+    regular :class:`Representation` per stage, whose ``table`` keeps the
+    stage's coerced extra relators.  Indices must strictly increase along
+    the chain.  A residual separation check walks all nontrivial reduced
+    words of length at most ``ball_radius`` (none at radius 0; a negative
+    radius is malformed); any word that every quotient sends to the
+    identity triggers a :class:`SeparationWarning` (the chain cannot
+    distinguish it), never an error.
     """
     if not chain:
         raise MalformedInputError("chain must name at least one quotient")
     if ball_radius < 0:
         raise MalformedInputError(
             f"ball radius must be nonnegative, got {ball_radius}")
-    specs = tuple(_coerce_words(presentation, spec) for spec in chain)
+    # every stage's words are checked before any stage is enumerated
+    specs = [_coerce_words(presentation, spec) for spec in chain]
     tables = [todd_coxeter(presentation, spec, max_cosets=max_cosets)
               for spec in specs]
     indices = [t.coset_count for t in tables]
@@ -507,8 +507,7 @@ def quotient_chain(presentation: Presentation,
     if warn and not separation.separated:
         warnings.warn(separation.warning_text(), SeparationWarning,
                       stacklevel=2)
-    return QuotientChain(presentation, specs, tables,
-                         representations, separation)
+    return QuotientChain(presentation, representations, separation)
 
 
 def _separation_check(presentation: Presentation,

@@ -148,11 +148,11 @@ def parse_complex(payload: dict,
 
 
 def parse_representation(block, presentation: Presentation,
-                         max_cosets: int) -> tuple[int, Representation]:
-    """(quotient order, representation) from a 'representation' block."""
+                         max_cosets: int) -> Representation:
+    """The representation a 'representation' block names."""
     kind = _object(block, "'representation'").get("kind", "regular")
     if kind == "trivial":
-        return 1, Representation.trivial(presentation.generator_count)
+        return Representation.trivial(presentation.generator_count)
     if kind == "regular":
         extra = ()
     elif kind == "quotient":
@@ -165,7 +165,7 @@ def parse_representation(block, presentation: Presentation,
     table = todd_coxeter(presentation, extra, max_cosets=max_cosets)
     label = f"quotient|G/N|={table.coset_count}" if extra else \
         f"regular|G|={table.coset_count}"
-    return table.coset_count, Representation.from_coset_table(table, label)
+    return Representation.from_coset_table(table, label)
 
 
 def parse_degree(payload: dict, command: str, top: int) -> int:

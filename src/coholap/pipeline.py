@@ -176,7 +176,7 @@ def luck_approximation(spec: CochainComplexSpec, degree: int,
     reported, never asserted.
     """
     records = []
-    for position, order, _table, rep in chain.stages():
+    for position, order, rep in chain.stages():
         betti, report = betti_report(spec, degree, rep, zero_tolerance)
         records.append(LuckRecord(
             position=position, quotient_order=order, betti=betti,
@@ -401,7 +401,7 @@ def l2_betti_upper_bounds(spec: CochainComplexSpec, degree: int,
 
     terms = min(m_max, (math.isqrt(8 * term_budget + 1) - 1) // 2)
     if not spec.presentation.relators:
-        traces, _ = _free_power_traces(x, terms, term_budget)
+        traces = _free_power_traces(x, terms, term_budget)
         backend = "free-ring"
     else:
         try:
@@ -432,10 +432,10 @@ def l2_betti_upper_bounds(spec: CochainComplexSpec, degree: int,
         term_budget=term_budget, gap_hint=gap_hint)
 
 
-def _free_power_traces(matrix: GroupRingMatrix, m_max: int, term_budget: int
-                       ) -> tuple[list[int], bool]:
+def _free_power_traces(matrix: GroupRingMatrix, m_max: int,
+                       term_budget: int) -> list[int]:
     """Integer traces tau(M^j), j = 1..m_max, of a self-adjoint integral
-    M, and whether support growth beyond ``term_budget`` cut them short.
+    M, fewer when support growth beyond ``term_budget`` cuts them short.
 
     A reduced word over n generators is an integer code in base 2n + 1,
     its last letter the least significant digit (s_i is 2i - 1, s_i^-1 is
@@ -485,7 +485,7 @@ def _free_power_traces(matrix: GroupRingMatrix, m_max: int, term_budget: int
     for a in range(1, h):
         previous, power = power, times_base(power, a)
         if a > 1 and size(power) > term_budget:
-            return traces, True
+            return traces
         traces += _paired_traces(previous, power, identity, radix,
                                  code_type(a), (norm(a - 1), norm(a)))
         traces += _paired_traces(power, power, identity, radix,
@@ -495,7 +495,7 @@ def _free_power_traces(matrix: GroupRingMatrix, m_max: int, term_budget: int
                    for row in power for j, (codes, _) in enumerate(row))
     if h > 1 and products > term_budget and size(
             times_base(power, h)) > term_budget:
-        return traces, True
+        return traces
 
     middles = [{(j, l, word): coeff for j, row in enumerate(base)
                 for l, entry in enumerate(row) for word, coeff in entry}]
@@ -511,9 +511,8 @@ def _free_power_traces(matrix: GroupRingMatrix, m_max: int, term_budget: int
                     key = (j, l, u[:len(u) - n] + v[n:])
                     square[key] = square.get(key, 0) + c * d
         middles.append({key: c for key, c in square.items() if c})
-    traces += _paired_traces(power, power, middles, radix, code_type(h + 1),
-                             (norm(h - 1), norm(h - 1)))
-    return traces, False
+    return traces + _paired_traces(power, power, middles, radix,
+                                   code_type(h + 1), (norm(h - 1), norm(h - 1)))
 
 
 def _regular_power_traces(matrix: GroupRingMatrix, m_max: int,
@@ -601,7 +600,7 @@ def euler_class_trace(spec: CochainComplexSpec, chain: QuotientChain,
             "only a truncation")
     chi = spec.euler_characteristic()
     records = []
-    for position, order, _table, rep in chain.stages():
+    for position, order, rep in chain.stages():
         dims = tuple(
             betti_report(spec, n, rep, zero_tolerance)[0]
             for n in range(spec.top_degree + 1))
@@ -683,7 +682,7 @@ def box_obstruction_report(spec: CochainComplexSpec, degree: int,
     gaps to a certified uniform gap in the report.
     """
     records = []
-    for position, order, _table, rep in chain.stages():
+    for position, order, rep in chain.stages():
         kernel_dim, report = betti_report(spec, degree, rep, zero_tolerance)
         lifted = order * beta_ref.value
         records.append(ObstructionRecord(
@@ -746,7 +745,7 @@ def ghost_diagnostic(spec: CochainComplexSpec, degree: int,
     alone, so only its gap must resolve.
     """
     records = []
-    for position, order, _table, rep in chain.stages():
+    for position, order, rep in chain.stages():
         project = _checked_projection(spec, degree, rep, method)
         p = project(laplacian_operator(spec, degree, rep), zero_tolerance)
         records.append(GhostRecord(position, order, p.max_abs_entry(),

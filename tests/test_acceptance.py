@@ -198,7 +198,7 @@ def test_criterion_3_surface_group_full_complex():
         chain = quotient_chain(GENUS2.presentation, stages,
                                ball_radius=CHAIN_RADIUS)
         orders = []
-        for _position, order, _table, rep in chain.stages():
+        for _position, order, rep in chain.stages():
             orders.append(order)
             assert betti_finite_quotient(GENUS2, 1, rep) == 2 + 2 * order
             assert betti_finite_quotient(GENUS2, 2, rep) == 1

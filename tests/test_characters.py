@@ -353,8 +353,7 @@ def test_ghost_projects_delta_n_alone(monkeypatch, name, spec, extra,
     p_n of ``higher_kazhdan_projection``, and ghost evaluates d_n and
     d_(n-1) for the exact check, then Delta_n, and no Delta_n^+-."""
     rep = quotient(spec, extra)
-    chain = QuotientChain(spec.presentation, ((), ()), (rep.table,) * 2,
-                          (rep, dense_twin(rep)), None)
+    chain = QuotientChain(spec.presentation, (rep, dense_twin(rep)), None)
     evaluated, evaluate = [], pipeline.evaluate
 
     def spy(matrix, rep, provenance=""):

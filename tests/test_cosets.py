@@ -264,7 +264,17 @@ class TestQuotientChain:
         ], ball_radius=3)
         assert chain.indices == (4, 16)
         stages = list(chain.stages())
-        assert [order for _i, order, _t, _r in stages] == [4, 16]
+        assert [order for _i, order, _r in stages] == [4, 16]
+
+    def test_each_stage_is_its_representation(self):
+        texts = [["a^2", "b^2", "a*b*a^-1*b^-1"],
+                 ["a^4", "b^4", "a*b*a^-1*b^-1"]]
+        chain = quotient_chain(F2, texts, ball_radius=2)
+        rep0, rep1 = chain.representations
+        assert list(chain.stages()) == [(0, 4, rep0), (1, 16, rep1)]
+        for rep, stage in zip(chain.representations, texts):
+            assert rep.table.extra_relators == tuple(words(F2, stage))
+        assert chain.indices == (4, 16)
 
     def test_strictly_increasing_required(self):
         with pytest.raises(ChainOrderError):
@@ -320,8 +330,8 @@ class TestQuotientChain:
             words(F2, ["a^2", "b^2", "a*b*a^-1*b^-1"]),
             words(F2, ["a^4", "b^4", "a*b*a^-1*b^-1"]),
         ], ball_radius=2)
-        for i, (_pos, _order, _table, rep) in enumerate(chain.stages()):
-            for word in chain.specs[i]:
+        for rep in chain.representations:
+            for word in rep.table.extra_relators:
                 assert rep.word_is_identity(word)
 
 
@@ -668,7 +678,8 @@ class TestSeparationWalkOracle:
         report = chain.separation
         assert (report.words_checked, report.failure_count,
                 report.first_failure) == all_coset_separation(
-                    p, chain.tables, radius)
+                    p, [rep.table for rep in chain.representations],
+                    radius)
         assert report.separated == (report.failure_count == 0)
         return report
 
@@ -711,7 +722,8 @@ class TestSeparationWalkOracle:
             report = chain.separation
             assert (report.words_checked, report.failure_count,
                     report.first_failure) == all_coset_separation(
-                        p, chain.tables, radius)
+                        p, [rep.table for rep in chain.representations],
+                        radius)
             assert report.separated == (report.failure_count == 0)
             failing += not report.separated
         assert failing >= 3
