@@ -56,9 +56,9 @@ def _coerce_words(presentation: Presentation,
                   words: Iterable[WordLike]) -> tuple[Word, ...]:
     out = []
     for item in words:
-        word = presentation.word(item) if isinstance(item, str) else Word(item)
-        presentation.check_word(word)
-        if len(word) == 0:
+        word = (presentation.word(item) if isinstance(item, str)
+                else presentation.check_word(item))
+        if not word:
             raise MalformedInputError(
                 "relator reduces to the identity; drop it from the input")
         out.append(word)

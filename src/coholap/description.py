@@ -19,7 +19,6 @@ from .errors import MalformedInputError, ShapeMismatchError
 from .groupring import GroupRingMatrix, Presentation, Word
 from .pipeline import BetaRef
 from .spectral import DEFAULT_ZERO_TOLERANCE
-from .textform import parse_word
 
 
 def load_payload(path: str) -> dict:
@@ -89,8 +88,7 @@ def _list(block: dict, key: str, where: str) -> list:
 
 
 def _words(value, presentation: Presentation, what: str) -> list:
-    return [parse_word(text, presentation.generator_names)
-            for text in _string_list(value, what)]
+    return [presentation.word(text) for text in _string_list(value, what)]
 
 
 def parse_presentation(payload: dict) -> Presentation:
@@ -99,8 +97,9 @@ def parse_presentation(payload: dict) -> Presentation:
                          "presentation.generators")
     relator_texts = _string_list(block.get("relators", []),
                                  "presentation.relators")
-    relators = tuple(parse_word(text, names) for text in relator_texts)
-    return Presentation(tuple(names), relators)
+    free = Presentation(tuple(names))       # names are checked first
+    return Presentation(free.generator_names,
+                        tuple(map(free.word, relator_texts)))
 
 
 def parse_ring_matrix(value, presentation: Presentation,
@@ -133,9 +132,11 @@ def parse_complex(payload: dict,
         for key, value in _object(block, "higher_differentials").items():
             try:
                 degree = int(key)
-            except (TypeError, ValueError):
+                if str(degree) != key:  # " 2", "02" and "٢" are not 2
+                    raise ValueError(key)
+            except ValueError:
                 raise MalformedInputError(
-                    f"higher_differentials key {key!r} is not a degree")
+                    f"higher_differentials key {key!r} is not a degree") from None
             higher[degree] = parse_ring_matrix(
                 value, presentation, f"higher_differentials[{key}]")
     aspherical = payload.get("aspherical", False)

@@ -15,6 +15,7 @@ quotients: relations are only ever applied later, through representations.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -22,6 +23,8 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 from .errors import MalformedInputError, ShapeMismatchError, UnknownGeneratorError
 
 Scalar = Union[int, Fraction]
+# A generator name, as the element grammar reads it
+NAME_PATTERN = r"[A-Za-z_][A-Za-z0-9_]*"
 
 
 def _reduce_letters(letters: Iterable[int]) -> tuple[int, ...]:
@@ -391,9 +394,10 @@ def fox_derivative(word: Word, generator: int) -> GroupRingElement:
 class Presentation:
     """A finite group presentation <s_1, ..., s_n | r_1, ..., r_m>.
 
-    ``generator_names`` are distinct nonempty identifiers used only for
-    parsing and printing; all internal work uses 1-based indices.
-    Relators are nonempty freely reduced words over those generators.
+    ``generator_names`` are distinct strings that ``NAME_PATTERN`` fully
+    matches, so words print and parse back (:mod:`coholap.textform`);
+    all internal work uses 1-based indices.  Relators are nonempty freely
+    reduced words over those generators (:meth:`check_word`).
     """
 
     generator_names: tuple[str, ...]
@@ -403,19 +407,16 @@ class Presentation:
         names = tuple(self.generator_names)
         if not names:
             raise MalformedPresentation("at least one generator is required")
+        for name in names:
+            if not (isinstance(name, str) and re.fullmatch(NAME_PATTERN, name)):
+                raise MalformedPresentation(f"invalid generator name {name!r}")
         if len(set(names)) != len(names):
             raise MalformedPresentation("generator names must be distinct")
-        for name in names:
-            if not name or not name.replace("_", "").isalnum() or name[0].isdigit():
-                raise MalformedPresentation(f"invalid generator name {name!r}")
-        relators = tuple(Word(r) for r in self.relators)
-        for r in relators:
-            if len(r) == 0:
-                raise MalformedPresentation("relators must be nonempty after reduction")
-            if r.max_generator() > len(names):
-                raise UnknownGeneratorError(
-                    f"relator {tuple(r)} uses a generator outside the presentation")
         object.__setattr__(self, "generator_names", names)
+        relators = tuple(map(Word, self.relators))
+        for r in relators:  # relator by relator, in the order given
+            if not self.check_word(r):
+                raise MalformedPresentation("relators must be nonempty after reduction")
         object.__setattr__(self, "relators", relators)
 
     @property

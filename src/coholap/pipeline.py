@@ -30,7 +30,7 @@ from .errors import (
     MalformedInputError,
     TraceBackendError,
 )
-from .groupring import GroupRingMatrix
+from .groupring import IDENTITY_WORD, GroupRingMatrix, Word
 from .spectral import (
     DEFAULT_ZERO_TOLERANCE,
     EvaluatedOperator,
@@ -219,18 +219,20 @@ def _denominators(matrix: GroupRingMatrix) -> list[int]:
             for _w, coeff in matrix.entry(i, j).terms()]
 
 
-def _right_multiply(codes: np.ndarray, coeffs: np.ndarray,
-                    digits: tuple[int, ...], radix: int) -> list:
-    """(codes of w * v, coefficients) for every code w, in sorted runs; v
-    is given by its letter digits.
+def _right_multiply(codes: np.ndarray, coeffs: np.ndarray, word: Word,
+                    radix: int) -> list:
+    """(codes of w * v, coefficients) for every code w, v = ``word``.
 
-    Both words are reduced, so each letter either cancels the last digit
-    or becomes the new last digit.  Either way sorted codes stay sorted,
-    and a run the last letter extended cannot cancel the next one.
+    A code is a reduced word in base ``radix``, its last letter the least
+    significant digit: s_i is 2i - 1, s_i^-1 is 2i.  Both words are
+    reduced, so each letter either cancels the last digit or becomes the
+    new last digit.  Either way sorted codes stay sorted, in runs, and a
+    run the last letter extended cannot cancel the next one.
     """
     runs = [(codes, coeffs, False)]
-    for digit in digits:
-        inverse = digit + 1 if digit % 2 else digit - 1
+    for letter in word:
+        digit = 2 * abs(letter) - (letter > 0)
+        inverse = 2 * abs(letter) - (letter < 0)
         split = []
         for codes, coeffs, extended in runs:
             if extended:
@@ -257,9 +259,9 @@ def _times_base(power, base, radix: int, code_type, coeff_type):
             codes, coeffs = np.empty(size, code_type), np.empty(size, coeff_type)
             end = 0
             for (left_codes, left_coeffs), entry in zip(row, column):
-                for digits, coeff in entry:
+                for word, coeff in entry:
                     for run_codes, run_coeffs in _right_multiply(
-                            left_codes, left_coeffs, digits, radix):
+                            left_codes, left_coeffs, word, radix):
                         start, end = end, end + run_codes.size
                         codes[start:end] = run_codes
                         np.multiply(run_coeffs, coeff, out=coeffs[start:end],
@@ -306,8 +308,8 @@ def _paired_traces(left, right, middles, radix: int, code_type,
                    bounds: tuple[int, int]) -> list[int]:
     """tau(L W R) for each self-adjoint W in ``middles``, R self-adjoint.
 
-    A middle maps each term (j, l, digits of w) to its coefficient c, and
-    tau(L W R) = sum c S(j, l, w), S(j, l, w) = sum_i <L[i][j] w, R[i][l]>
+    A middle maps each term (j, l, w), w a ``Word``, to its coefficient c,
+    and tau(L W R) = sum c S(j, l, w), S(j, l, w) = sum_i <L[i][j] w, R[i][l]>
     since R[l][i](v^-1) = R[i][l](v): L[i][j]'s codes, cast to
     ``code_type``, are right-multiplied by w and searched in R[i][l]'s.
     Each S is found once for all middles; when L is R, a term and its
@@ -317,27 +319,26 @@ def _paired_traces(left, right, middles, radix: int, code_type,
     same = left is right
     weights = {}
     for n, middle in enumerate(middles):
-        for (j, l, digits), coeff in middle.items():
+        for (j, l, word), coeff in middle.items():
             if same:
-                adjoint = (l, j, tuple(d + 1 if d % 2 else d - 1
-                                       for d in reversed(digits)))
-                if adjoint < (j, l, digits):
+                adjoint = (l, j, word.inverse())
+                if adjoint < (j, l, word):
                     continue
-                if adjoint > (j, l, digits):
+                if adjoint > (j, l, word):
                     coeff *= 2
-            weights.setdefault((j, l, digits), [0] * len(middles))[n] += coeff
+            weights.setdefault((j, l, word), [0] * len(middles))[n] += coeff
     totals = [0] * len(middles)
-    for (j, l, digits), coeffs in weights.items():
+    for (j, l, word), coeffs in weights.items():
         s = 0
         for row_l, row_r in zip(left, right):
             (codes, x), (codes_r, y) = row_l[j], row_r[l]
             if not (codes.size and codes_r.size):
                 continue
-            if same and j == l and not digits:  # every code meets itself
+            if same and j == l and not word:  # every code meets itself
                 s += _exact_dot(x, y, *bounds)
                 continue
             for codes, x in _right_multiply(codes.astype(code_type, copy=False),
-                                            x, digits, radix):
+                                            x, word, radix):
                 where = np.searchsorted(codes_r, codes).clip(0, codes_r.size - 1)
                 hit = codes_r[where] == codes
                 s += _exact_dot(np.compress(hit, x), y[np.compress(hit, where)],
@@ -437,31 +438,29 @@ def _free_power_traces(matrix: GroupRingMatrix, m_max: int,
     """Integer traces tau(M^j), j = 1..m_max, of a self-adjoint integral
     M, fewer when support growth beyond ``term_budget`` cuts them short.
 
-    A reduced word over n generators is an integer code in base 2n + 1,
-    its last letter the least significant digit (s_i is 2i - 1, s_i^-1 is
-    2i); an entry of M^a is a sorted array of codes with an array of
-    coefficients, each int32, else int64, when every code and partial sum
-    of M^a provably fits, else Python ints.  With h = ceil(m_max / 2),
-    each M^a, a < h, gives tau(M^(2a-1)) with M^(a-1) and tau(M^(2a))
-    with itself, and then M^(a-1) is dropped.  M^h is never multiplied
-    out: P = M^(h-1) gives tau(M^(2h-1)) = tau(P M P) and tau(M^(2h)) =
-    tau(P M^2 P) against the words of M and M^2, the reduced products of
-    M's words.  M^h's support is bounded by its product count, and M^h is
-    formed to count it only when that bound passes the budget.
+    An entry of M^a is a sorted array of word codes (``_right_multiply``)
+    with an array of coefficients, each int32, else int64, when every code
+    and partial sum of M^a provably fits, else Python ints.  With
+    h = ceil(m_max / 2), each M^a, a < h, gives tau(M^(2a-1)) with
+    M^(a-1) and tau(M^(2a)) with itself, and then M^(a-1) is dropped.
+    M^h is never multiplied out: P = M^(h-1) gives tau(M^(2h-1)) =
+    tau(P M P) and tau(M^(2h)) = tau(P M^2 P) against middles keyed by
+    (j, l, ``Word``), the words of M and their products, those of M^2.
+    M^h's support is bounded by its product count, and M^h is formed to
+    count it only when that bound passes the budget.
     """
     if not matrix.is_self_adjoint() or math.lcm(*_denominators(matrix)) > 1:
         raise InvariantError("free-ring power traces need a self-adjoint "
                              "integral matrix")
     k = matrix.rows
     radix = 2 * matrix.max_generator() + 1
-    base = [[[(tuple(2 * abs(s) - (s > 0) for s in word), int(coeff))
-              for word, coeff in matrix.entry(i, j).terms()]
+    base = [[[(word, int(coeff)) for word, coeff in matrix.entry(i, j).terms()]
              for j in range(k)] for i in range(k)]
     terms = [term for row in base for entry in row for term in entry]
     # M^a's words have length at most max_len * a; l1^a bounds its l1 norm
     # and so every product and partial sum.  Capping exponents at 64 keeps
     # each answer, as 2**64 passes every limit, and powers small
-    max_len = max((len(digits) for digits, _ in terms), default=0)
+    max_len = max((len(word) for word, _ in terms), default=0)
     l1 = sum(abs(coeff) for _, coeff in terms)
 
     def code_type(a):
@@ -477,7 +476,7 @@ def _free_power_traces(matrix: GroupRingMatrix, m_max: int,
     def size(power):
         return sum(codes.size for row in power for codes, _ in row)
 
-    identity = [{(j, j, ()): 1 for j in range(k)}]
+    identity = [{(j, j, IDENTITY_WORD): 1 for j in range(k)}]
     h = (m_max + 1) // 2
     power = [[(np.zeros(int(i == j), np.int32), np.ones(int(i == j), np.int32))
               for j in range(k)] for i in range(k)]        # M^0
@@ -502,13 +501,9 @@ def _free_power_traces(matrix: GroupRingMatrix, m_max: int,
     if 2 * h <= m_max:                   # M^2[j][l] = sum_m M[j][m] M[m][l]
         square = {}
         for (j, m, u), c in middles[0].items():
-            inverse = tuple(d + 1 if d % 2 else d - 1 for d in reversed(u))
             for l, entry in enumerate(base[m]):
-                for v, d in entry:      # u v is reduced once n letters cancel
-                    n = 0
-                    while n < min(len(u), len(v)) and inverse[n] == v[n]:
-                        n += 1
-                    key = (j, l, u[:len(u) - n] + v[n:])
+                for v, d in entry:
+                    key = (j, l, u * v)
                     square[key] = square.get(key, 0) + c * d
         middles.append({key: c for key, c in square.items() if c})
     return traces + _paired_traces(power, power, middles, radix,

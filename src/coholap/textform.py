@@ -16,7 +16,8 @@ before they are expanded: one element holds at most
 
 Printing is canonical: terms appear in length-then-lexicographic word
 order, letters are printed one at a time (``a*a`` rather than ``a^2``),
-and ``parse(print(x)) == x`` holds exactly.
+and ``parse(print(x)) == x`` holds exactly over every ``Presentation``,
+whose names are the ones this grammar reads (``groupring.NAME_PATTERN``).
 """
 
 from __future__ import annotations
@@ -26,16 +27,16 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .errors import MalformedInputError, UnknownGeneratorError
-from .groupring import GroupRingElement, Presentation, Word
+from .groupring import NAME_PATTERN, GroupRingElement, Presentation, Word
 
 _NUMBER = r"\d+(?:/\d+)?"
-_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
-_FACTOR = rf"(?:{_NUMBER}|{_NAME}(?:\s*\^\s*(?:-\s*)?\d+)?)"
+_FACTOR = rf"(?:{_NUMBER}|{NAME_PATTERN}(?:\s*\^\s*(?:-\s*)?\d+)?)"
 _TERM = rf"{_FACTOR}(?:\s*\*\s*{_FACTOR})*"
 # No two whitespace runs touch, so a failed match backtracks in linear time.
 _ELEMENT_RE = re.compile(rf"\s*(?:[+-]\s*)?{_TERM}(?:\s*[+-]\s*{_TERM})*\s*")
 _SIGNED_TERM_RE = re.compile(rf"\s*(?:([+-])\s*)?({_TERM})")
-_FACTOR_RE = re.compile(rf"({_NUMBER})|({_NAME})(?:\s*\^\s*(?:(-)\s*)?(\d+))?")
+_FACTOR_RE = re.compile(
+    rf"({_NUMBER})|({NAME_PATTERN})(?:\s*\^\s*(?:(-)\s*)?(\d+))?")
 _DEFAULT_NAME_RE = re.compile(r"g[1-9][0-9]*")
 MAX_ELEMENT_LETTERS = 10**7
 

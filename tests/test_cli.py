@@ -754,6 +754,15 @@ MALFORMED = [
      "higher_differentials"),
     ("spectrum", dict(CYCLIC3, higher_differentials={"two": [["1"]]}),
      "higher_differentials key 'two'"),
+    # a key is a degree only as that degree prints: " 2" would replace "2"
+    ("spectrum", dict(CYCLIC3, higher_differentials={
+        "2": [["1 + a"]], " 2": [["1 - a"]]}),
+     "higher_differentials key ' 2'"),
+    ("spectrum", dict(CYCLIC3, higher_differentials={"02": [["1 - a"]]}),
+     "higher_differentials key '02'"),
+    ("spectrum", dict(CYCLIC3, higher_differentials={
+        "2": [["1 + a"]], "None": [["1"]]}),
+     "higher_differentials key 'None'"),
     ("spectrum", dict(CYCLIC3, aspherical="yes"), "'aspherical'"),
     ("spectrum", dict(CYCLIC3, representation="regular"), "'representation'"),
     ("spectrum", dict(CYCLIC3, zero_tolerance="small"), "'zero_tolerance'"),
@@ -876,6 +885,17 @@ class TestErrorHandling:
                                   {"presentation": TORUS["presentation"]})
         assert code == 2
         assert "'degree'" in json.loads(stdout)["error"]["message"]
+
+    def test_a_bad_generator_name_is_reported_as_a_name(self, tmp_path,
+                                                         capsys):
+        # the names are checked before the relators are parsed with them
+        payload = {"presentation": {"generators": ["é"], "relators": ["é^2"]},
+                   "degree": 0}
+        code, stdout, _ = run_cli(tmp_path, capsys, "spectrum", payload)
+        error = json.loads(stdout)["error"]
+        assert code == 2
+        assert error["type"] == "MalformedPresentation"
+        assert "'é'" in error["message"], error["message"]
 
     def test_unknown_representation_kind(self, tmp_path, capsys):
         payload = dict(CYCLIC3, representation={"kind": "unitary"})

@@ -25,6 +25,7 @@ from coholap import (
     ShapeMismatchError,
     UnknownGeneratorError,
     Word,
+    format_element,
     fox_derivative,
     generator_word,
     parse_element,
@@ -407,6 +408,10 @@ class TestPresentation:
         p = Presentation(("a", "b"), ())
         assert p.word("a*b^-1") == Word([1, -2])
         assert p.element("a - b").support_size == 2
+        # "_" is a name the grammar reads, so it prints and parses back
+        p = Presentation(("_", "a"), ())
+        x = p.element("2*_*a^-1 - _^-2 + 1/3")
+        assert parse_element(format_element(x, p), p) == x
 
     def test_duplicate_generator_names_rejected(self):
         with pytest.raises(MalformedPresentation):
@@ -417,6 +422,10 @@ class TestPresentation:
             Presentation(("a b",), ())
         with pytest.raises(MalformedPresentation):
             Presentation(("",), ())
+        # names the element grammar cannot read back
+        for name in ("é", "a²", 3):
+            with pytest.raises(MalformedPresentation):
+                Presentation((name,), ())
 
     def test_empty_relator_rejected(self):
         with pytest.raises(MalformedPresentation):
