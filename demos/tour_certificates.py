@@ -39,8 +39,8 @@ def main():
         left=GroupRingMatrix.from_element(z3.element("4*a^-1 - 4*a^-2")),
         relator_index=0,
         right=GroupRingMatrix.identity(1))
-    certificate = Certificate.gap_form(z3, target, 6, witnesses=[witness],
-                                       label="rotation-gap")
+    certificate = Certificate(z3, target, (1, -6), witnesses=[witness],
+                              label="rotation-gap")
 
     report = verify_certificate(certificate)
     print("\nverifier accepts the epsilon = 6 certificate:", report.verified)
@@ -52,8 +52,8 @@ def main():
 
     # Tamper: claim a gap of 5 with the same witness.  The residual is
     # M itself, printed exactly, and no epsilon survives into the claim.
-    tampered = Certificate.gap_form(z3, target, 5, witnesses=[witness],
-                                    label="tampered")
+    tampered = Certificate(z3, target, (1, -5), witnesses=[witness],
+                           label="tampered")
     tampered_report = verify_certificate(tampered)
     print("\nverifier accepts the epsilon = 5 tamper:",
           tampered_report.verified)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .errors import MalformedInputError, ShapeMismatchError
 from .groupring import (
@@ -47,7 +47,9 @@ class IdealWitness(NamedTuple):
 
 @dataclass(frozen=True)
 class Certificate:
-    """A claimed sum-of-squares decomposition of c2 M^2 + c1 M."""
+    """A claimed sum-of-squares decomposition of c2 M^2 + c1 M: the
+    ``polynomial_form`` (c2, c1) = (1, -epsilon) claims the gap epsilon,
+    and (0, 1) claims M >= 0."""
 
     presentation: Presentation
     target: GroupRingMatrix
@@ -65,6 +67,8 @@ class Certificate:
         c2, c1 = self.polynomial_form
         object.__setattr__(self, "polynomial_form",
                            (Fraction(c2), Fraction(c1)))
+        object.__setattr__(self, "squares", tuple(self.squares))
+        object.__setattr__(self, "witnesses", tuple(self.witnesses))
         generators = self.ideal_generators
         if generators is None:
             generators = self.presentation.relators
@@ -86,33 +90,6 @@ class Certificate:
             if witness.left.rows != k or witness.right.cols != k:
                 raise ShapeMismatchError(
                     f"witness term must produce a {k}x{k} matrix")
-
-    @staticmethod
-    def gap_form(presentation: Presentation, target: GroupRingMatrix,
-                 epsilon, squares: Sequence[GroupRingMatrix] = (),
-                 witnesses: Sequence[IdealWitness] = (),
-                 ideal_generators: Sequence[Word] | None = None,
-                 label: str = "") -> "Certificate":
-        """Certificate for M^2 - epsilon M, the spectral-gap form."""
-        return Certificate(
-            presentation=presentation, target=target,
-            polynomial_form=(Fraction(1), -Fraction(epsilon)),
-            squares=tuple(squares), witnesses=tuple(witnesses),
-            ideal_generators=None if ideal_generators is None
-            else tuple(ideal_generators),
-            label=label)
-
-    @staticmethod
-    def psd_form(presentation: Presentation, target: GroupRingMatrix,
-                 squares: Sequence[GroupRingMatrix] = (),
-                 witnesses: Sequence[IdealWitness] = (),
-                 label: str = "") -> "Certificate":
-        """Certificate that M itself is a sum of squares modulo the ideal."""
-        return Certificate(
-            presentation=presentation, target=target,
-            polynomial_form=(Fraction(0), Fraction(1)),
-            squares=tuple(squares), witnesses=tuple(witnesses),
-            label=label)
 
     def claimed_epsilon(self) -> Fraction | None:
         """The gap this certificate would prove if verified."""

@@ -147,13 +147,14 @@ class _Run:
 def _check_cochain(run: _Run, representations) -> None:
     """Reject d_{n+1} d_n != 0 under any stage before a number is computed.
 
-    Only user-supplied higher differentials can break the identity: the
-    presentation complex alone gives d_1 d_0 = 1 - r_j, which vanishes
-    under every representation of the presented group.
+    Only differentials past the presentation's can break the identity:
+    the presentation complex alone gives d_1 d_0 = 1 - r_j, which
+    vanishes under every representation of the presented group.  No
+    stage sees G itself: the exact upper bounds check the identity there.
     """
     from .complexes import validate_chain_identity
 
-    if run.payload.get("higher_differentials"):
+    if run.complex.extends_presentation:
         for rep in representations:
             validate_chain_identity(run.complex, rep)
 
@@ -338,19 +339,29 @@ def _cmd_obstruct(run: _Run) -> dict:
     relators = parse_chain(run.payload, run.presentation, run.args.command)
     beta_ref = parse_beta_ref(run.payload, run.args.command)
 
-    gap_claim = None
+    gap_claim, ideal = None, ()
     if "certificate" in run.payload or "certificates" in run.payload:
         from .certificates import certificate_gap_claim, verify_certificate
+        from .complexes import build_laplacian
         from .description import parse_certificates
 
-        certificate, _soundness = parse_certificates(
-            run.payload, run.presentation, run.complex)[0]
+        (certificate, _soundness), *others = parse_certificates(
+            run.payload, run.presentation, run.complex)
+        if others or certificate.target != build_laplacian(
+                run.complex, run.degree).laplacian:
+            raise MalformedInputError(
+                f"obstruct reads one certificate, about Delta_{run.degree}")
         gap_claim = certificate_gap_claim(certificate,
                                           verify_certificate(certificate))
+        ideal = certificate.ideal_generators
 
+    chain = _chain(run, relators)
+    # the claim covers a stage only when the stage kills its ideal
+    in_scope = all(rep.word_is_identity(word)
+                   for rep in chain.representations for word in ideal)
     obstruction = box_obstruction_report(
-        run.complex, run.degree, _chain(run, relators), beta_ref,
-        gap_claim=gap_claim, zero_tolerance=run.tol)
+        run.complex, run.degree, chain, beta_ref,
+        gap_claim=gap_claim if in_scope else None, zero_tolerance=run.tol)
     return {
         "beta_ref": _pick(beta_ref, "value provenance citation"),
         "records": [_pick(r, "position quotient_order kernel_dim=d_star_value "

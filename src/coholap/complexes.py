@@ -68,6 +68,12 @@ class CochainComplexSpec(NamedTuple):
             return self.differentials[n]
         return None
 
+    @property
+    def extends_presentation(self) -> bool:
+        """Whether it has differentials past its presentation's d_0 (and
+        d_1): only those can break d_{n+1} d_n = 0 over the group."""
+        return len(self.differentials) > 1 + bool(self.presentation.relators)
+
     def euler_characteristic(self) -> int:
         return sum((-1) ** n * k for n, k in enumerate(self.cell_counts))
 
@@ -127,20 +133,22 @@ def build_complex(presentation: Presentation,
 
 
 def validate_chain_identity(spec: CochainComplexSpec,
-                            rep: Representation) -> None:
-    """Check d_{n+1} d_n = 0 exactly under one representation.
+                            rep: Representation | None = None) -> None:
+    """Check d_{n+1} d_n = 0 exactly under one representation, or, when
+    ``rep`` is None, in the free-group ring (over G when G is free).
 
     Evaluation is a homomorphism, so the small group-ring product is
     evaluated once instead of multiplying the two evaluated matrices.
     """
     from .spectral import evaluate
 
+    where = ("in the free-group ring" if rep is None
+             else f"under representation {rep.label!r}")
     for n in range(len(spec.differentials) - 1):
         product = spec.differentials[n + 1] @ spec.differentials[n]
-        if not evaluate(product, rep, f"d_{n + 1} d_{n}").is_zero_exact():
-            raise ChainIdentityError(
-                f"d_{n + 1} d_{n} does not vanish under representation "
-                f"{rep.label!r}")
+        if not (product.is_zero() if rep is None else evaluate(
+                product, rep, f"d_{n + 1} d_{n}").is_zero_exact()):
+            raise ChainIdentityError(f"d_{n + 1} d_{n} does not vanish {where}")
 
 
 @dataclass(frozen=True)

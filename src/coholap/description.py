@@ -275,9 +275,9 @@ def parse_certificates(payload: dict, presentation: Presentation,
         else:
             form = (Fraction(0), Fraction(1))
 
-        squares = tuple(
+        squares = [
             parse_ring_matrix(m, presentation, f"{where}.squares[{j}]")
-            for j, m in enumerate(_list(block, "squares", where)))
+            for j, m in enumerate(_list(block, "squares", where))]
         witnesses = []
         for j, w in enumerate(_list(block, "witnesses", where)):
             at = f"{where}.witnesses[{j}]"
@@ -292,16 +292,13 @@ def parse_certificates(payload: dict, presentation: Presentation,
                                          f"{at}.right")))
         ideal = None
         if "ideal" in block:
-            ideal = tuple(_words(block["ideal"], presentation,
-                                 f"{where}.ideal"))
+            ideal = _words(block["ideal"], presentation, f"{where}.ideal")
         label = block.get("label", default_label)
         if not isinstance(label, str):
             raise MalformedInputError(f"{where}.label must be text")
         try:
-            certificate = Certificate(
-                presentation=presentation, target=target, polynomial_form=form,
-                squares=squares, witnesses=tuple(witnesses),
-                ideal_generators=ideal, label=label)
+            certificate = Certificate(presentation, target, form, squares,
+                                      witnesses, ideal, label)
         except ShapeMismatchError as exc:
             raise MalformedInputError(f"{where}: {exc}") from exc
         soundness = block.get("soundness")

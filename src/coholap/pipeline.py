@@ -20,7 +20,8 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from . import exact
-from .complexes import CochainComplexSpec, build_laplacian
+from .complexes import (CochainComplexSpec, build_laplacian,
+                        validate_chain_identity)
 from .cosets import (DEFAULT_MAX_COSETS, QuotientChain, Representation,
                      todd_coxeter)
 from .errors import (
@@ -361,7 +362,8 @@ def l2_betti_upper_bounds(spec: CochainComplexSpec, degree: int,
     slack k_n (1 - epsilon/R)^M also yields reported lower bounds.  The
     trace is the free-group-ring trace when the presentation has no
     relators, and the exact normalized regular trace when the presented
-    group is finite; other groups have no exact backend here.
+    group is finite; other groups have no exact backend here.  A complex
+    whose d_{k+1} d_k does not vanish there raises ChainIdentityError.
 
     X is d* d when Delta_n = d d* (no part above), since
     tau((d d*)^j) = tau((d* d)^j) for j >= 1 and d* d is the smaller
@@ -400,11 +402,8 @@ def l2_betti_upper_bounds(spec: CochainComplexSpec, degree: int,
     clear = math.lcm(*_denominators(x))
     x = x.scale(clear)
 
-    terms = min(m_max, (math.isqrt(8 * term_budget + 1) - 1) // 2)
-    if not spec.presentation.relators:
-        traces = _free_power_traces(x, terms, term_budget)
-        backend = "free-ring"
-    else:
+    table = None
+    if spec.presentation.relators:
         try:
             table = todd_coxeter(spec.presentation, (), max_cosets=max_cosets)
         except EnumerationOverflowError as exc:
@@ -412,8 +411,13 @@ def l2_betti_upper_bounds(spec: CochainComplexSpec, degree: int,
                 "exact traces are available only for free presentations "
                 "(free-ring backend) or finite groups (regular backend); "
                 "this group did not enumerate within the coset budget") from exc
-        traces = _regular_power_traces(x, terms, table)
-        backend = "finite-regular"
+    if spec.extends_presentation:       # over G itself, which no stage sees
+        validate_chain_identity(spec, None if table is None else
+                                Representation.from_coset_table(table))
+    terms = min(m_max, (math.isqrt(8 * term_budget + 1) - 1) // 2)
+    traces = (_free_power_traces(x, terms, term_budget) if table is None
+              else _regular_power_traces(x, terms, table))
+    backend = "free-ring" if table is None else "finite-regular"
 
     k = bundle.cell_count
     # R = 0 only when Delta_n = 0: then every T_j is 0 and u_M = k
@@ -674,7 +678,8 @@ def box_obstruction_report(spec: CochainComplexSpec, degree: int,
     * ``inconclusive`` otherwise, or when only one stage was computed.
 
     A verified certificate gap claim upgrades the decaying per-quotient
-    gaps to a certified uniform gap in the report.
+    gaps to a certified uniform gap; the caller vouches that the claim
+    is about Delta_n and that every stage kills its ideal generators.
     """
     records = []
     for position, order, rep in chain.stages():

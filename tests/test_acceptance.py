@@ -310,14 +310,14 @@ def test_criterion_7_certificate_verifier():
             left=GroupRingMatrix.from_element(z3.element("4*a^-1 - 4*a^-2")),
             relator_index=0, right=GroupRingMatrix.identity(1))
 
-        good = Certificate.gap_form(z3, target, 6, witnesses=[witness],
-                                    label="rotation-gap")
+        good = Certificate(z3, target, (1, -6), witnesses=[witness],
+                           label="rotation-gap")
         good_report = verify_certificate(good)
         assert good_report.verified
         assert good_report.residual_terms == 0
 
-        tampered = Certificate.gap_form(z3, target, 5, witnesses=[witness],
-                                        label="tampered")
+        tampered = Certificate(z3, target, (1, -5), witnesses=[witness],
+                               label="tampered")
         tampered_report = verify_certificate(tampered)
         assert not tampered_report.verified
         assert tampered_report.residual_terms > 0
@@ -325,8 +325,8 @@ def test_criterion_7_certificate_verifier():
         # squares form of the degree-zero operator: d0* d0 as one square
         f2 = free_presentation(2)
         (d0,) = presentation_differentials(f2)
-        squares_cert = Certificate.psd_form(f2, d0.adjoint() @ d0,
-                                            squares=[d0], label="squares")
+        squares_cert = Certificate(f2, d0.adjoint() @ d0, (0, 1),
+                                   squares=[d0], label="squares")
         squares_report = verify_certificate(squares_cert)
         assert squares_report.verified
 

@@ -50,8 +50,8 @@ def z3_witness():
 
 
 def z3_gap_certificate(epsilon=6):
-    return Certificate.gap_form(
-        Z3, z3_target(), epsilon, witnesses=[z3_witness()],
+    return Certificate(
+        Z3, z3_target(), (1, -epsilon), witnesses=[z3_witness()],
         label="rotation-gap")
 
 
@@ -83,7 +83,7 @@ class TestVerification:
             for text in ("1 - a", "1 - a", "1 - b", "1 - b")
         ]
         report = verify_certificate(
-            Certificate.psd_form(F2, target, squares=squares))
+            Certificate(F2, target, (0, 1), squares=squares))
         assert report.verified
 
     def test_rectangular_square_term(self):
@@ -92,19 +92,19 @@ class TestVerification:
         (d0,) = presentation_differentials(F2)
         target = d0.adjoint() @ d0
         report = verify_certificate(
-            Certificate.psd_form(F2, target, squares=[d0]))
+            Certificate(F2, target, (0, 1), squares=[d0]))
         assert report.verified
 
     def test_matrix_certificate_for_degree_one(self):
         (d0,) = presentation_differentials(F2)
         target = d0 @ d0.adjoint()          # 2 x 2
         report = verify_certificate(
-            Certificate.psd_form(F2, target, squares=[d0.adjoint()]))
+            Certificate(F2, target, (0, 1), squares=[d0.adjoint()]))
         assert report.verified
         assert report.residual.rows == 2
 
     def test_missing_witness_fails_with_nonzero_residual(self):
-        cert = Certificate.gap_form(Z3, z3_target(), 6, label="no-witness")
+        cert = Certificate(Z3, z3_target(), (1, -6), label="no-witness")
         report = verify_certificate(cert)
         assert not report.verified
         assert report.residual_terms > 0
@@ -114,8 +114,8 @@ class TestVerification:
         p = free_presentation(1)
         target = GroupRingMatrix.from_element(p.element("4 - 2*a - 2*a^-1"))
         left = GroupRingMatrix.from_element(p.element("4*a^-1 - 4*a^-2"))
-        cert = Certificate.gap_form(
-            p, target, 6,
+        cert = Certificate(
+            p, target, (1, -6),
             witnesses=[IdealWitness(left, 0, GroupRingMatrix.identity(1))],
             ideal_generators=[Word((1, 1, 1))])
         assert verify_certificate(cert).verified
@@ -125,34 +125,34 @@ class TestCertificateValidation:
     def test_target_must_be_self_adjoint(self):
         target = GroupRingMatrix.from_element(Z3.element("a"))
         with pytest.raises(MalformedInputError):
-            Certificate.psd_form(Z3, target)
+            Certificate(Z3, target, (0, 1))
 
     def test_target_must_be_square(self):
         with pytest.raises(ShapeMismatchError):
-            Certificate.psd_form(Z3, GroupRingMatrix.zero(1, 2))
+            Certificate(Z3, GroupRingMatrix.zero(1, 2), (0, 1))
 
     def test_witness_index_range(self):
         bad = IdealWitness(GroupRingMatrix.identity(1), 5,
                            GroupRingMatrix.identity(1))
         with pytest.raises(MalformedInputError):
-            Certificate.gap_form(Z3, z3_target(), 6, witnesses=[bad])
+            Certificate(Z3, z3_target(), (1, -6), witnesses=[bad])
 
     def test_square_column_count(self):
         wide = GroupRingMatrix.zero(1, 2)
         with pytest.raises(ShapeMismatchError):
-            Certificate.psd_form(Z3, z3_target(), squares=[wide])
+            Certificate(Z3, z3_target(), (0, 1), squares=[wide])
 
     def test_witness_shapes_must_chain(self):
         mismatched = IdealWitness(GroupRingMatrix.identity(1), 0,
                                   GroupRingMatrix.zero(2, 1))
         with pytest.raises(ShapeMismatchError):
-            Certificate.gap_form(Z3, z3_target(), 6, witnesses=[mismatched])
+            Certificate(Z3, z3_target(), (1, -6), witnesses=[mismatched])
 
     def test_witness_must_land_in_target_shape(self):
         tall = IdealWitness(GroupRingMatrix.zero(2, 1), 0,
                             GroupRingMatrix.identity(1))
         with pytest.raises(ShapeMismatchError):
-            Certificate.gap_form(Z3, z3_target(), 6, witnesses=[tall])
+            Certificate(Z3, z3_target(), (1, -6), witnesses=[tall])
 
 
 class TestGapClaims:
@@ -179,7 +179,7 @@ class TestGapClaims:
             GroupRingMatrix.from_element(F2.element(text))
             for text in ("1 - a", "1 - a", "1 - b", "1 - b")
         ]
-        cert = Certificate.psd_form(F2, target, squares=squares)
+        cert = Certificate(F2, target, (0, 1), squares=squares)
         claim = certificate_gap_claim(cert, verify_certificate(cert))
         assert claim.kind == "psd-only"
         assert claim.epsilon is None

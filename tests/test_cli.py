@@ -7,6 +7,7 @@ files in the output directory, and the frozen CSV column layout.
 
 import csv
 import json
+import math
 import re
 import sys
 import time
@@ -489,6 +490,28 @@ class TestObstruct:
         assert report["gap_claim"]["epsilon"] == "6"
         assert report["chain_separation"]["separated"] is False
 
+    def test_certificate_skipped_where_a_stage_is_out_of_scope(
+            self, tmp_path, capsys):
+        # the claim holds where a^3 = 1; Z/9 does not kill a^3, and its own
+        # gap is 2 (2 - 2 cos(2 pi / 9)) < 6
+        payload = {
+            "presentation": {"generators": ["a"], "relators": []},
+            "degree": 0,
+            "chain": [["a^3"], ["a^9"]],
+            "beta_ref": {"value": "0"},
+            "certificate": dict(ROTATION_CERT, ideal=["a^3"]),
+        }
+        code, stdout, _ = run_cli(tmp_path, capsys, "obstruct", payload,
+                                  "--ball-radius", "2")
+        assert code == 0
+        report = json.loads(stdout)
+        assert report["uniform_gap_certified"] is False
+        assert report["certified_epsilon"] is None
+        assert report["gap_claim"]["verified"] is True
+        assert report["gap_claim"]["epsilon"] == "6"
+        assert report["min_gap"] == pytest.approx(4 - 4 * math.cos(
+            2 * math.pi / 9))
+
     def test_overflowing_beta_ref_is_malformed(self, tmp_path, capsys):
         payload = json.dumps(dict(
             TORUS, degree=1, chain=TORUS_CHAIN,
@@ -724,6 +747,21 @@ class TestChainIdentity:
         assert not (out / f"{command}.json").exists()
         assert not (out / f"{command}.csv").exists()
 
+    def test_upper_bounds_need_a_complex_over_the_group(self, tmp_path,
+                                                        capsys):
+        # d_1 d_0 = ba - ab vanishes in every abelian stage, not in Z[F_2]
+        chain = [[f"a^{m}", f"b^{m}", "a*b*a^-1*b^-1"] for m in (2, 4)]
+        payload = dict(FREE2, higher_differentials={"1": [["1 - b", "a - 1"]]},
+                       degree=1, chain=chain, upper_bounds={"m_max": 4})
+        code, stdout, out = run_cli(tmp_path, capsys, "betti", payload,
+                                    "--ball-radius", "2")
+        assert code == 1
+        error = json.loads(stdout)["error"]
+        assert error["type"] == "ChainIdentityError"
+        assert "free-group ring" in error["message"]
+        assert not (out / "betti.json").exists()
+        assert not (out / "betti.csv").exists()
+
 
 # (command, description, text the message must hold); a description of
 # None names a directory as the spec path
@@ -777,6 +815,13 @@ MALFORMED = [
     ("obstruct", dict(CYCLIC3, chain=[[]], beta_ref={
         "value": "0", "provenance": "user-cited", "citation": {"x": [1, 2]}}),
      "beta_ref citation"),
+    # obstruct reads one certificate, and only one about Delta_degree
+    ("obstruct", dict(CYCLIC3, chain=[[]], beta_ref={"value": "0"},
+                      certificate={"target": {"matrix": [["0"]]},
+                                   "epsilon": "1e400"}), "Delta_0"),
+    ("obstruct", dict(CYCLIC3, chain=[[]], beta_ref={"value": "0"},
+                      certificates=[ROTATION_CERT, ROTATION_CERT]),
+     "one certificate"),
     ("verify-cert", {"presentation": CYCLIC3["presentation"],
                      "certificates": ["rotation-gap"]},
      "certificates[0] must be an object"),
@@ -997,6 +1042,13 @@ class TestInputFaults:
             "certificates[0].witnesses[0] must be an object"),
         "obstruct-chain-first": ("obstruct", dict(FREE2, degree=0),
                                  "'chain'"),
+        "obstruct-certificate-target": ("obstruct", dict(
+            INFINITE, beta_ref=BETA_REF,
+            certificate={"target": {"matrix": [["0"]]}}), "Delta_0"),
+        "obstruct-two-certificates": ("obstruct", dict(
+            INFINITE, beta_ref=BETA_REF,
+            certificates=[{"target": {"laplacian": 0}}] * 2),
+            "one certificate"),
         # json.dumps itself refuses an integer past the digit limit
         "long-degree": ("spectrum", json.dumps(CYCLIC3).replace(
             '"degree": 0', '"degree": 1' + "0" * 4999), "not valid JSON"),
@@ -1067,8 +1119,11 @@ class TestInputFaults:
         assert result["soundness"]["holds"] is True
 
     def test_huge_epsilon_certifies_an_infinite_gap(self, tmp_path, capsys):
-        payload = dict(CYCLIC3, chain=[[]], beta_ref=self.BETA_REF,
-                       certificate=self.HUGE_EPSILON)
+        # a zero d_2 makes Delta_3 = 0, whose gap is infinite
+        payload = dict(CYCLIC3, higher_differentials={"2": [["0"]]}, degree=3,
+                       chain=[[]], beta_ref=self.BETA_REF,
+                       certificate={"target": {"laplacian": 3},
+                                    "epsilon": "1e400"})
         code, stdout, _ = run_cli(tmp_path, capsys, "obstruct", payload,
                                   "--ball-radius", "0")
         assert code == 0

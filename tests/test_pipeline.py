@@ -34,6 +34,7 @@ from conftest import (
 
 from coholap import (
     BetaRef,
+    ChainIdentityError,
     GapClaim,
     GroupRingElement,
     GroupRingMatrix,
@@ -443,6 +444,13 @@ class TestUpperBounds:
         with pytest.raises(MalformedInputError):
             l2_betti_upper_bounds(spec, 0, m_max=2, gap_hint=0.0)
 
+    def test_refuse_differentials_that_are_no_complex_over_the_group(self):
+        # d_2 d_1 = (1 + a)(1 + a + ... + a^4) = 2 (1 + a + ... + a^4),
+        # which is not zero in Z[Z/5]
+        spec = top_complex(cyclic_group_complex(5), "1 + a")
+        with pytest.raises(ChainIdentityError, match="under representation"):
+            l2_betti_upper_bounds(spec, 2, m_max=4)
+
     def test_no_backend_for_infinite_presented_group(self):
         with pytest.raises(TraceBackendError):
             l2_betti_upper_bounds(torus_complex(), 1, m_max=2,
@@ -501,6 +509,12 @@ class TestUpperBoundsOracle:
          halved_top_complex(cyclic_group_complex(5)), 2, {"m_max": 10}),
     ])
     def test_matches_three_routes(self, name, spec, degree, kwargs):
+        if name == "F1 degree 1 rational d_1":
+            # d_1 d_0 = (1 - a)^2 / 2 in Z[F_1]: over a free group only
+            # d_1 = 0 makes a complex, so the bounds refuse this one
+            with pytest.raises(ChainIdentityError, match="free-group ring"):
+                l2_betti_upper_bounds(spec, degree, **kwargs)
+            return
         report = l2_betti_upper_bounds(spec, degree, **kwargs)
         values, cutoff, lower = slow_upper_bounds(spec, degree, **kwargs)
         assert report.values == values
