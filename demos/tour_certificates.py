@@ -16,7 +16,6 @@ from coholap import (
     GroupRingMatrix,
     IdealWitness,
     Representation,
-    certificate_gap_claim,
     check_claim_soundness,
     cyclic_presentation,
     evaluate,
@@ -42,11 +41,9 @@ def main():
     certificate = Certificate(z3, target, (1, -6), witnesses=[witness],
                               label="rotation-gap")
 
-    report = verify_certificate(certificate)
-    print("\nverifier accepts the epsilon = 6 certificate:", report.verified)
-    print("residual term count:", report.residual_terms)
-
-    claim = certificate_gap_claim(certificate, report)
+    claim = verify_certificate(certificate)
+    print("\nverifier accepts the epsilon = 6 certificate:", claim.verified)
+    print("residual term count:", claim.residual_terms)
     print("claim kind:", claim.kind, "  epsilon:", claim.epsilon)
     print("scope:", claim.scope)
 
@@ -54,11 +51,10 @@ def main():
     # M itself, printed exactly, and no epsilon survives into the claim.
     tampered = Certificate(z3, target, (1, -5), witnesses=[witness],
                            label="tampered")
-    tampered_report = verify_certificate(tampered)
+    tampered_claim = verify_certificate(tampered)
     print("\nverifier accepts the epsilon = 5 tamper:",
-          tampered_report.verified)
-    print("leftover residual:", tampered_report.residual_text(z3)[0][0])
-    tampered_claim = certificate_gap_claim(tampered, tampered_report)
+          tampered_claim.verified)
+    print("leftover residual:", tampered_claim.residual_text(z3)[0][0])
     print("claimed epsilon after the failed check:", tampered_claim.epsilon)
 
     # Soundness: the verified claim must be consistent with the actual

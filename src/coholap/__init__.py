@@ -17,8 +17,7 @@ __version__ = "0.1.0"
 
 # The public names, by defining module.
 _EXPORTS = {name: module for module, names in (
-    ("certificates", "Certificate CertificateReport GapClaim IdealWitness "
-                     "SoundnessCheck certificate_gap_claim "
+    ("certificates", "Certificate GapClaim IdealWitness SoundnessCheck "
                      "check_claim_soundness verify_certificate"),
     ("complexes", "CochainComplexSpec LaplacianBundle build_complex "
                   "build_laplacian cyclic_group_complex cyclic_presentation "

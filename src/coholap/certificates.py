@@ -10,11 +10,12 @@ matrices with k columns, and the r_j are ideal generators (relators).
 Verification recomputes both sides with exact rational arithmetic and
 reports the residual; nothing here searches for certificates.
 
-A verified identity with coefficients (1, -epsilon) proves that in every
-orthogonal representation of the quotient group, the spectrum of the
-image of M avoids (0, epsilon): x^2 - epsilon x is a sum of squares plus
-ideal terms, hence PSD wherever the relators vanish.  Coefficients
-(0, 1) prove positive semidefiniteness alone.
+A verified identity holds as an operator inequality c2 M^2 + c1 M >= 0
+in every orthogonal representation that kills the ideal generators, and
+the signs of (c2, c1) say what that proves.  With c2 > 0 > c1 the
+spectrum of the image of M avoids (0, epsilon), epsilon = -c1/c2; with
+c2 <= 0 < c1 the image of M is positive semidefinite; any other pair
+proves nothing.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ class IdealWitness(NamedTuple):
 class Certificate:
     """A claimed sum-of-squares decomposition of c2 M^2 + c1 M: the
     ``polynomial_form`` (c2, c1) = (1, -epsilon) claims the gap epsilon,
-    and (0, 1) claims M >= 0."""
+    and (0, 1) claims M >= 0, in the representations it ``covers``."""
 
     presentation: Presentation
     target: GroupRingMatrix
@@ -91,19 +92,28 @@ class Certificate:
                 raise ShapeMismatchError(
                     f"witness term must produce a {k}x{k} matrix")
 
-    def claimed_epsilon(self) -> Fraction | None:
-        """The gap this certificate would prove if verified."""
-        c2, c1 = self.polynomial_form
-        if c2 > 0 and c1 < 0:
-            return -c1 / c2
-        return None
+    def covers(self, rep) -> bool:
+        """Whether ``rep`` kills every ideal generator, so that what the
+        certificate proves holds in it."""
+        return all(rep.word_is_identity(w) for w in self.ideal_generators)
 
 
-class CertificateReport(NamedTuple):
-    verified: bool
-    residual: GroupRingMatrix
-    residual_terms: int
+class GapClaim(NamedTuple):
+    """What a certificate proves, with the residual that decides whether
+    it is verified."""
+
     label: str
+    kind: str                     # "spectral-gap" | "psd-only" | "none"
+    epsilon: Fraction | None
+    scope: str
+    verified: bool
+    polynomial_form: tuple[Fraction, Fraction]
+    residual: GroupRingMatrix | None = None
+    residual_terms: int = 0
+
+    def float_epsilon(self) -> float | None:
+        """epsilon as a float; one past the float range reads as inf."""
+        return None if self.epsilon is None else float_or_inf(self.epsilon)
 
     def residual_text(self, presentation: Presentation) -> list[list[str]]:
         from .textform import format_element
@@ -115,15 +125,21 @@ class CertificateReport(NamedTuple):
         ]
 
 
-def verify_certificate(certificate: Certificate) -> CertificateReport:
-    """Recompute the certificate identity exactly and report the residual.
+def verify_certificate(certificate: Certificate) -> GapClaim:
+    """Recompute the certificate identity exactly and state what it proves.
 
     The certificate is verified exactly when
 
         c2 M^2 + c1 M - sum g_i* g_i - sum a_j (r_j - 1) b_j
 
-    is the zero matrix of the free-group ring.
+    is the zero matrix of the free-group ring.  The claim's kind reads
+    the signs of (c2, c1): c2 > 0 > c1 claims the spectral gap
+    epsilon = -c1/c2 (kept only when verified), c2 <= 0 < c1 claims
+    positive semidefiniteness, and any other pair claims nothing.  Its
+    scope is every orthogonal representation the certificate covers.
     """
+    from .textform import format_word
+
     m = certificate.target
     c2, c1 = certificate.polynomial_form
     residual = GroupRingMatrix.zero(m.rows, m.cols)
@@ -141,55 +157,18 @@ def verify_certificate(certificate: Certificate) -> CertificateReport:
     terms = sum(
         residual.entry(i, j).support_size
         for i in range(residual.rows) for j in range(residual.cols))
-    return CertificateReport(
-        verified=terms == 0, residual=residual, residual_terms=terms,
-        label=certificate.label)
-
-
-class GapClaim(NamedTuple):
-    """What a verified certificate proves, as a structured record."""
-
-    label: str
-    kind: str                     # "spectral-gap" | "psd-only" | "none"
-    epsilon: Fraction | None
-    scope: str
-    verified: bool
-    polynomial_form: tuple[Fraction, Fraction]
-
-    def float_epsilon(self) -> float | None:
-        """epsilon as a float; one past the float range reads as inf."""
-        return None if self.epsilon is None else float_or_inf(self.epsilon)
-
-
-def certificate_gap_claim(certificate: Certificate,
-                          report: CertificateReport) -> GapClaim:
-    """Turn a verification outcome into an explicit claim record.
-
-    Only coefficients (1, -epsilon) with epsilon > 0 yield a spectral-gap
-    claim: spectrum inside {0} union [epsilon, infinity) in every
-    orthogonal representation killing the ideal generators.  Coefficients
-    (0, 1) yield a positive-semidefiniteness claim with no gap.
-    """
-    from .textform import format_word
-
+    kind = ("spectral-gap" if c2 > 0 > c1
+            else "psd-only" if c2 <= 0 < c1 else "none")
     quotient = ", ".join(
         format_word(w, certificate.presentation)
         for w in certificate.ideal_generators)
-    scope = (f"all orthogonal representations of the quotient by the normal "
-             f"closure of [{quotient}]")
-    c2, c1 = certificate.polynomial_form
-    epsilon = certificate.claimed_epsilon()
-    if epsilon is not None:
-        kind = "spectral-gap"
-    elif (c2, c1) == (0, 1):
-        kind = "psd-only"
-    else:
-        kind = "none"
     return GapClaim(
         label=certificate.label, kind=kind,
-        epsilon=epsilon if report.verified else None,
-        scope=scope, verified=report.verified,
-        polynomial_form=(c2, c1))
+        epsilon=-c1 / c2 if kind == "spectral-gap" and terms == 0 else None,
+        scope=(f"all orthogonal representations of the quotient by the "
+               f"normal closure of [{quotient}]"),
+        verified=terms == 0, polynomial_form=(c2, c1),
+        residual=residual, residual_terms=terms)
 
 
 class SoundnessCheck(NamedTuple):

@@ -339,29 +339,21 @@ def _cmd_obstruct(run: _Run) -> dict:
     relators = parse_chain(run.payload, run.presentation, run.args.command)
     beta_ref = parse_beta_ref(run.payload, run.args.command)
 
-    gap_claim, ideal = None, ()
+    certificate = None
     if "certificate" in run.payload or "certificates" in run.payload:
-        from .certificates import certificate_gap_claim, verify_certificate
         from .complexes import build_laplacian
         from .description import parse_certificates
 
         (certificate, _soundness), *others = parse_certificates(
-            run.payload, run.presentation, run.complex)
+            run.payload, run.presentation, run.complex, run.args.command)
         if others or certificate.target != build_laplacian(
                 run.complex, run.degree).laplacian:
             raise MalformedInputError(
                 f"obstruct reads one certificate, about Delta_{run.degree}")
-        gap_claim = certificate_gap_claim(certificate,
-                                          verify_certificate(certificate))
-        ideal = certificate.ideal_generators
 
-    chain = _chain(run, relators)
-    # the claim covers a stage only when the stage kills its ideal
-    in_scope = all(rep.word_is_identity(word)
-                   for rep in chain.representations for word in ideal)
     obstruction = box_obstruction_report(
-        run.complex, run.degree, chain, beta_ref,
-        gap_claim=gap_claim if in_scope else None, zero_tolerance=run.tol)
+        run.complex, run.degree, _chain(run, relators), beta_ref,
+        certificate=certificate, zero_tolerance=run.tol)
     return {
         "beta_ref": _pick(beta_ref, "value provenance citation"),
         "records": [_pick(r, "position quotient_order kernel_dim=d_star_value "
@@ -369,8 +361,8 @@ def _cmd_obstruct(run: _Run) -> dict:
                     for r in obstruction.records],
         **_pick(obstruction, "verdict gap_decay min_gap uniform_gap_certified "
                              "certified_epsilon box_metric_note"),
-        "gap_claim": None if gap_claim is None
-        else _pick(gap_claim, "label kind verified epsilon"),
+        "gap_claim": None if obstruction.gap_claim is None
+        else _pick(obstruction.gap_claim, "label kind verified epsilon"),
     }
 
 
@@ -412,21 +404,24 @@ def _cmd_ghost(run: _Run) -> dict:
           "label verified residual_terms claim_kind=claim.kind "
           "epsilon=claim.epsilon soundness_holds=soundness.holds")
 def _cmd_verify_cert(run: _Run) -> dict:
-    from .certificates import (certificate_gap_claim, check_claim_soundness,
-                               verify_certificate)
+    from .certificates import check_claim_soundness, verify_certificate
     from .description import parse_certificates, parse_representation
     from .spectral import evaluate
 
     results = []
     for certificate, soundness in parse_certificates(
-            run.payload, run.presentation, run.complex):
-        cert_report = verify_certificate(certificate)
-        claim = certificate_gap_claim(certificate, cert_report)
+            run.payload, run.presentation, run.complex, run.args.command):
+        claim = verify_certificate(certificate)
         if soundness is not None:
             # test the claim against the spectrum of its target under the
             # representation the soundness block names
             rep = parse_representation(soundness, run.presentation,
                                        run.args.max_cosets)
+            if not certificate.covers(rep):
+                raise MalformedInputError(
+                    f"certificate {certificate.label!r}: its soundness "
+                    f"representation {rep.label} does not kill its ideal "
+                    "generators")
             op = evaluate(certificate.target, rep,
                           provenance=f"cert-target@{rep.label}")
             check = check_claim_soundness(claim, op, zero_tolerance=run.tol)
@@ -437,8 +432,8 @@ def _cmd_verify_cert(run: _Run) -> dict:
             }
         results.append({
             "label": certificate.label,
-            **_pick(cert_report, "verified residual_terms"),
-            "residual": cert_report.residual_text(run.presentation),
+            **_pick(claim, "verified residual_terms"),
+            "residual": claim.residual_text(run.presentation),
             "claim": _pick(claim, "kind epsilon scope verified "
                                   "polynomial_form"),
             "soundness": soundness,

@@ -364,7 +364,8 @@ class Representation:
                  matrices: Sequence[Sequence[Sequence[Fraction]]] | None = None,
                  table: CosetTable | None = None, label: str = ""):
         if sum(kind is not None for kind in (perms, matrices, table)) != 1:
-            raise ValueError("give exactly one of perms=, matrices= or table=")
+            raise MalformedInputError(
+                "give exactly one of perms=, matrices= or table=")
         if table is not None and table.coset_count != dimension:
             raise ShapeMismatchError(
                 f"a table of {table.coset_count} cosets in dimension {dimension}")
@@ -378,7 +379,8 @@ class Representation:
             perms = np.asarray(perms, dtype=np.int64).reshape(len(perms), dimension)
             inverses = np.argsort(perms, axis=1)  # also sorts the rows once
             if (np.take_along_axis(perms, inverses, 1) != np.arange(dimension)).any():
-                raise ValueError("generator image is not a permutation")
+                raise MalformedInputError(
+                    "generator image is not a permutation")
             self.columns = np.stack((inverses, perms), 1).reshape(-1, dimension)
         elif matrices is not None:
             self.matrices = tuple(exact.Matrix(m) for m in matrices)
@@ -387,7 +389,8 @@ class Representation:
                     raise ShapeMismatchError(
                         "generator image has the wrong dimension")
                 if not exact.is_orthogonal(m):
-                    raise ValueError("generator image is not orthogonal")
+                    raise MalformedInputError(
+                        "generator image is not orthogonal")
         self.perms = None if self.columns is None else self.columns[1::2]
 
     @staticmethod
@@ -409,7 +412,7 @@ class Representation:
     def word_perm(self, word: Word, x=None):
         """pi(word), basis vector c going to out[c]; or only x * word^-1."""
         if self.columns is None:
-            raise ValueError("not a permutation representation")
+            raise MalformedInputError("not a permutation representation")
         return _walk(self.columns, [-letter for letter in reversed(word)],
                      np.arange(self.dimension) if x is None else x)
 

@@ -227,7 +227,7 @@ def parse_scalar(value, what: str) -> Fraction:
 
 
 def parse_certificates(payload: dict, presentation: Presentation,
-                        complex_spec: CochainComplexSpec
+                        complex_spec: CochainComplexSpec, command: str
                         ) -> list[tuple]:
     """(Certificate, soundness-check block or None) pairs."""
     from .certificates import Certificate, IdealWitness
@@ -237,7 +237,7 @@ def parse_certificates(payload: dict, presentation: Presentation,
         blocks = [payload["certificate"]]
     if not isinstance(blocks, list) or not blocks:
         raise MalformedInputError(
-            "verify-cert needs a 'certificates' list (or single "
+            f"{command} needs a 'certificates' list (or single "
             "'certificate' object)")
     parsed = []
     for i, block in enumerate(blocks):

@@ -203,7 +203,8 @@ class GroupRingElement:
 
     def __pow__(self, exponent: int) -> "GroupRingElement":
         if exponent < 0:
-            raise ValueError("negative powers are not defined in the group ring")
+            raise MalformedInputError(
+                "negative powers are not defined in the group ring")
         result = GroupRingElement.one()
         base = self
         e = exponent

@@ -657,13 +657,14 @@ class ObstructionReport(NamedTuple):
     min_gap: float
     uniform_gap_certified: bool
     certified_epsilon: float | None
+    gap_claim: object             # the certificate's GapClaim, or None
     box_metric_note: str = ("pairwise separation 2^(i+j) between the i-th "
                             "and j-th quotient blocks; recorded only")
 
 
 def box_obstruction_report(spec: CochainComplexSpec, degree: int,
                            chain: QuotientChain, beta_ref: BetaRef,
-                           gap_claim=None,
+                           certificate=None,
                            zero_tolerance: float = DEFAULT_ZERO_TOLERANCE
                            ) -> ObstructionReport:
     """Compare kernel dimensions against the lifted reference value.
@@ -677,10 +678,20 @@ def box_obstruction_report(spec: CochainComplexSpec, degree: int,
     * ``eventually-equal``: zero for every stage beyond the first;
     * ``inconclusive`` otherwise, or when only one stage was computed.
 
-    A verified certificate gap claim upgrades the decaying per-quotient
-    gaps to a certified uniform gap; the caller vouches that the claim
-    is about Delta_n and that every stage kills its ideal generators.
+    A certificate about Delta_n is verified once, and its claim is
+    reported; a verified gap claim upgrades the decaying per-quotient
+    gaps to a certified uniform gap when the certificate covers every
+    stage.  A certificate about another operator is malformed input.
     """
+    claim = None
+    if certificate is not None:
+        from .certificates import verify_certificate
+
+        if certificate.target != build_laplacian(spec, degree).laplacian:
+            raise MalformedInputError(
+                f"certificate {certificate.label!r} is not about "
+                f"Delta_{degree}")
+        claim = verify_certificate(certificate)
     records = []
     for position, order, rep in chain.stages():
         kernel_dim, report = betti_report(spec, degree, rep, zero_tolerance)
@@ -707,14 +718,15 @@ def box_obstruction_report(spec: CochainComplexSpec, degree: int,
     gaps = [r.gap for r in records]
     decaying = len(gaps) >= 2 and all(
         later < earlier for earlier, later in zip(gaps, gaps[1:]))
-    epsilon = (gap_claim.float_epsilon()
-               if gap_claim is not None and gap_claim.verified else None)
+    certified = claim is not None and claim.epsilon is not None and all(
+        certificate.covers(rep) for rep in chain.representations)
+    epsilon = claim.float_epsilon() if certified else None
     return ObstructionReport(
         degree=degree, beta_ref=beta_ref, records=tuple(records),
         verdict=verdict, gap_decay=decaying,
         min_gap=min(gaps) if gaps else math.inf,
         uniform_gap_certified=epsilon is not None,
-        certified_epsilon=epsilon)
+        certified_epsilon=epsilon, gap_claim=claim)
 
 
 class GhostRecord(NamedTuple):

@@ -25,7 +25,6 @@ from coholap import (
     Representation,
     ShapeMismatchError,
     Word,
-    certificate_gap_claim,
     check_claim_soundness,
     cyclic_presentation,
     evaluate,
@@ -158,7 +157,7 @@ class TestCertificateValidation:
 class TestGapClaims:
     def test_verified_gap_claim(self):
         cert = z3_gap_certificate()
-        claim = certificate_gap_claim(cert, verify_certificate(cert))
+        claim = verify_certificate(cert)
         assert claim.kind == "spectral-gap"
         assert claim.verified
         assert claim.epsilon == Fraction(6)
@@ -168,7 +167,7 @@ class TestGapClaims:
 
     def test_unverified_claim_has_no_epsilon(self):
         cert = z3_gap_certificate(epsilon=5)
-        claim = certificate_gap_claim(cert, verify_certificate(cert))
+        claim = verify_certificate(cert)
         assert claim.kind == "spectral-gap"
         assert not claim.verified
         assert claim.epsilon is None
@@ -180,30 +179,49 @@ class TestGapClaims:
             for text in ("1 - a", "1 - a", "1 - b", "1 - b")
         ]
         cert = Certificate(F2, target, (0, 1), squares=squares)
-        claim = certificate_gap_claim(cert, verify_certificate(cert))
+        claim = verify_certificate(cert)
         assert claim.kind == "psd-only"
         assert claim.epsilon is None
         assert claim.verified
 
     def test_claimed_epsilon_scaling(self):
+        # 2 M^2 - 12 M is twice the rotation identity: the gap is -c1/c2
+        witness = z3_witness()
         cert = Certificate(
-            presentation=Z3, target=z3_target(),
-            polynomial_form=(Fraction(2), Fraction(-3)))
-        assert cert.claimed_epsilon() == Fraction(3, 2)
+            Z3, z3_target(), (2, -12),
+            witnesses=[witness._replace(left=witness.left.scale(2))])
+        claim = verify_certificate(cert)
+        assert claim.verified
+        assert claim.kind == "spectral-gap"
+        assert claim.epsilon == Fraction(6)
 
     def test_positive_linear_coefficient_claims_nothing(self):
         cert = Certificate(
             presentation=Z3, target=z3_target(),
             polynomial_form=(Fraction(1), Fraction(1)))
-        assert cert.claimed_epsilon() is None
-        claim = certificate_gap_claim(cert, verify_certificate(cert))
+        claim = verify_certificate(cert)
         assert claim.kind == "none"
+        assert claim.epsilon is None
+
+    def test_scaled_and_concave_forms_claim_psd(self):
+        # with c2 <= 0 < c1, x (c1 + c2 x) >= 0 forces x >= 0
+        square = GroupRingMatrix.from_element(Z3.element("1 - a"))
+        witness = z3_witness()
+        scaled = Certificate(Z3, z3_target(), (0, 2), squares=[square] * 4)
+        # 6M - M^2 = -(4a^-1 - 4a^-2)(a^3 - 1)
+        concave = Certificate(Z3, z3_target(), (-1, 6), witnesses=[
+            witness._replace(left=witness.left.scale(-1))])
+        for cert in (scaled, concave):
+            claim = verify_certificate(cert)
+            assert claim.verified
+            assert claim.kind == "psd-only"
+            assert claim.epsilon is None
 
 
 class TestSoundness:
     def test_verified_claim_matches_spectrum(self):
         cert = z3_gap_certificate()
-        claim = certificate_gap_claim(cert, verify_certificate(cert))
+        claim = verify_certificate(cert)
         op = regular_operator(Z3, Z3.degree_zero_laplacian())
         check = check_claim_soundness(claim, op)
         assert check.holds

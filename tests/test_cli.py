@@ -708,6 +708,20 @@ class TestVerifyCert:
         assert entry["claim"]["polynomial_form"] == ["1", "-6"]
         assert entry["claim"]["epsilon"] == "6"
 
+    def test_soundness_outside_the_certificate_scope_is_refused(
+            self, tmp_path, capsys):
+        # the claim holds where a^3 = 1, which Z/9 does not kill
+        soundness = {"kind": "quotient", "relators": ["a^9"]}
+        payload = {"presentation": {"generators": ["a"], "relators": []},
+                   "certificate": dict(ROTATION_CERT, ideal=["a^3"],
+                                       soundness=soundness)}
+        code, stdout, out = run_cli(tmp_path, capsys, "verify-cert", payload)
+        assert code == 2
+        error = json.loads(stdout)["error"]
+        assert error["type"] == "MalformedInputError"
+        assert "'rotation-gap'" in error["message"]
+        assert not out.exists()
+
     def test_rational_target_on_a_quotient_past_the_dense_budget(
             self, tmp_path, capsys):
         # the random walk operator of Z/128 x Z/128: 16384 wide, held over
@@ -822,6 +836,9 @@ MALFORMED = [
     ("obstruct", dict(CYCLIC3, chain=[[]], beta_ref={"value": "0"},
                       certificates=[ROTATION_CERT, ROTATION_CERT]),
      "one certificate"),
+    ("obstruct", dict(CYCLIC3, chain=[[]], beta_ref={"value": "0"},
+                      certificates=[]),
+     "obstruct needs a 'certificates' list"),
     ("verify-cert", {"presentation": CYCLIC3["presentation"],
                      "certificates": ["rotation-gap"]},
      "certificates[0] must be an object"),

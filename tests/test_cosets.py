@@ -24,8 +24,10 @@ from conftest import (
 
 from coholap import (
     ChainOrderError,
+    CoholapError,
     CosetTable,
     EnumerationOverflowError,
+    GroupRingElement,
     InvariantError,
     MalformedInputError,
     Presentation,
@@ -224,6 +226,17 @@ class TestRepresentation:
     def test_malformed_images_raise(self, call, match):
         with pytest.raises(ValueError, match=match):
             call()
+
+    def test_faults_are_package_errors(self):
+        for call in (
+                lambda: Representation(2),
+                lambda: Representation(2, perms=[[0, 0]]),
+                lambda: Representation(2, matrices=[[[1, 1], [0, 1]]]),
+                lambda: Representation(1, matrices=[[[-1]]]).word_perm(
+                    Word([1])),
+                lambda: GroupRingElement.generator(1) ** -1):
+            with pytest.raises(CoholapError):
+                call()
 
     def test_word_matrix_is_exact_orthogonal(self):
         from coholap import exact  # type: ignore[attr-defined]

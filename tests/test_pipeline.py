@@ -34,10 +34,12 @@ from conftest import (
 
 from coholap import (
     BetaRef,
+    Certificate,
     ChainIdentityError,
     GapClaim,
     GroupRingElement,
     GroupRingMatrix,
+    IdealWitness,
     IncompleteComplexError,
     InvariantError,
     MalformedInputError,
@@ -1149,24 +1151,65 @@ class TestObstructionReport:
             BetaRef(Fraction(1), "user-cited", citation=citation)
         assert BetaRef(Fraction(1), "user-cited").citation is None
 
+    @staticmethod
+    def rotation_certificate(spec, epsilon=6):
+        """M^2 - epsilon M = (4a^-1 - 4a^-2)(a^3 - 1) for M = Delta_0 of a
+        one-generator complex, exact for epsilon = 6."""
+        p = spec.presentation
+        witness = IdealWitness(
+            GroupRingMatrix.from_element(p.element("4*a^-1 - 4*a^-2")), 0,
+            GroupRingMatrix.identity(1))
+        return Certificate(p, build_laplacian(spec, 0).laplacian,
+                           (1, -epsilon), witnesses=[witness],
+                           ideal_generators=[Word((1, 1, 1))],
+                           label="rotation-gap")
+
+    def cyclic3_chain(self):
+        spec = cyclic_group_complex(3)
+        return spec, quotient_chain(spec.presentation, [["a"], []],
+                                    ball_radius=1, warn=False)
+
     def test_verified_claim_certifies_uniform_gap(self):
-        spec, chain = self.chain_f2()
-        ref = BetaRef(Fraction(1), "user-cited")
-        claim = GapClaim(label="sos", kind="spectral-gap",
-                         epsilon=Fraction(1, 2), scope="quotients",
-                         verified=True,
-                         polynomial_form=(Fraction(1), Fraction(-1, 2)))
-        report = box_obstruction_report(spec, 1, chain, ref, gap_claim=claim)
+        spec, chain = self.cyclic3_chain()
+        ref = BetaRef(Fraction(1, 3), "user-cited")
+        report = box_obstruction_report(
+            spec, 0, chain, ref, certificate=self.rotation_certificate(spec))
         assert report.uniform_gap_certified
-        assert report.certified_epsilon == 0.5
-        unverified = GapClaim(label="sos", kind="spectral-gap",
-                              epsilon=Fraction(1, 2), scope="quotients",
-                              verified=False,
-                              polynomial_form=(Fraction(1), Fraction(-1, 2)))
-        report = box_obstruction_report(spec, 1, chain, ref,
-                                        gap_claim=unverified)
+        assert report.certified_epsilon == 6.0
+        assert report.gap_claim.epsilon == 6
+        tampered = self.rotation_certificate(spec, epsilon=5)
+        report = box_obstruction_report(spec, 0, chain, ref,
+                                        certificate=tampered)
+        assert not report.gap_claim.verified
         assert not report.uniform_gap_certified
         assert report.certified_epsilon is None
+
+    def test_certificate_certifies_only_stages_it_covers(self):
+        # the claim holds where a^3 = 1; Z/9 does not kill a^3, and its own
+        # gap is 4 - 4 cos(2 pi / 9) < 6
+        spec = free_group_complex(1)
+        chain = quotient_chain(spec.presentation, [["a^3"], ["a^9"]],
+                               ball_radius=1, warn=False)
+        certificate = self.rotation_certificate(spec)
+        assert [certificate.covers(rep)
+                for rep in chain.representations] == [True, False]
+        report = box_obstruction_report(spec, 0, chain,
+                                        BetaRef(0, "user-cited"),
+                                        certificate=certificate)
+        assert report.gap_claim.verified
+        assert not report.uniform_gap_certified
+        assert report.certified_epsilon is None
+        assert report.min_gap == pytest.approx(4 - 4 * math.cos(
+            2 * math.pi / 9))
+
+    def test_certificate_about_another_operator_is_refused(self):
+        spec, chain = self.cyclic3_chain()
+        zero = Certificate(spec.presentation, GroupRingMatrix.zero(1, 1),
+                           (1, -6), label="zero")
+        with pytest.raises(MalformedInputError, match="Delta_0"):
+            box_obstruction_report(spec, 0, chain,
+                                   BetaRef(Fraction(1, 3), "user-cited"),
+                                   certificate=zero)
 
     def test_box_metric_note_recorded(self):
         spec, chain = self.chain_f2()

@@ -16,8 +16,8 @@ RECORDS = (
     pipeline.UpperBoundReport, pipeline.EulerRecord, pipeline.EulerReport,
     pipeline.ObstructionRecord, pipeline.ObstructionReport,
     pipeline.GhostRecord, pipeline.GhostReport,
-    certificates.IdealWitness, certificates.CertificateReport,
-    certificates.GapClaim, certificates.SoundnessCheck,
+    certificates.IdealWitness, certificates.GapClaim,
+    certificates.SoundnessCheck,
     spectral.GapReport, spectral.ProjectionMatrix,
     cosets.SeparationReport, complexes.CochainComplexSpec,
 )

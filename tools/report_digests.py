@@ -11,7 +11,10 @@ stdout, stderr (the only place a ``SeparationWarning`` and its first
 failing word reach the user) and written file (``run_meta.json`` holds
 timestamps and paths and is left out).  Every run happens in a scratch
 directory with relative paths and one BLAS thread, so the output
-depends only on the code, not on the machine's core count.
+depends only on the code, not on the machine's core count.  A run whose
+stderr holds a Python traceback also prints a ``<tag> TRACEBACK`` line,
+so an uncaught exception shows by name in a diff, not as one more
+changed digest.
 
 A JSON stdout or file, and a CSV file, also gets a ``~9`` digest, taken
 after rounding every float to 9 significant digits and every float below
@@ -93,6 +96,8 @@ def _print_process(tag: str, done: subprocess.CompletedProcess) -> None:
     print(f"{tag} exit {_digest(str(done.returncode).encode())}")
     _print_digests(f"{tag} stdout", done.stdout)
     print(f"{tag} stderr {_digest(done.stderr)}")
+    if b"Traceback (most recent call last)" in done.stderr:
+        print(f"{tag} TRACEBACK")
 
 
 def main() -> int:
